@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
@@ -23,15 +24,13 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .dispersion import classical_roots, secular_roots, sweep
+from .dispersion import _lorentz_classical_roots, secular_roots, sweep
 from .errors import ConfigError, GeometryError, ParseError, PolspError, \
     SolverError, SpeciesError, TruncationError
 from .hopfield import build_dynamical_matrix, diagonalize
-from .kk import LorentzSet, kk_forward, kk_inverse, load_samples, save_samples
+from .kk import kk_forward, kk_inverse, load_samples
 from .model import METHODS, CavityConfig, OscillatorSpecies, SolverSettings, validate
 from .modes import overlap_K
-
-COMMANDS = ("sweep", "spectrum", "classical", "kk", "converge")
 
 # ---------------------------------------------------------------------------
 # config ingestion
@@ -48,17 +47,15 @@ _DEFAULT_PHOTON_MODES = 32
 _DEFAULT_EXCITON_MODES = 4
 
 
-def _require_mapping(obj, section: str) -> dict:
+def _mapping(obj, section: str, allowed: set) -> dict:
+    """obj as a mapping whose keys all lie in allowed, else ParseError."""
     if not isinstance(obj, dict):
         raise ParseError(f"section must be a mapping, got {type(obj).__name__}",
                          field=section)
-    return obj
-
-
-def _reject_unknown(mapping: dict, allowed: set, section: str) -> None:
-    for key in mapping:
+    for key in obj:
         if key not in allowed:
             raise ParseError("unknown key", field=f"{section}.{key}")
+    return obj
 
 
 def _as_float(mapping: dict, key: str, section: str, default=None) -> float:
@@ -69,6 +66,9 @@ def _as_float(mapping: dict, key: str, section: str, default=None) -> float:
     value = mapping[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(f"expected a number, got {value!r}", field=f"{section}.{key}")
+    if not math.isfinite(value):
+        raise ParseError(f"expected a finite number, got {value!r}",
+                         field=f"{section}.{key}")
     return float(value)
 
 
@@ -91,13 +91,11 @@ def parse_config(text: str) -> tuple[CavityConfig, dict]:
         raise ParseError(f"invalid YAML: {exc}") from exc
     if raw is None:
         raise ParseError("config file is empty")
-    raw = _require_mapping(raw, "<root>")
-    _reject_unknown(raw, _SECTIONS, "<root>")
+    raw = _mapping(raw, "<root>", _SECTIONS)
 
     if "geometry" not in raw:
         raise ParseError("required section missing", field="geometry")
-    geometry = _require_mapping(raw["geometry"], "geometry")
-    _reject_unknown(geometry, _GEOMETRY_KEYS, "geometry")
+    geometry = _mapping(raw["geometry"], "geometry", _GEOMETRY_KEYS)
     L = _as_float(geometry, "L", "geometry")
     l = _as_float(geometry, "l", "geometry")
     c = _as_float(geometry, "c", "geometry", default=1.0)
@@ -109,29 +107,27 @@ def parse_config(text: str) -> tuple[CavityConfig, dict]:
         raise ParseError("must be a list of {omega, G} mappings", field="oscillators")
     species = []
     for k, entry in enumerate(osc_raw):
-        entry = _require_mapping(entry, f"oscillators[{k}]")
-        _reject_unknown(entry, {"omega", "G"}, f"oscillators[{k}]")
+        entry = _mapping(entry, f"oscillators[{k}]", {"omega", "G"})
         species.append(OscillatorSpecies(
             omega=_as_float(entry, "omega", f"oscillators[{k}]"),
             G=_as_float(entry, "G", f"oscillators[{k}]")))
 
-    basis = _require_mapping(raw.get("basis", {}), "basis")
-    _reject_unknown(basis, _BASIS_KEYS, "basis")
+    basis = _mapping(raw.get("basis", {}), "basis", _BASIS_KEYS)
     photon_modes = _as_int(basis, "photon_modes", "basis", default=_DEFAULT_PHOTON_MODES)
     exciton_modes = _as_int(basis, "exciton_modes", "basis", default=_DEFAULT_EXCITON_MODES)
 
-    sweep_sec = _require_mapping(raw.get("sweep", {}), "sweep")
-    _reject_unknown(sweep_sec, _SWEEP_KEYS, "sweep")
+    sweep_sec = _mapping(raw.get("sweep", {}), "sweep", _SWEEP_KEYS)
     q_min = _as_float(sweep_sec, "q_min", "sweep", default=0.0)
     q_max = _as_float(sweep_sec, "q_max", "sweep", default=0.0)
     points = _as_int(sweep_sec, "points", "sweep", default=1)
     if points < 1:
         raise ParseError("points must be >= 1", field="sweep.points")
+    if q_min < 0.0:
+        raise ParseError("q_min must be >= 0", field="sweep.q_min")
     if q_max < q_min:
         raise ParseError("q_max must be >= q_min", field="sweep.q_max")
 
-    solver_sec = _require_mapping(raw.get("solver", {}), "solver")
-    _reject_unknown(solver_sec, _SOLVER_KEYS, "solver")
+    solver_sec = _mapping(raw.get("solver", {}), "solver", _SOLVER_KEYS)
     defaults = SolverSettings()
     method = solver_sec.get("method", defaults.method)
     if not isinstance(method, str) or method not in METHODS:
@@ -189,45 +185,44 @@ def sweep_grid(snapshot: dict) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# manifest
+# manifest and export
 # ---------------------------------------------------------------------------
+
+def _run_fields(snapshot: dict, method: str, q_grid) -> dict:
+    # the run-defining inputs: digested, and repeated in every manifest
+    return {"config": snapshot, "method": method,
+            "q_grid": [float(q) for q in q_grid], "tool_version": __version__}
+
 
 def manifest_digest(snapshot: dict, method: str, q_grid) -> str:
     """Digest over the run-defining fields only; timestamps never enter."""
-    payload = {
-        "config": snapshot,
-        "method": method,
-        "q_grid": [float(q) for q in q_grid],
-        "tool_version": __version__,
-    }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    blob = json.dumps(_run_fields(snapshot, method, q_grid),
+                      sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def _write_manifest(out_dir: Path, name: str, snapshot: dict, method: str,
-                    q_grid, digest: str, outputs: dict) -> Path:
+def _export(out_dir: Path, name: str, snapshot: dict, method: str, q_grid,
+            lines: list[str]) -> list[Path]:
+    """Write <name>.csv under its manifest line, then <name>_manifest.json."""
+    digest = manifest_digest(snapshot, method, q_grid)
+    text = "".join(f"{line}\n" for line in [f"# manifest: {digest}", *lines])
+    csv_path = out_dir / f"{name}.csv"
+    csv_path.write_text(text, encoding="utf-8")
     record = {
+        **_run_fields(snapshot, method, q_grid),
         "digest": digest,
-        "config": snapshot,
-        "method": method,
-        "q_grid": [float(q) for q in q_grid],
-        "tool_version": __version__,
         "created_utc": datetime.now(timezone.utc).isoformat(),
         "truncation": {
             "photon_modes": snapshot["basis"]["photon_modes"],
             "exciton_modes": snapshot["basis"]["exciton_modes"],
             "species": len(snapshot["oscillators"]),
         },
-        "outputs": outputs,
+        "outputs": {csv_path.name: hashlib.sha256(text.encode("utf-8")).hexdigest()},
     }
-    path = out_dir / f"{name}_manifest.json"
-    path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
-    return path
-
-
-def _file_digest(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    manifest_path = out_dir / f"{name}_manifest.json"
+    manifest_path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n",
+                             encoding="utf-8")
+    return [csv_path, manifest_path]
 
 
 def _fmt(x: float) -> str:
@@ -235,125 +230,79 @@ def _fmt(x: float) -> str:
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each returns (method label, q grid, CSV lines below the manifest)
 # ---------------------------------------------------------------------------
 
-def _cmd_sweep(config: CavityConfig, snapshot: dict, out_dir: Path,
-               method: str, threads: int) -> list[Path]:
+def _cmd_sweep(config: CavityConfig, snapshot: dict, args):
     qs = sweep_grid(snapshot)
-    digest = manifest_digest(snapshot, method, qs)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    method = args.method or config.solver.method
+    if args.threads > 1:
+        with ThreadPoolExecutor(max_workers=args.threads) as pool:
             curve = sweep(config, qs, method=method, mapper=pool.map)
     else:
         curve = sweep(config, qs, method=method)
-    csv_path = out_dir / "sweep.csv"
-    with csv_path.open("w", encoding="utf-8") as fh:
-        fh.write(f"# manifest: {digest}\n")
-        fh.write("q,branch,omega\n")
-        for branch_id, branch in enumerate(curve.branches):
-            for qv, omega in branch:
-                fh.write(f"{_fmt(qv)},{branch_id},{_fmt(omega)}\n")
-    manifest = _write_manifest(out_dir, "sweep", snapshot, method, qs, digest,
-                               {csv_path.name: _file_digest(csv_path)})
-    return [csv_path, manifest]
+    lines = ["q,branch,omega"]
+    for branch_id, branch in enumerate(curve.branches):
+        lines += [f"{_fmt(qv)},{branch_id},{_fmt(omega)}" for qv, omega in branch]
+    return method, qs, lines
 
 
-def _cmd_spectrum(config: CavityConfig, snapshot: dict, out_dir: Path,
-                  q: float) -> list[Path]:
+def _cmd_spectrum(config: CavityConfig, snapshot: dict, args):
     # mode tables need eigenvectors, so this is always the dynamical method
-    digest = manifest_digest(snapshot, "dynamical", [q])
-    overlaps = overlap_K(config)
-    modes = diagonalize(build_dynamical_matrix(config, overlaps, q))
-    csv_path = out_dir / "spectrum.csv"
-    with csv_path.open("w", encoding="utf-8") as fh:
-        fh.write(f"# manifest: {digest}\n")
-        fh.write("omega,norm_W,norm_X,norm_Y,norm_Z\n")
-        for mode in modes:
-            parts = [float(np.sum(np.abs(v) ** 2)) for v in
-                     (mode.W, mode.X, mode.Y, mode.Z)]
-            fh.write(",".join([_fmt(mode.Omega)] + [_fmt(p) for p in parts]) + "\n")
-    manifest = _write_manifest(out_dir, "spectrum", snapshot, "dynamical", [q],
-                               digest, {csv_path.name: _file_digest(csv_path)})
-    return [csv_path, manifest]
+    modes = diagonalize(build_dynamical_matrix(config, overlap_K(config), args.q))
+    lines = ["omega,norm_W,norm_X,norm_Y,norm_Z"]
+    for mode in modes:
+        parts = [float(np.sum(np.abs(v) ** 2)) for v in (mode.W, mode.X, mode.Y, mode.Z)]
+        lines.append(",".join(_fmt(p) for p in [mode.Omega, *parts]))
+    return "dynamical", [args.q], lines
 
 
-def _cmd_classical(config: CavityConfig, snapshot: dict, out_dir: Path,
-                   q: float) -> list[Path]:
-    digest = manifest_digest(snapshot, "classical", [q])
-    model = LorentzSet.from_config(config)
-    window = (0.0, config.solver.omega_max)
-    branch1, branch2 = classical_roots(config, model, q, window,
-                                       poles=model.poles())
+def _cmd_classical(config: CavityConfig, snapshot: dict, args):
+    branch1, branch2 = _lorentz_classical_roots(
+        config, args.q, (0.0, config.solver.omega_max))
     rows = sorted([(w, 1) for w in branch1] + [(w, 2) for w in branch2])
-    csv_path = out_dir / "classical.csv"
-    with csv_path.open("w", encoding="utf-8") as fh:
-        fh.write(f"# manifest: {digest}\n")
-        fh.write("omega,branch\n")
-        for omega, branch in rows:
-            fh.write(f"{_fmt(omega)},{branch}\n")
-    manifest = _write_manifest(out_dir, "classical", snapshot, "classical", [q],
-                               digest, {csv_path.name: _file_digest(csv_path)})
-    return [csv_path, manifest]
+    return "classical", [args.q], ["omega,branch"] + [
+        f"{_fmt(omega)},{branch}" for omega, branch in rows]
 
 
-def _cmd_kk(config: CavityConfig, snapshot: dict, out_dir: Path,
-            input_path: str | None, direction: str) -> list[Path]:
-    if input_path is None:
+def _cmd_kk(config: CavityConfig, snapshot: dict, args):
+    if args.input is None:
         raise ParseError("kk command needs --input with a two-column sample file")
-    grid, values = load_samples(input_path)
-    digest = manifest_digest(snapshot, f"kk_{direction}", grid)
-    result = kk_forward(grid, values) if direction == "forward" else kk_inverse(grid, values)
-    out_path = out_dir / "kk.csv"
-    save_samples(out_path, result.grid, result.values,
-                 comment=f"manifest: {digest}\n"
-                         f"direction: {direction}\n"
-                         f"tail_estimate: {result.tail_estimate:.3e}")
-    manifest = _write_manifest(out_dir, "kk", snapshot, f"kk_{direction}", grid,
-                               digest, {out_path.name: _file_digest(out_path)})
-    return [out_path, manifest]
+    grid, values = load_samples(args.input)
+    transform = kk_forward if args.direction == "forward" else kk_inverse
+    result = transform(grid, values)
+    lines = [f"# direction: {args.direction}",
+             f"# tail_estimate: {result.tail_estimate:.3e}"]
+    lines += [f"{_fmt(w)} {_fmt(v)}" for w, v in zip(result.grid, result.values)]
+    return f"kk_{args.direction}", grid, lines
 
 
-def _converge_ladder(largest: int) -> list[int]:
-    ladder = []
-    step = largest
-    while step >= 1 and len(ladder) < 5:
-        ladder.append(step)
-        step //= 2
-    return sorted(set(ladder))
-
-
-def _cmd_converge(config: CavityConfig, snapshot: dict, out_dir: Path) -> list[Path]:
+def _cmd_converge(config: CavityConfig, snapshot: dict, args):
     # the complete-matter-basis experiment: hold N fixed, double Xi, watch
     # the secular roots approach the classical ones
-    digest = manifest_digest(snapshot, "converge", [0.0])
-    model = LorentzSet.from_config(config)
     window = (0.0, config.solver.omega_max)
-    branch1, branch2 = classical_roots(config, model, 0.0, window,
-                                       poles=model.poles())
-    reference = np.sort(np.concatenate([branch1, branch2]))
+    reference = np.sort(np.concatenate(_lorentz_classical_roots(config, 0.0, window)))
     if len(reference) == 0:
         raise SolverError("no classical roots inside the window; widen omega_max")
     compare = min(5, len(reference))
 
-    rows = []
-    for xi in _converge_ladder(config.exciton_mode_count):
+    lines = ["exciton_modes,photon_modes,max_rel_deviation"]
+    # Xi = top, top/2, ... down to 1, at most five steps
+    top = config.exciton_mode_count
+    for xi in sorted(top // 2 ** k for k in range(5) if top // 2 ** k >= 1):
         cfg = config.with_truncation(exciton_mode_count=xi)
-        overlaps = overlap_K(cfg)
-        roots = secular_roots(cfg, overlaps, 0.0, window)
+        roots = secular_roots(cfg, overlap_K(cfg), 0.0, window)
         take = min(compare, len(roots))
+        if take == 0:
+            raise SolverError(
+                f"no secular roots inside the window at exciton_modes={xi}")
         dev = float(np.max(np.abs(roots[:take] - reference[:take]) / reference[:take]))
-        rows.append((xi, cfg.photon_mode_count, dev))
+        lines.append(f"{xi},{cfg.photon_mode_count},{_fmt(dev)}")
+    return "converge", [0.0], lines
 
-    csv_path = out_dir / "converge.csv"
-    with csv_path.open("w", encoding="utf-8") as fh:
-        fh.write(f"# manifest: {digest}\n")
-        fh.write("exciton_modes,photon_modes,max_rel_deviation\n")
-        for xi, n, dev in rows:
-            fh.write(f"{xi},{n},{_fmt(dev)}\n")
-    manifest = _write_manifest(out_dir, "converge", snapshot, "converge", [0.0],
-                               digest, {csv_path.name: _file_digest(csv_path)})
-    return [csv_path, manifest]
+
+COMMANDS = {"sweep": _cmd_sweep, "spectrum": _cmd_spectrum,
+            "classical": _cmd_classical, "kk": _cmd_kk, "converge": _cmd_converge}
 
 
 # ---------------------------------------------------------------------------
@@ -387,32 +336,16 @@ def main(argv=None) -> int:
         config, snapshot = load_config(args.config)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        method = args.method or config.solver.method
         if args.threads < 1:
             raise ParseError("threads must be >= 1")
-
-        if args.command == "sweep":
-            written = _cmd_sweep(config, snapshot, out_dir, method, args.threads)
-        elif args.command == "spectrum":
-            written = _cmd_spectrum(config, snapshot, out_dir, args.q)
-        elif args.command == "classical":
-            written = _cmd_classical(config, snapshot, out_dir, args.q)
-        elif args.command == "kk":
-            written = _cmd_kk(config, snapshot, out_dir, args.input, args.direction)
-        else:
-            written = _cmd_converge(config, snapshot, out_dir)
-    except ConfigError as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-              file=sys.stderr)
-        return 2
-    except SolverError as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-              file=sys.stderr)
-        return 3
+        if not 0.0 <= args.q < math.inf:
+            raise ParseError(f"q must be finite and >= 0, got {args.q}", field="--q")
+        written = _export(out_dir, args.command, snapshot,
+                          *COMMANDS[args.command](config, snapshot, args))
     except PolspError as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, ConfigError) else 3
     for path in written:
         print(path)
     return 0

@@ -29,12 +29,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .errors import (BracketError, BranchMatchError, ConfigError,
                      EvanescentError, PoleError, QuadratureError)
+from .kk import LorentzSet
 from .model import CavityConfig, validate
 from .modes import OverlapSet, overlap_K, photon_frequencies
 
@@ -111,12 +112,9 @@ def _bisect_sign(f, lo: float, hi: float, sign_lo: float, rel_tol: float) -> flo
     return 0.5 * (lo + hi)
 
 
-def _brackets(f, lo: float, hi: float, n: int):
-    xs = np.linspace(lo, hi, n)
-    vals = np.array([f(x) for x in xs])
-    signs = np.sign(vals)
+def _sign_changes(xs: np.ndarray, signs: np.ndarray):
     found = []
-    for i in range(n - 1):
+    for i in range(len(xs) - 1):
         if signs[i] == 0.0:
             found.append((xs[i], xs[i], 0.0))
         elif signs[i] * signs[i + 1] < 0.0:
@@ -126,19 +124,30 @@ def _brackets(f, lo: float, hi: float, n: int):
     return found
 
 
+def _brackets(f, lo: float, hi: float, n: int):
+    """Sign-change brackets of f on n and on 2n - 1 equispaced points.
+
+    linspace(lo, hi, n) equals linspace(lo, hi, 2n - 1)[::2] bit for bit,
+    so f is evaluated once on the fine grid and the coarse brackets reuse
+    every other sample.
+    """
+    xs = np.linspace(lo, hi, 2 * n - 1)
+    signs = np.sign(np.array([f(x) for x in xs]))
+    return _sign_changes(xs[::2], signs[::2]), _sign_changes(xs, signs)
+
+
 def scan_roots(f, window: tuple[float, float], poles, *, exclusion: float,
                scan_points: int, rel_tol: float) -> np.ndarray:
     """All roots of f in the window, excluding pole neighborhoods.
 
-    Each pole-free segment is sampled twice, at scan_points and at double
+    Each pole-free segment is bracketed twice, at scan_points and at double
     density; a differing bracket count means the grid cannot be trusted and
     raises BracketError rather than guessing.
     """
     roots = []
     for seg in pole_free_segments(window, poles, exclusion):
         lo, hi = seg
-        coarse = _brackets(f, lo, hi, scan_points)
-        fine = _brackets(f, lo, hi, 2 * scan_points - 1)
+        coarse, fine = _brackets(f, lo, hi, scan_points)
         if len(coarse) != len(fine):
             raise BracketError(
                 f"scan with {scan_points} points found {len(coarse)} sign changes "
@@ -151,6 +160,13 @@ def scan_roots(f, window: tuple[float, float], poles, *, exclusion: float,
             else:
                 roots.append(_bisect_sign(f, a, b, sign_a, rel_tol))
     return np.array(sorted(roots))
+
+
+def _scan(config: CavityConfig, f, window: tuple[float, float], poles) -> np.ndarray:
+    """scan_roots with the configured exclusion, scan density and tolerance."""
+    settings = config.solver
+    return scan_roots(f, window, poles, exclusion=settings.pole_exclusion,
+                      scan_points=settings.scan_points, rel_tol=settings.root_tol)
 
 
 # --------------------------------------------------------------------------
@@ -181,7 +197,7 @@ class SecularOperator:
     overlaps: OverlapSet
     q: float
 
-    @property
+    @cached_property
     def photon_poles(self) -> np.ndarray:
         return photon_frequencies(self.config, self.q)
 
@@ -222,24 +238,27 @@ def secular_roots(config: CavityConfig, overlaps: OverlapSet, q,
     validate(config)
     overlaps.check_shape(config)
     op = SecularOperator(config=config, overlaps=overlaps, q=float(q))
-    settings = config.solver
-    return scan_roots(op.determinant_sign, window, op.all_poles(),
-                      exclusion=settings.pole_exclusion,
-                      scan_points=settings.scan_points,
-                      rel_tol=settings.root_tol)
+    return _scan(config, op.determinant_sign, window, op.all_poles())
 
 
 # --------------------------------------------------------------------------
 # closed-form few-exciton relations (single species)
 # --------------------------------------------------------------------------
 
-def _require_single_species(config: CavityConfig, needed_modes: int, name: str) -> None:
+def _closed_form_roots(value, name: str, needed_modes: int, config: CavityConfig,
+                       overlaps: OverlapSet, q, window) -> np.ndarray:
+    # the scan shared by both closed forms; value is the relation itself
+    validate(config)
+    overlaps.check_shape(config)
     if config.species_count() != 1:
         raise ConfigError(f"{name} requires exactly one species")
     if config.exciton_mode_count != needed_modes:
         raise ConfigError(
             f"{name} requires exciton_mode_count == {needed_modes}, "
             f"got {config.exciton_mode_count}")
+    poles = np.concatenate([photon_frequencies(config, float(q)),
+                            [config.oscillators[0].omega]])
+    return _scan(config, lambda w: value(config, overlaps, w, q), window, poles)
 
 
 def _weighted_column_sum(overlaps: OverlapSet, photon_freqs: np.ndarray,
@@ -260,17 +279,8 @@ def one_exciton_value(config: CavityConfig, overlaps: OverlapSet,
 def one_exciton_roots(config: CavityConfig, overlaps: OverlapSet, q,
                       window: tuple[float, float]) -> np.ndarray:
     """Roots of the scalar single-matter-mode dispersion relation."""
-    validate(config)
-    overlaps.check_shape(config)
-    _require_single_species(config, 1, "one_exciton_roots")
-    freqs = photon_frequencies(config, float(q))
-    poles = np.concatenate([freqs, [config.oscillators[0].omega]])
-    settings = config.solver
-    return scan_roots(lambda w: one_exciton_value(config, overlaps, w, q),
-                      window, poles,
-                      exclusion=settings.pole_exclusion,
-                      scan_points=settings.scan_points,
-                      rel_tol=settings.root_tol)
+    return _closed_form_roots(one_exciton_value, "one_exciton_roots", 1,
+                              config, overlaps, q, window)
 
 
 def two_exciton_value(config: CavityConfig, overlaps: OverlapSet,
@@ -288,17 +298,8 @@ def two_exciton_value(config: CavityConfig, overlaps: OverlapSet,
 def two_exciton_roots(config: CavityConfig, overlaps: OverlapSet, q,
                       window: tuple[float, float]) -> np.ndarray:
     """Roots of the two-matter-mode product-minus-cross-term relation."""
-    validate(config)
-    overlaps.check_shape(config)
-    _require_single_species(config, 2, "two_exciton_roots")
-    freqs = photon_frequencies(config, float(q))
-    poles = np.concatenate([freqs, [config.oscillators[0].omega]])
-    settings = config.solver
-    return scan_roots(lambda w: two_exciton_value(config, overlaps, w, q),
-                      window, poles,
-                      exclusion=settings.pole_exclusion,
-                      scan_points=settings.scan_points,
-                      rel_tol=settings.root_tol)
+    return _closed_form_roots(two_exciton_value, "two_exciton_roots", 2,
+                              config, overlaps, q, window)
 
 
 # --------------------------------------------------------------------------
@@ -504,16 +505,12 @@ def green_determinant(config: CavityConfig, omega: float, q) -> float:
 def green_roots(config: CavityConfig, q, window: tuple[float, float]) -> np.ndarray:
     """Sign-change roots of the Green-function determinant in the window."""
     validate(config)
-    settings = config.solver
     qv = float(q)
     lo, hi = window
     if not config.solver.allow_evanescent:
         lo = max(lo, qv * config.c * (1.0 + 1e-12))
     poles = [sp.omega for sp in config.oscillators]
-    return scan_roots(lambda w: green_determinant(config, w, q), (lo, hi), poles,
-                      exclusion=settings.pole_exclusion,
-                      scan_points=settings.scan_points,
-                      rel_tol=settings.root_tol)
+    return _scan(config, lambda w: green_determinant(config, w, q), (lo, hi), poles)
 
 
 # --------------------------------------------------------------------------
@@ -577,24 +574,24 @@ def classical_roots(config: CavityConfig, susceptibility, q,
     check turns an under-resolved accumulation into BracketError.
     """
     validate(config)
-    settings = config.solver
     qv = float(q)
     lo, hi = window
-    if not settings.allow_evanescent:
+    if not config.solver.allow_evanescent:
         lo = max(lo, qv * config.c * (1.0 + 1e-12))
 
-    def value(which):
+    def branch(which):
         def f(omega):
             return classical_branch_values(config, susceptibility, omega, qv)[which]
         return f
 
-    out = []
-    for which in (0, 1):
-        out.append(scan_roots(value(which), (lo, hi), poles,
-                              exclusion=settings.pole_exclusion,
-                              scan_points=settings.scan_points,
-                              rel_tol=settings.root_tol))
-    return out[0], out[1]
+    return tuple(_scan(config, branch(which), (lo, hi), poles) for which in (0, 1))
+
+
+def _lorentz_classical_roots(config: CavityConfig, q,
+                             window: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
+    # both classical branches for the configured species, resonances excluded
+    model = LorentzSet.from_config(config)
+    return classical_roots(config, model, q, window, poles=model.poles())
 
 
 # --------------------------------------------------------------------------
@@ -629,10 +626,7 @@ def _roots_for_method(config: CavityConfig, overlaps, method: str, q: float,
     if method == "green":
         return green_roots(config, q, window)
     if method == "classical":
-        from .kk import LorentzSet
-        model = LorentzSet.from_config(config)
-        b1, b2 = classical_roots(config, model, q, window, poles=model.poles())
-        return np.sort(np.concatenate([b1, b2]))
+        return np.sort(np.concatenate(_lorentz_classical_roots(config, q, window)))
     raise ConfigError(f"unknown sweep method {method!r}")
 
 

@@ -10,6 +10,7 @@ Conventions fixed here and assumed everywhere else:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 from .errors import ConfigError, GeometryError, SpeciesError, TruncationError
@@ -135,28 +136,28 @@ def validate(config: CavityConfig) -> CavityConfig:
     Raises
     ------
     GeometryError
-        Nonpositive lengths, l > L, or c <= 0.
+        Nonpositive or non-finite lengths, l > L, or c not in (0, inf).
     SpeciesError
-        Empty species list, omega <= 0, or G < 0.
+        Empty species list, omega not in (0, inf), or G not in [0, inf).
     TruncationError
         photon_mode_count or exciton_mode_count below 1.
     ConfigError
-        Solver settings out of range.
+        Solver settings out of range or non-finite.
     """
-    if not (config.L > 0.0):
-        raise GeometryError(f"cavity length must be positive, got L={config.L}")
+    if not (0.0 < config.L < math.inf):
+        raise GeometryError(f"cavity length must be positive and finite, got L={config.L}")
     if not (0.0 < config.l <= config.L):
         raise GeometryError(f"slab thickness must satisfy 0 < l <= L, got l={config.l}, L={config.L}")
-    if not (config.c > 0.0):
-        raise GeometryError(f"light speed must be positive, got c={config.c}")
+    if not (0.0 < config.c < math.inf):
+        raise GeometryError(f"light speed must be positive and finite, got c={config.c}")
 
     if len(config.oscillators) == 0:
         raise SpeciesError("at least one oscillator species is required")
     for k, sp in enumerate(config.oscillators):
-        if not (sp.omega > 0.0):
-            raise SpeciesError(f"oscillators[{k}].omega must be > 0, got {sp.omega}")
-        if not (sp.G >= 0.0):
-            raise SpeciesError(f"oscillators[{k}].G must be >= 0, got {sp.G}")
+        if not (0.0 < sp.omega < math.inf):
+            raise SpeciesError(f"oscillators[{k}].omega must be > 0 and finite, got {sp.omega}")
+        if not (0.0 <= sp.G < math.inf):
+            raise SpeciesError(f"oscillators[{k}].G must be >= 0 and finite, got {sp.G}")
 
     if config.photon_mode_count < 1:
         raise TruncationError(f"photon_mode_count must be >= 1, got {config.photon_mode_count}")
@@ -166,12 +167,12 @@ def validate(config: CavityConfig) -> CavityConfig:
     s = config.solver
     if s.method not in METHODS:
         raise ConfigError(f"unknown solver method {s.method!r}; expected one of {METHODS}")
-    if not (s.root_tol > 0.0):
-        raise ConfigError(f"root_tol must be > 0, got {s.root_tol}")
-    if not (s.pole_exclusion > 0.0):
-        raise ConfigError(f"pole_exclusion must be > 0, got {s.pole_exclusion}")
+    if not (0.0 < s.root_tol < math.inf):
+        raise ConfigError(f"root_tol must be > 0 and finite, got {s.root_tol}")
+    if not (0.0 < s.pole_exclusion < math.inf):
+        raise ConfigError(f"pole_exclusion must be > 0 and finite, got {s.pole_exclusion}")
     if s.scan_points < 2:
         raise ConfigError(f"scan_points must be >= 2, got {s.scan_points}")
-    if not (s.omega_max > 0.0):
-        raise ConfigError(f"omega_max must be > 0, got {s.omega_max}")
+    if not (0.0 < s.omega_max < math.inf):
+        raise ConfigError(f"omega_max must be > 0 and finite, got {s.omega_max}")
     return config

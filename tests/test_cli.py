@@ -70,6 +70,10 @@ def test_type_errors():
     with pytest.raises(ParseError):
         parse_config(MINIMAL + "sweep: {q_min: 2.0, q_max: 1.0}")
     with pytest.raises(ParseError):
+        parse_config(MINIMAL + "sweep: {q_min: -0.5, q_max: 1.0}")
+    with pytest.raises(ParseError):
+        parse_config(MINIMAL + "sweep: {q_max: .inf}")
+    with pytest.raises(ParseError):
         parse_config("not yaml: [unclosed")
     with pytest.raises(ParseError):
         parse_config("")
@@ -105,6 +109,22 @@ def test_exit_code_config_error(tmp_path, capsys):
     assert record["error"] == "GeometryError"
 
 
+@pytest.mark.parametrize("text,argv", [
+    ("geometry: {L: .inf, l: 0.5}\noscillators: [{omega: 4.0, G: 1.0}]", ["sweep"]),
+    (MINIMAL + "solver: {pole_exclusion: .inf}", ["sweep"]),
+    (MINIMAL + "solver: {root_tol: .inf}", ["sweep"]),
+    (MINIMAL, ["spectrum", "--q", "-0.5"]),
+    (MINIMAL, ["classical", "--q", "-0.5"]),
+], ids=["L_inf", "pole_exclusion_inf", "root_tol_inf", "spectrum_negative_q",
+        "classical_negative_q"])
+def test_exit_code_out_of_range_value(tmp_path, capsys, text, argv):
+    # out-of-range inputs are configuration errors and write no output
+    path = write_config(tmp_path, text)
+    assert main([*argv, "--config", path, "--out", str(tmp_path)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ParseError"
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_exit_code_missing_file(tmp_path, capsys):
     code = main(["sweep", "--config", str(tmp_path / "absent.yaml")])
     assert code == 2
@@ -121,6 +141,22 @@ solver: {omega_max: 12.0}
     code = main(["classical", "--config", path, "--out", str(tmp_path)])
     assert code == 3
     assert json.loads(capsys.readouterr().err)["error"] == "BracketError"
+
+
+def test_converge_without_secular_roots_is_a_solver_error(tmp_path, capsys):
+    # the third thread-determinism config: at G = 0.001 the Xi = 1 step of
+    # the ladder finds no secular root, which used to crash with ValueError
+    path = write_config(tmp_path, """
+geometry: {L: 2.0, l: 1.1, c: 0.85}
+oscillators: [{omega: 5.0, G: 0.001}]
+basis: {photon_modes: 10, exciton_modes: 2}
+solver: {method: dynamical}
+""")
+    code = main(["converge", "--config", path, "--out", str(tmp_path)])
+    assert code == 3
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "SolverError"
+    assert "exciton_modes=1" in record["message"]
 
 
 def test_sweep_csv_and_manifest(tmp_path, capsys):

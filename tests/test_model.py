@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from polsp import (ConfigError, GeometryError, SpeciesError,
@@ -24,6 +26,11 @@ def test_geometry_errors():
         validate(make_config(L=1.0, l=1.5))
     with pytest.raises(GeometryError):
         validate(make_config(c=-1.0))
+    # non-finite values must not slip through the comparisons
+    for bad in ({"L": math.inf}, {"L": math.inf, "l": math.inf},
+                {"c": math.inf}, {"c": math.nan}):
+        with pytest.raises(GeometryError):
+            validate(make_config(**bad))
 
 
 def test_slab_filling_cavity_is_legal():
@@ -37,6 +44,9 @@ def test_species_errors():
         validate(make_config(species=((0.0, 1.0),)))
     with pytest.raises(SpeciesError):
         validate(make_config(species=((4.0, -0.5),)))
+    for bad in ((math.inf, 1.0), (4.0, math.inf), (math.nan, 1.0), (4.0, math.nan)):
+        with pytest.raises(SpeciesError):
+            validate(make_config(species=(bad,)))
 
 
 def test_zero_coupling_is_legal():
@@ -62,6 +72,10 @@ def test_solver_setting_errors():
         validate(make_config(scan_points=1))
     with pytest.raises(ConfigError):
         validate(make_config(omega_max=0.0))
+    for key in ("root_tol", "pole_exclusion", "omega_max"):
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ConfigError):
+                validate(make_config(**{key: bad}))
 
 
 def test_with_truncation_copies():
