@@ -33,6 +33,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from . import hopfield
 from .errors import (BracketError, BranchMatchError, ConfigError,
                      EvanescentError, PoleError, QuadratureError)
 from .kk import LorentzSet
@@ -615,8 +616,10 @@ class DispersionCurve:
 def _roots_for_method(config: CavityConfig, overlaps, method: str, q: float,
                       window: tuple[float, float]) -> np.ndarray:
     if method == "dynamical":
-        from .hopfield import spectrum
-        return spectrum(config, q)
+        # module attribute lookups at call time, so wrappers rebound on
+        # polsp.hopfield see every call
+        dyn = hopfield.build_dynamical_matrix(config, overlaps, q)
+        return np.array([mode.Omega for mode in hopfield.diagonalize(dyn)])
     if method == "secular":
         return secular_roots(config, overlaps, q, window)
     if method == "one_exciton":

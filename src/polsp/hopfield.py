@@ -20,6 +20,12 @@ with coupling weight Omega^2 / (omega_j^2 - Omega^2), and only this sign
 assignment does.  The metric eta = diag(+1, -1) over the (W, Xt | Y, Zt)
 split makes eta M symmetric, which is what guarantees the +-Omega pairing
 and the eta-orthogonality of eigenvectors across distinct eigenvalues.
+
+``diagonalize`` never solves this non-symmetric problem directly.  Flipping
+the sign of the Zt coordinates brings M to the standard bosonic form
+[[A, -B], [B, -A]] with A and B symmetric (Colpa, Physica A 93, 327
+(1978)), which one Cholesky factorization and one symmetric eigenproblem
+of half the size diagonalize.
 """
 
 from __future__ import annotations
@@ -32,7 +38,8 @@ from .errors import ConvergenceError, DimensionError, NormalizationError
 from .model import CavityConfig, validate
 from .modes import OverlapSet, overlap_K, photon_frequencies
 
-# relative scales for eigenvalue classification
+# relative scales: smallest admissible Omega^2, standard-form check,
+# degenerate clusters of Omega
 _ZERO_MODE_RTOL = 1e-12
 _PAIRING_RTOL = 1e-10
 _CLUSTER_RTOL = 1e-9
@@ -49,6 +56,9 @@ class DynamicalMatrix:
     q: float
 
     def __post_init__(self) -> None:
+        if self.matrix.shape != (2 * self.half_dim,) * 2:
+            raise DimensionError(
+                f"matrix shape {self.matrix.shape} does not match half dimension {self.half_dim}")
         self.matrix.flags.writeable = False
 
     @property
@@ -111,94 +121,71 @@ def build_dynamical_matrix(config: CavityConfig, overlaps: OverlapSet, q) -> Dyn
         [E, C, -(P + E), C],
         [-C.T, Zb, C.T, -R],
     ])
-    if M.shape != (2 * (n + s * xi),) * 2:
-        raise DimensionError(f"assembled matrix has shape {M.shape}")
     return DynamicalMatrix(matrix=M, photon_mode_count=n, species_count=s,
                            exciton_mode_count=xi, q=qv)
-
-
-def _eta_vector(half_dim: int) -> np.ndarray:
-    return np.concatenate([np.ones(half_dim), -np.ones(half_dim)])
-
-
-def _deterministic_orientation(v: np.ndarray) -> np.ndarray:
-    # fix the arbitrary eigenvector sign: dominant coefficient positive,
-    # first index winning ties
-    k = int(np.argmax(np.abs(v)))
-    return -v if v[k] < 0 else v
 
 
 def diagonalize(dyn: DynamicalMatrix) -> list[PolaritonMode]:
     """Return all positive-frequency modes, boson-normalized, sorted by Omega.
 
-    Raises NormalizationError when the spectrum is not real and paired or a
-    mode fails to have positive symplectic norm; either signals an unstable
-    parameter set or an assembly bug, and neither is silently accepted.
+    Standard-form reduction (Colpa, Physica A 93, 327 (1978)): with the
+    sign of the Zt coordinates flipped, M = [[A, -B], [B, -A]] with A and
+    B symmetric.  Writing a mode as (x, y), r = x - y and p = x + y obey
+    (A - B) p = Omega r and (A + B) r = Omega p.  The Hamiltonian is stable
+    exactly when A - B = L L^T and A + B are positive definite; then Omega^2
+    are the eigenvalues of the symmetric half-size matrix L^T (A + B) L
+    with eigenvectors z, r = L z, p = (A + B) r / Omega and
+    x, y = (p +- r) / (2 sqrt(Omega)), which makes every mode boson-
+    normalized and eta-orthogonal to every other mode by construction.
+
+    Raises NormalizationError when M is not of that form, when A - B has
+    no Cholesky factor or when some Omega^2 is not positive; each signals
+    an unstable parameter set or an assembly bug.  ConvergenceError means
+    the symmetric eigensolver failed.
     """
-    M = dyn.matrix
+    n, half = dyn.photon_mode_count, dyn.half_dim
+    flip = np.ones(2 * half)
+    flip[half + n:] = -1.0
+    M = flip[:, None] * dyn.matrix * flip
+    A, B = M[:half, :half], -M[:half, half:]
+    scale = np.max(np.abs(M))
+    swapped_top = np.hstack([M[:half, half:], M[:half, :half]])
+    etaM = np.vstack([M[:half], -M[half:]])
+    if max(np.max(np.abs(M[half:] + swapped_top)),
+           np.max(np.abs(etaM - etaM.T))) > _PAIRING_RTOL * scale:
+        raise NormalizationError("matrix is not of the form [[A, -B], [B, -A]] "
+                                 "with A, B symmetric: eigenvalues are not +-Omega paired")
     try:
-        eigvals, eigvecs = np.linalg.eig(M)
+        L = np.linalg.cholesky(A - B)
+    except np.linalg.LinAlgError as exc:
+        raise NormalizationError(
+            "A - B is not positive definite: the Hamiltonian is unstable") from exc
+    try:
+        omega2, z = np.linalg.eigh(L.T @ (A + B) @ L)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigensolver failed: {exc}") from exc
+    # a zero mode shows up as Omega^2 at round-off level, an unstable one
+    # as a negative Omega^2
+    if omega2[0] <= _ZERO_MODE_RTOL * omega2[-1]:
+        raise NormalizationError("zero-frequency or unstable mode encountered")
 
-    scale = float(np.max(np.abs(eigvals))) or 1.0
-    if np.max(np.abs(eigvals.imag)) > 1e-9 * scale:
-        raise NormalizationError(
-            "complex eigenfrequencies: quadratic form is not positive definite")
-    vals = eigvals.real
-    if np.max(np.abs(eigvecs.imag)) > 1e-7:
-        raise NormalizationError("eigenvectors not real up to tolerance")
-    vecs = eigvecs.real
+    omegas = np.sqrt(omega2)
+    r = L @ z
+    p = (A + B) @ r / omegas
+    V = flip[:, None] * np.vstack([p + r, p - r]) / (2.0 * np.sqrt(omegas))
 
-    if np.min(np.abs(vals)) < _ZERO_MODE_RTOL * scale:
-        raise NormalizationError("zero-frequency mode encountered")
+    # deterministic basis: inside each cluster of degenerate Omega, order
+    # by dominant coordinate index (ties keep the eigensolver's order);
+    # then make every dominant coefficient positive, first index winning
+    cluster = np.cumsum(np.r_[0, np.diff(omegas) > _CLUSTER_RTOL * omegas[1:]])
+    dominant = np.argmax(np.abs(V), axis=0)
+    order = np.lexsort((dominant, cluster))
+    V, dominant = V[:, order], dominant[order]
+    V *= np.where(V[dominant, np.arange(half)] < 0, -1.0, 1.0)
 
-    pos = np.where(vals > 0)[0]
-    neg = np.where(vals < 0)[0]
-    if len(pos) != dyn.half_dim or len(neg) != dyn.half_dim:
-        raise NormalizationError(
-            f"expected {dyn.half_dim} positive modes, found {len(pos)}")
-    pos_sorted = np.sort(vals[pos])
-    neg_sorted = np.sort(-vals[neg])
-    if np.max(np.abs(pos_sorted - neg_sorted) / pos_sorted) > _PAIRING_RTOL:
-        raise NormalizationError("eigenvalues do not occur in +-Omega pairs")
-
-    order = pos[np.argsort(vals[pos])]
-    omegas = vals[order]
-    V = vecs[:, order]
-    eta = _eta_vector(dyn.half_dim)
-
-    # eta-orthonormalize cluster by cluster; eigenvectors of distinct
-    # eigenvalues are automatically eta-orthogonal because eta M = (eta M)^T
-    normalized = np.empty_like(V)
-    start = 0
-    while start < len(omegas):
-        stop = start + 1
-        while stop < len(omegas) and omegas[stop] - omegas[stop - 1] <= _CLUSTER_RTOL * omegas[stop]:
-            stop += 1
-        block = V[:, start:stop]
-        gram = block.T @ (eta[:, None] * block)
-        gram = 0.5 * (gram + gram.T)
-        try:
-            chol = np.linalg.cholesky(gram)
-        except np.linalg.LinAlgError as exc:
-            raise NormalizationError(
-                f"symplectic norm not positive near Omega={omegas[start]:.6g}") from exc
-        block = block @ np.linalg.inv(chol).T
-        # deterministic order inside a degenerate cluster: dominant
-        # coordinate index, ties by incoming order
-        dominant = np.argmax(np.abs(block), axis=0)
-        block = block[:, np.argsort(dominant, kind="stable")]
-        for k in range(block.shape[1]):
-            block[:, k] = _deterministic_orientation(block[:, k])
-        normalized[:, start:stop] = block
-        start = stop
-
-    n = dyn.photon_mode_count
-    half = dyn.half_dim
     modes = []
-    for k in range(len(omegas)):
-        v = normalized[:, k]
+    for k in range(half):
+        v = V[:, k]
         mode = PolaritonMode(
             Omega=float(omegas[k]),
             W=v[:n].copy(),

@@ -67,6 +67,8 @@ def _check_grid(grid: np.ndarray) -> np.ndarray:
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 2:
         raise GridError(f"grid must be a 1-D array of >= 2 nodes, got shape {grid.shape}")
+    if not np.all(np.isfinite(grid)):
+        raise GridError("grid nodes must be finite")
     if np.any(np.diff(grid) <= 0.0):
         raise GridError("grid must be strictly ascending")
     if grid[0] < 0.0:
@@ -87,6 +89,8 @@ class SampledSusceptibility:
         if weight.shape != grid.shape:
             raise GridError(
                 f"weight shape {weight.shape} does not match grid {grid.shape}")
+        if not np.all(np.isfinite(weight)):
+            raise GridError("sampled weight G^2(omega) must be finite")
         if np.any(weight < 0.0):
             raise GridError("sampled weight G^2(omega) must be nonnegative")
         object.__setattr__(self, "grid", grid)

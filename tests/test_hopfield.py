@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from polsp import (CavityConfig, NormalizationError,
+from polsp import (CavityConfig, DimensionError, NormalizationError,
                    SolverSettings, build_dynamical_matrix, diagonalize,
                    overlap_K, photon_frequencies, spectrum, DynamicalMatrix)
 from conftest import make_config
@@ -96,15 +96,38 @@ def test_eta_m_is_symmetric():
     assert np.max(np.abs(etaM - etaM.T)) < 1e-12 * np.max(np.abs(M))
 
 
-def test_eigenvectors_are_eta_orthogonal():
-    cfg = make_config(species=((3.0, 1.0),), photon=5, exciton=2)
-    dyn = build_dynamical_matrix(cfg, overlap_K(cfg), 0.0)
-    modes = diagonalize(dyn)
-    eta = np.concatenate([np.ones(dyn.half_dim), -np.ones(dyn.half_dim)])
-    vecs = np.array([np.concatenate([m.W, (1j * m.X).real,
+def _raw_vectors(modes) -> np.ndarray:
+    # columns (W, Xt, Y, Zt) in the real tilde convention of the matrix
+    return np.array([np.concatenate([m.W, (1j * m.X).real,
                                      m.Y, (1j * m.Z).real]) for m in modes]).T
-    gram = vecs.T @ (eta[:, None] * vecs)
-    assert gram == pytest.approx(np.eye(len(modes)), abs=1e-9)
+
+
+def test_eigenvectors_are_eta_orthogonal():
+    # the G = 0 config has Xi-fold degenerate species lines
+    for cfg in (make_config(species=((3.0, 1.0),), photon=5, exciton=2),
+                make_config(species=((4.0, 0.0), (6.0, 0.0)), photon=5, exciton=3)):
+        dyn = build_dynamical_matrix(cfg, overlap_K(cfg), 0.0)
+        modes = diagonalize(dyn)
+        eta = np.concatenate([np.ones(dyn.half_dim), -np.ones(dyn.half_dim)])
+        vecs = _raw_vectors(modes)
+        gram = vecs.T @ (eta[:, None] * vecs)
+        assert gram == pytest.approx(np.eye(len(modes)), abs=1e-9)
+
+
+def test_modes_solve_the_raw_eigenproblem():
+    # independent reference: the general eigensolver on the unreduced M
+    for cfg, q in ((make_config(L=1.3, l=0.9, species=((3.0, 0.8), (5.0, 1.4)),
+                                photon=6, exciton=3), 0.4),
+                   (make_config(species=((4.0, 0.0), (6.5, 0.7)), photon=8, exciton=2), 1.2)):
+        dyn = build_dynamical_matrix(cfg, overlap_K(cfg), q)
+        M, modes = dyn.matrix, diagonalize(dyn)
+        scale = np.linalg.norm(M, 2)
+        for mode, v in zip(modes, _raw_vectors(modes).T):
+            assert np.linalg.norm(M @ v - mode.Omega * v) <= 1e-10 * scale
+        raw = np.linalg.eigvals(M).real
+        reference = np.sort(raw[raw > 0])
+        omegas = np.array([mode.Omega for mode in modes])
+        assert np.max(np.abs(omegas - reference) / reference) <= 1e-12
 
 
 def test_species_order_does_not_matter():
@@ -131,20 +154,30 @@ def test_degenerate_exciton_lines_are_handled():
     assert len(degenerate) == 4
 
 
+def _bare(matrix) -> DynamicalMatrix:
+    # one photon mode and no matter: half dimension 1
+    return DynamicalMatrix(matrix=np.array(matrix, dtype=float), photon_mode_count=1,
+                           species_count=0, exciton_mode_count=1, q=0.0)
+
+
 def test_diagonalize_rejects_complex_spectrum():
-    rot = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    dyn = DynamicalMatrix(matrix=rot, photon_mode_count=1, species_count=0,
-                          exciton_mode_count=1, q=0.0)
-    with pytest.raises(NormalizationError):
-        diagonalize(dyn)
+    # a rotation (A + B negative) and an indefinite A - B: both give
+    # frequencies +-i Omega
+    for matrix in ([[0.0, 1.0], [-1.0, 0.0]], [[1.0, -2.0], [2.0, -1.0]]):
+        with pytest.raises(NormalizationError):
+            diagonalize(_bare(matrix))
 
 
 def test_diagonalize_rejects_unpaired_spectrum():
-    bad = np.diag([1.0, -2.0])
-    dyn = DynamicalMatrix(matrix=bad, photon_mode_count=1, species_count=0,
-                          exciton_mode_count=1, q=0.0)
-    with pytest.raises(NormalizationError):
-        diagonalize(dyn)
+    # diag(1, -2) breaks the +-Omega pairing; the other two are zero
+    # modes, with A - B = 0 and with A + B = 0
+    for matrix in (np.diag([1.0, -2.0]), [[1.0, -1.0], [1.0, -1.0]],
+                   [[1.0, 1.0], [-1.0, -1.0]]):
+        with pytest.raises(NormalizationError):
+            diagonalize(_bare(matrix))
+    # a 3x3 matrix cannot hold half dimension 1
+    with pytest.raises(DimensionError):
+        _bare(np.eye(3))
 
 
 def test_matrix_is_read_only():

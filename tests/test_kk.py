@@ -123,6 +123,16 @@ def test_sampled_grid_validation():
         SampledSusceptibility(grid=np.array([0.0, 1.0]), weight=np.array([1.0, -1.0]))
     with pytest.raises(GridError):
         kk_forward(np.array([0.0, 1.0, 1.0]), np.zeros(3))
+    # NaN compares false with everything, so it would slip past the
+    # ordering and sign checks
+    for grid, weight in (([0.0, 1.0, np.nan, 3.0], [1.0, 1.0, 1.0, 1.0]),
+                         ([0.0, 1.0, 2.0, np.inf], [1.0, 1.0, 1.0, 1.0]),
+                         ([0.0, 1.0, 2.0, 3.0], [1.0, np.nan, 1.0, 1.0]),
+                         ([0.0, 1.0, 2.0, 3.0], [1.0, 1.0, np.inf, 1.0])):
+        with pytest.raises(GridError):
+            SampledSusceptibility(grid=np.array(grid), weight=np.array(weight))
+    with pytest.raises(GridError):
+        kk_forward(np.array([0.0, np.nan, 2.0]), np.zeros(3))
 
 
 def test_species_from_grid_conserves_total_strength():
