@@ -334,12 +334,12 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         config, snapshot = load_config(args.config)
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
         if args.threads < 1:
             raise ParseError("threads must be >= 1")
         if not 0.0 <= args.q < math.inf:
             raise ParseError(f"q must be finite and >= 0, got {args.q}", field="--q")
+        out_dir = Path(args.out)
+        out_dir.mkdir(parents=True, exist_ok=True)
         written = _export(out_dir, args.command, snapshot,
                           *COMMANDS[args.command](config, snapshot, args))
     except PolspError as exc:

@@ -216,13 +216,20 @@ class SecularOperator:
         s_val = _coupling_strength_sum(self.config, omega)
         return (omega ** 2 * s_val) * weights[:, None] * self.overlaps.D
 
+    @cached_property
+    def _photon_poles_sq(self) -> np.ndarray:
+        return self.photon_poles ** 2
+
+    @cached_property
+    def _identity(self) -> np.ndarray:
+        return np.eye(self.overlaps.K.shape[1])
+
     def _reduced(self, omega: float) -> np.ndarray:
-        om2 = self.photon_poles ** 2
-        weights = 1.0 / (om2 - omega ** 2)
+        weights = 1.0 / (self._photon_poles_sq - omega ** 2)
         s_val = _coupling_strength_sum(self.config, omega)
         K = self.overlaps.K
         core = K.T @ (weights[:, None] * K)
-        return np.eye(core.shape[0]) - (omega ** 2 * s_val) * core
+        return self._identity - (omega ** 2 * s_val) * core
 
     def determinant_sign(self, omega: float) -> float:
         sign, _ = np.linalg.slogdet(self._reduced(omega))
@@ -316,38 +323,55 @@ def two_exciton_roots(config: CavityConfig, overlaps: OverlapSet, q,
 _RESONANT_RTOL = 1e-4  # switch to quadrature when |b^2 - s| is this small
 
 
-def _slab_moments(l: float, count: int, s: float) -> tuple[np.ndarray, np.ndarray]:
+class _SlabModes:
+    """The Omega-independent arrays of the Xi slab modes chi_xi.
+
+    chi_xi(z) = sqrt(2/l) sin(b_xi (z + l/2)) with b_xi = (xi + 1) pi / l.
+    A scan builds one and every evaluation of the matching matrix reads it,
+    so none of these arrays is rebuilt per frequency.
+    """
+
+    def __init__(self, l: float, count: int):
+        self.l, self.h, self.norm = l, l / 2.0, math.sqrt(2.0 / l)
+        idx = np.arange(count)
+        self.b = (idx + 1) * np.pi / l
+        self.b_sq = self.b ** 2
+        # b_xi ** 2 by the scalar power, whose last bit can differ from the
+        # array square; the partial-fraction diagonal uses this one
+        self.b_sq_scalar = np.array([b ** 2 for b in self.b.tolist()])
+        bh = (idx + 1) * np.pi / 2.0
+        self.sinbh, self.cosbh = np.sin(bh), np.cos(bh)
+        self.sgn = (-1.0) ** (idx + 1)
+        self.eye = np.eye(count)
+
+
+def _slab_moments(modes: _SlabModes, s: float) -> tuple[np.ndarray, np.ndarray]:
     # moments uC[xi] = int chi_xi cos-solution, uS[xi] = int chi_xi sin-solution
-    h = l / 2.0
-    norm = math.sqrt(2.0 / l)
-    idx = np.arange(count)
-    b = (idx + 1) * np.pi / l
-    bh = (idx + 1) * np.pi / 2.0
-    sinbh = np.sin(bh)
-    cosbh = np.cos(bh)
+    h, norm, b, b_sq = modes.h, modes.norm, modes.b, modes.b_sq
+    sinbh, cosbh, sgn = modes.sinbh, modes.cosbh, modes.sgn
 
     def sinc_int(k):
         return h * np.sinc(k * h / np.pi)
 
     if s > 0.0:
         qz = math.sqrt(s)
-        uc = norm * sinbh * (sinc_int(b + qz) + sinc_int(b - qz))
+        sum_int, diff_int = sinc_int(b + qz), sinc_int(b - qz)
+        uc = norm * sinbh * (sum_int + diff_int)
         if qz * h >= 0.5:
-            us = norm * cosbh * (sinc_int(b - qz) - sinc_int(b + qz)) / qz
+            us = norm * cosbh * (diff_int - sum_int) / qz
         else:
             # same antiderivative rearranged to avoid the 0/0 at qz -> 0;
             # the denominator b^2 - s stays bounded away from zero here
             # because qz h < 0.5 < b h
             us = norm * cosbh * 2.0 * (
-                sinbh * math.cos(qz * h) - b * cosbh * sinc_int(qz)) / (b ** 2 - s)
+                sinbh * math.cos(qz * h) - b * cosbh * sinc_int(qz)) / (b_sq - s)
         return uc, us
     if s == 0.0:
         uc = norm * sinbh * 2.0 * sinc_int(b)
-        us = norm * cosbh * 2.0 * (sinbh - b * cosbh * h) / b ** 2
+        us = norm * cosbh * 2.0 * (sinbh - b * cosbh * h) / b_sq
         return uc, us
     kappa = math.sqrt(-s)
-    den = kappa ** 2 + b ** 2
-    sgn = (-1.0) ** (idx + 1)
+    den = kappa ** 2 + b_sq
     uc = norm * b * (1.0 - sgn) * math.cosh(kappa * h) / den
     us = -norm * b * (1.0 + sgn) * (math.sinh(kappa * h) / kappa) / den
     return uc, us
@@ -358,10 +382,12 @@ def _boundary_kernel_values(uc: np.ndarray, us: np.ndarray, s: float, h: float):
     # derivative, evaluated at the slab faces z = +-h
     ch = cosine_solution(h, s)
     sh = sine_solution(h, s)
-    value_plus = -0.5 * (sh * uc - ch * us)
-    value_minus = -0.5 * (sh * uc + ch * us)
-    deriv_plus = -0.5 * (ch * uc + s * sh * us)
-    deriv_minus = 0.5 * (ch * uc - s * sh * us)
+    sh_uc, ch_us = sh * uc, ch * us
+    ch_uc, s_sh_us = ch * uc, s * sh * us
+    value_plus = -0.5 * (sh_uc - ch_us)
+    value_minus = -0.5 * (sh_uc + ch_us)
+    deriv_plus = -0.5 * (ch_uc + s_sh_us)
+    deriv_minus = 0.5 * (ch_uc - s_sh_us)
     return value_plus, value_minus, deriv_plus, deriv_minus
 
 
@@ -408,43 +434,76 @@ def _double_integral_quadrature(l: float, count: int, eta: int, s: float) -> np.
     return chi_all @ (wz * inner)
 
 
-def _kernel_double_integrals(l: float, count: int, s: float) -> np.ndarray:
+def _kernel_double_integrals(modes: _SlabModes, s: float, uc: np.ndarray,
+                             us: np.ndarray, value_plus: np.ndarray,
+                             deriv_plus: np.ndarray) -> np.ndarray:
     """Matrix of int int chi_xi(z) g(z, z') chi_eta(z') dz dz', closed form.
 
     Solving (d^2/dz^2 + s) y = -chi_eta with the kernel gives
     y = chi_eta/(b_eta^2 - s) plus a homogeneous correction fixed by the
     known boundary values of the kernel solution; projecting back onto
-    chi_xi needs only the slab moments.  Near b_eta^2 = s the subtraction
-    cancels catastrophically and that single column falls back to nested
-    Gauss-Legendre quadrature, which is exact there.
+    chi_xi needs only the slab moments ``uc, us`` and the kernel solution's
+    value and derivative at z = +h, which the caller has already computed.
+    Near b_eta^2 = s the subtraction cancels catastrophically and that
+    single column falls back to nested Gauss-Legendre quadrature, which is
+    exact there.
     """
-    h = l / 2.0
-    norm = math.sqrt(2.0 / l)
-    uc, us = _slab_moments(l, count, s)
-    vp, _, dp, _ = _boundary_kernel_values(uc, us, s, h)
-    ch = cosine_solution(h, s)
-    sh = sine_solution(h, s)
-
-    idx = np.arange(count)
-    b = (idx + 1) * np.pi / l
-    resonant = np.abs(b ** 2 - s) <= _RESONANT_RTOL * np.maximum(b ** 2, abs(s))
-
-    out = np.empty((count, count))
-    safe_den = np.where(resonant, 1.0, b ** 2 - s)
+    ch = cosine_solution(modes.h, s)
+    sh = sine_solution(modes.h, s)
+    b, b_sq = modes.b, modes.b_sq
+    den = b_sq - s
+    resonant = np.abs(den) <= _RESONANT_RTOL * np.maximum(b_sq, abs(s))
+    safe_den = np.where(resonant, 1.0, den)
     # derivative of the partial-fraction term chi_eta/(b^2 - s) at z = +h
-    grad_pf = norm * b * ((-1.0) ** (idx + 1)) / safe_den
-    delta_value = vp
-    delta_deriv = dp - grad_pf
-    coeff_cos = ch * delta_value - sh * delta_deriv
-    coeff_sin = s * sh * delta_value + ch * delta_deriv
-    for eta in range(count):
-        if resonant[eta]:
-            out[:, eta] = _double_integral_quadrature(l, count, eta, s)
-            continue
-        column = coeff_cos[eta] * uc + coeff_sin[eta] * us
-        column[eta] += 1.0 / (b[eta] ** 2 - s)
-        out[:, eta] = column
+    grad_pf = modes.norm * b * modes.sgn / safe_den
+    delta_deriv = deriv_plus - grad_pf
+    coeff_cos = ch * value_plus - sh * delta_deriv
+    coeff_sin = s * sh * value_plus + ch * delta_deriv
+    out = uc[:, None] * coeff_cos + us[:, None] * coeff_sin
+    out.flat[::len(b) + 1] += 1.0 / np.where(resonant, 1.0, modes.b_sq_scalar - s)
+    for eta in np.flatnonzero(resonant):
+        out[:, eta] = _double_integral_quadrature(modes.l, len(b), int(eta), s)
     return out
+
+
+def _green_matrix(config: CavityConfig, modes: _SlabModes, omega: float,
+                  qv: float) -> np.ndarray:
+    # green_matching_matrix without validate, for evaluators whose entry
+    # point has already validated the config
+    s = (omega / config.c) ** 2 - qv ** 2
+    if s < 0.0 and not config.solver.allow_evanescent:
+        raise EvanescentError(
+            f"q={qv} exceeds Omega/c={omega / config.c}; set allow_evanescent")
+    for sp in config.oscillators:
+        if abs(sp.omega ** 2 - omega ** 2) <= 1e-300:
+            raise PoleError(f"green system evaluated at species pole {sp.omega}")
+
+    count = config.exciton_mode_count
+    h, gap = modes.h, (config.L - config.l) / 2.0
+    beta = _coupling_strength_sum(config, omega) * omega ** 2 / config.c ** 2
+
+    uc, us = _slab_moments(modes, s)
+    vp, vm, dp, dm = _boundary_kernel_values(uc, us, s, h)
+    kernel_m = _kernel_double_integrals(modes, s, uc, us, vp, dp)
+    ch, sh = cosine_solution(h, s), sine_solution(h, s)
+    cg, sg = cosine_solution(gap, s), sine_solution(gap, s)
+
+    mat = np.zeros((count + 4, count + 4))
+    # self-consistency: c_xi = beta (sum_eta M[xi,eta] c_eta + A uc + B us)
+    mat[:count, :count] = modes.eye - beta * kernel_m
+    mat[:count, count] = -beta * uc
+    mat[:count, count + 1] = -beta * us
+    # value and derivative continuity at z = -h against the left exterior
+    # solution, then at z = +h against the right one
+    mat[count:, :count] = (vm, dm, vp, dp)
+    mat[count:, count:] = ((ch, -sh, -sg, 0.0),
+                           (s * sh, ch, -cg, 0.0),
+                           (ch, sh, 0.0, sg),
+                           (-s * sh, ch, 0.0, -cg))
+    if not np.isfinite(mat).all():
+        raise QuadratureError(
+            f"green matching matrix not finite at Omega={omega:.6g}, q={qv:.6g}")
+    return mat
 
 
 def green_matching_matrix(config: CavityConfig, omega: float, q) -> np.ndarray:
@@ -456,46 +515,8 @@ def green_matching_matrix(config: CavityConfig, omega: float, q) -> np.ndarray:
     then value and derivative continuity at each slab face.
     """
     validate(config)
-    qv = float(q)
-    s = (omega / config.c) ** 2 - qv ** 2
-    if s < 0.0 and not config.solver.allow_evanescent:
-        raise EvanescentError(
-            f"q={qv} exceeds Omega/c={omega / config.c}; set allow_evanescent")
-    for sp in config.oscillators:
-        if abs(sp.omega ** 2 - omega ** 2) <= 1e-300:
-            raise PoleError(f"green system evaluated at species pole {sp.omega}")
-
-    count = config.exciton_mode_count
-    l, big_l = config.l, config.L
-    h, gap = l / 2.0, (big_l - l) / 2.0
-    beta = _coupling_strength_sum(config, omega) * omega ** 2 / config.c ** 2
-
-    uc, us = _slab_moments(l, count, s)
-    vp, vm, dp, dm = _boundary_kernel_values(uc, us, s, h)
-    kernel_m = _kernel_double_integrals(l, count, s)
-    ch, sh = cosine_solution(h, s), sine_solution(h, s)
-    cg, sg = cosine_solution(gap, s), sine_solution(gap, s)
-
-    size = count + 4
-    mat = np.zeros((size, size))
-    # self-consistency: c_xi = beta (sum_eta M[xi,eta] c_eta + A uc + B us)
-    mat[:count, :count] = np.eye(count) - beta * kernel_m
-    mat[:count, count] = -beta * uc
-    mat[:count, count + 1] = -beta * us
-    # continuity at z = -h against the left exterior solution
-    mat[count, :count] = vm
-    mat[count, count:count + 4] = [ch, -sh, -sg, 0.0]
-    mat[count + 1, :count] = dm
-    mat[count + 1, count:count + 4] = [s * sh, ch, -cg, 0.0]
-    # continuity at z = +h against the right exterior solution
-    mat[count + 2, :count] = vp
-    mat[count + 2, count:count + 4] = [ch, sh, 0.0, sg]
-    mat[count + 3, :count] = dp
-    mat[count + 3, count:count + 4] = [-s * sh, ch, 0.0, -cg]
-    if not np.all(np.isfinite(mat)):
-        raise QuadratureError(
-            f"green matching matrix not finite at Omega={omega:.6g}, q={qv:.6g}")
-    return mat
+    modes = _SlabModes(config.l, config.exciton_mode_count)
+    return _green_matrix(config, modes, omega, float(q))
 
 
 def green_determinant(config: CavityConfig, omega: float, q) -> float:
@@ -511,7 +532,10 @@ def green_roots(config: CavityConfig, q, window: tuple[float, float]) -> np.ndar
     if not config.solver.allow_evanescent:
         lo = max(lo, qv * config.c * (1.0 + 1e-12))
     poles = [sp.omega for sp in config.oscillators]
-    return _scan(config, lambda w: green_determinant(config, w, q), (lo, hi), poles)
+    modes = _SlabModes(config.l, config.exciton_mode_count)
+    return _scan(config,
+                 lambda w: float(np.linalg.det(_green_matrix(config, modes, w, qv))),
+                 (lo, hi), poles)
 
 
 # --------------------------------------------------------------------------
@@ -545,8 +569,14 @@ def classical_branch_values(config: CavityConfig, susceptibility,
     avoids by construction.
     """
     validate(config)
-    qv = float(q)
-    chi = _resolve_susceptibility(susceptibility)
+    return _classical_values(config, _resolve_susceptibility(susceptibility),
+                             omega, float(q))
+
+
+def _classical_values(config: CavityConfig, chi, omega: float,
+                      qv: float) -> tuple[float, float]:
+    # classical_branch_values without validate, for evaluators whose entry
+    # point has already validated the config; chi is a resolved callable
     s = (omega / config.c) ** 2 - qv ** 2
     if s < 0.0 and not config.solver.allow_evanescent:
         raise EvanescentError(
@@ -580,9 +610,11 @@ def classical_roots(config: CavityConfig, susceptibility, q,
     if not config.solver.allow_evanescent:
         lo = max(lo, qv * config.c * (1.0 + 1e-12))
 
+    chi = _resolve_susceptibility(susceptibility)
+
     def branch(which):
         def f(omega):
-            return classical_branch_values(config, susceptibility, omega, qv)[which]
+            return _classical_values(config, chi, omega, qv)[which]
         return f
 
     return tuple(_scan(config, branch(which), (lo, hi), poles) for which in (0, 1))

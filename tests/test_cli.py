@@ -115,14 +115,17 @@ def test_exit_code_config_error(tmp_path, capsys):
     (MINIMAL + "solver: {root_tol: .inf}", ["sweep"]),
     (MINIMAL, ["spectrum", "--q", "-0.5"]),
     (MINIMAL, ["classical", "--q", "-0.5"]),
+    (MINIMAL, ["sweep", "--threads", "0"]),
 ], ids=["L_inf", "pole_exclusion_inf", "root_tol_inf", "spectrum_negative_q",
-        "classical_negative_q"])
+        "classical_negative_q", "sweep_zero_threads"])
 def test_exit_code_out_of_range_value(tmp_path, capsys, text, argv):
-    # out-of-range inputs are configuration errors and write no output
+    # out-of-range inputs are configuration errors and write no output,
+    # not even the output directory
     path = write_config(tmp_path, text)
-    assert main([*argv, "--config", path, "--out", str(tmp_path)]) == 2
+    out = tmp_path / "out"
+    assert main([*argv, "--config", path, "--out", str(out)]) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "ParseError"
-    assert not list(tmp_path.glob("*.csv"))
+    assert not out.exists()
 
 
 def test_exit_code_missing_file(tmp_path, capsys):
@@ -179,16 +182,30 @@ def test_sweep_csv_and_manifest(tmp_path, capsys):
     assert qs == set(np.linspace(0.0, 4.0, 17))
 
 
+SMALL_GREEN = """
+geometry: {L: 1.0, l: 0.5, c: 1.0}
+oscillators:
+  - {omega: 6.0, G: 0.8}
+basis: {photon_modes: 8, exciton_modes: 3}
+sweep: {q_min: 0.0, q_max: 2.0, points: 5}
+solver: {omega_max: 9.0, scan_points: 200}
+"""
+
+
 def test_sweep_thread_count_does_not_change_bytes(tmp_path, capsys):
-    path = write_config(tmp_path, FULL)
-    blobs = []
-    for threads in (1, 2, 4):
-        out = tmp_path / f"t{threads}"
-        assert main(["sweep", "--config", path, "--out", str(out),
-                     "--threads", str(threads)]) == 0
-        blobs.append((out / "sweep.csv").read_bytes())
-    capsys.readouterr()
-    assert blobs[0] == blobs[1] == blobs[2]
+    # the secular scanner and the Green evaluator, whose per-scan slab
+    # arrays must not leak between the worker threads
+    for method, text in (("secular", FULL), ("green", SMALL_GREEN)):
+        path = write_config(tmp_path, text, name=f"{method}.yaml")
+        blobs = []
+        for threads in (1, 2, 4):
+            out = tmp_path / f"{method}{threads}"
+            assert main(["sweep", "--config", path, "--out", str(out),
+                         "--method", method, "--threads", str(threads)]) == 0
+            blobs.append((out / "sweep.csv").read_bytes())
+        capsys.readouterr()
+        assert blobs[0] == blobs[1] == blobs[2]
+        assert len(blobs[0].splitlines()) > 2
 
 
 def test_method_override_changes_digest(tmp_path, capsys):

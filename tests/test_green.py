@@ -16,8 +16,18 @@ from scipy.integrate import quad
 from polsp import (EvanescentError, green_determinant,
                    green_matching_matrix, green_roots, one_exciton_roots,
                    overlap_K)
-from polsp.dispersion import _kernel_double_integrals
+from polsp.dispersion import (_SlabModes, _boundary_kernel_values,
+                              _kernel_double_integrals, _slab_moments)
 from conftest import make_config
+
+
+def closed_form_kernel(l: float, count: int, s: float) -> np.ndarray:
+    # the closed form fed the slab moments and boundary values exactly as
+    # the matching matrix computes them once per evaluation
+    modes = _SlabModes(l, count)
+    uc, us = _slab_moments(modes, s)
+    vp, _, dp, _ = _boundary_kernel_values(uc, us, s, modes.h)
+    return _kernel_double_integrals(modes, s, uc, us, vp, dp)
 
 
 def oracle_double_integral(l: float, xi: int, eta: int, s: float) -> float:
@@ -53,7 +63,7 @@ def oracle_double_integral(l: float, xi: int, eta: int, s: float) -> float:
 @pytest.mark.parametrize("s", [37.0, 3.0, 0.0, -11.0])
 def test_kernel_double_integrals_match_quadrature(s):
     l = 0.9
-    M = _kernel_double_integrals(l, 3, s)
+    M = closed_form_kernel(l, 3, s)
     for xi in range(3):
         for eta in range(3):
             assert M[xi, eta] == pytest.approx(
@@ -61,20 +71,24 @@ def test_kernel_double_integrals_match_quadrature(s):
 
 
 def test_kernel_double_integrals_resonant_fallback():
-    # s exactly on the eta=0 pole of the partial-fraction form: the
-    # closed form is indeterminate and that column must fall back to
-    # quadrature without losing accuracy
+    # s exactly on the eta pole of the partial-fraction form, for the
+    # first column and for an inner one: the closed form is indeterminate
+    # there and that column must fall back to quadrature without losing
+    # accuracy, while the other columns and the diagonal keep the closed
+    # form
     l = 0.9
-    s = (np.pi / l) ** 2
-    M = _kernel_double_integrals(l, 3, s)
-    for xi in range(3):
-        assert M[xi, 0] == pytest.approx(
-            oracle_double_integral(l, xi, 0, s), abs=1e-8)
-    # just outside the switching window the closed form takes over; the
-    # two evaluations must agree where they meet
-    for side in (1.0 - 2e-4, 1.0 + 2e-4):
-        near = _kernel_double_integrals(l, 3, s * side)
-        assert near[0, 0] == pytest.approx(M[0, 0], rel=1e-3)
+    for eta in (0, 2):
+        s = ((eta + 1) * np.pi / l) ** 2
+        M = closed_form_kernel(l, 3, s)
+        for xi in range(3):
+            for col in range(3):
+                assert M[xi, col] == pytest.approx(
+                    oracle_double_integral(l, xi, col, s), abs=1e-8)
+        # just outside the switching window the closed form takes over;
+        # the two evaluations must agree where they meet
+        for side in (1.0 - 2e-4, 1.0 + 2e-4):
+            near = closed_form_kernel(l, 3, s * side)
+            assert near[eta, eta] == pytest.approx(M[eta, eta], rel=1e-3)
 
 
 def test_matching_matrix_shape_and_finiteness():
