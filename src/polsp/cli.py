@@ -203,9 +203,14 @@ def manifest_digest(snapshot: dict, method: str, q_grid) -> str:
 
 def _export(out_dir: Path, name: str, snapshot: dict, method: str, q_grid,
             lines: list[str]) -> list[Path]:
-    """Write <name>.csv under its manifest line, then <name>_manifest.json."""
+    """Write <name>.csv under its manifest line, then <name>_manifest.json.
+
+    out_dir is created here, once the command has succeeded, so a failed
+    command leaves no output directory behind.
+    """
     digest = manifest_digest(snapshot, method, q_grid)
     text = "".join(f"{line}\n" for line in [f"# manifest: {digest}", *lines])
+    out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"{name}.csv"
     csv_path.write_text(text, encoding="utf-8")
     record = {
@@ -338,9 +343,7 @@ def main(argv=None) -> int:
             raise ParseError("threads must be >= 1")
         if not 0.0 <= args.q < math.inf:
             raise ParseError(f"q must be finite and >= 0, got {args.q}", field="--q")
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        written = _export(out_dir, args.command, snapshot,
+        written = _export(Path(args.out), args.command, snapshot,
                           *COMMANDS[args.command](config, snapshot, args))
     except PolspError as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),

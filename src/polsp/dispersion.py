@@ -38,7 +38,8 @@ from .errors import (BracketError, BranchMatchError, ConfigError,
                      EvanescentError, PoleError, QuadratureError)
 from .kk import LorentzSet
 from .model import CavityConfig, validate
-from .modes import OverlapSet, overlap_K, photon_frequencies
+from .modes import (OverlapSet, exciton_parity_even, overlap_K,
+                    photon_frequencies, photon_parity_even)
 
 # --------------------------------------------------------------------------
 # branch-free fundamental solutions
@@ -114,41 +115,46 @@ def _bisect_sign(f, lo: float, hi: float, sign_lo: float, rel_tol: float) -> flo
 
 
 def _sign_changes(xs: np.ndarray, signs: np.ndarray):
-    found = []
-    for i in range(len(xs) - 1):
-        if signs[i] == 0.0:
-            found.append((xs[i], xs[i], 0.0))
-        elif signs[i] * signs[i + 1] < 0.0:
-            found.append((xs[i], xs[i + 1], signs[i]))
-    if signs[-1] == 0.0:
-        found.append((xs[-1], xs[-1], 0.0))
-    return found
+    # (lo, hi, sign at lo) per bracket, ascending: a point where the sign is
+    # exactly zero is a bracket of width zero, else a cell whose ends differ
+    zero = signs == 0.0
+    crossing = np.zeros_like(zero)
+    crossing[:-1] = signs[:-1] * signs[1:] < 0.0
+    return [(xs[i], xs[i], 0.0) if zero[i] else (xs[i], xs[i + 1], signs[i])
+            for i in np.flatnonzero(zero | crossing)]
 
 
-def _brackets(f, lo: float, hi: float, n: int):
+def _brackets(f, lo: float, hi: float, n: int, grid_signs=None):
     """Sign-change brackets of f on n and on 2n - 1 equispaced points.
 
     linspace(lo, hi, n) equals linspace(lo, hi, 2n - 1)[::2] bit for bit,
     so f is evaluated once on the fine grid and the coarse brackets reuse
-    every other sample.
+    every other sample.  ``grid_signs``, when given, evaluates the sign of
+    f on the whole grid array in one call instead.
     """
     xs = np.linspace(lo, hi, 2 * n - 1)
-    signs = np.sign(np.array([f(x) for x in xs]))
+    if grid_signs is None:
+        signs = np.sign(np.array([f(x) for x in xs]))
+    else:
+        signs = np.sign(grid_signs(xs))
     return _sign_changes(xs[::2], signs[::2]), _sign_changes(xs, signs)
 
 
 def scan_roots(f, window: tuple[float, float], poles, *, exclusion: float,
-               scan_points: int, rel_tol: float) -> np.ndarray:
+               scan_points: int, rel_tol: float, grid_signs=None) -> np.ndarray:
     """All roots of f in the window, excluding pole neighborhoods.
 
     Each pole-free segment is bracketed twice, at scan_points and at double
     density; a differing bracket count means the grid cannot be trusted and
-    raises BracketError rather than guessing.
+    raises BracketError rather than guessing.  ``grid_signs(xs)``, if
+    given, must return the sign of f at every point of the array xs; it
+    replaces the per-point calls on the scan grid only, and bisection
+    always calls the scalar f.
     """
     roots = []
     for seg in pole_free_segments(window, poles, exclusion):
         lo, hi = seg
-        coarse, fine = _brackets(f, lo, hi, scan_points)
+        coarse, fine = _brackets(f, lo, hi, scan_points, grid_signs)
         if len(coarse) != len(fine):
             raise BracketError(
                 f"scan with {scan_points} points found {len(coarse)} sign changes "
@@ -163,20 +169,26 @@ def scan_roots(f, window: tuple[float, float], poles, *, exclusion: float,
     return np.array(sorted(roots))
 
 
-def _scan(config: CavityConfig, f, window: tuple[float, float], poles) -> np.ndarray:
+def _scan(config: CavityConfig, f, window: tuple[float, float], poles,
+          grid_signs=None) -> np.ndarray:
     """scan_roots with the configured exclusion, scan density and tolerance."""
     settings = config.solver
     return scan_roots(f, window, poles, exclusion=settings.pole_exclusion,
-                      scan_points=settings.scan_points, rel_tol=settings.root_tol)
+                      scan_points=settings.scan_points, rel_tol=settings.root_tol,
+                      grid_signs=grid_signs)
 
 
 # --------------------------------------------------------------------------
 # secular determinant
 # --------------------------------------------------------------------------
 
-def _coupling_strength_sum(config: CavityConfig, omega: float) -> float:
+# doubles held by one chunk's stacked arrays in determinant_signs
+_SIGN_CHUNK_DOUBLES = 32768
+
+
+def _coupling_strength_sum(config: CavityConfig, omega):
     # S(Omega) = sum_j G_j^2 / (omega_j^2 - Omega^2); the lossless
-    # susceptibility of the configured species set
+    # susceptibility of the configured species set, for a float or an array
     total = 0.0
     for sp in config.oscillators:
         total += sp.G ** 2 / (sp.omega ** 2 - omega ** 2)
@@ -235,6 +247,46 @@ class SecularOperator:
         sign, _ = np.linalg.slogdet(self._reduced(omega))
         return sign
 
+    @cached_property
+    def _parity_sectors(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        # (K block, its squared photon poles) for odd-m photons with even-xi
+        # matter modes and for even-m photons with odd-xi ones.  overlap_K
+        # zeroes K exactly between them, so the reduced matrix is block
+        # diagonal and its determinant the product of the blocks'; a K with
+        # cross-parity entries becomes one sector holding every row and column
+        K = self.overlaps.K
+        rows = photon_parity_even(np.arange(1, K.shape[0] + 1))
+        cols = exciton_parity_even(np.arange(K.shape[1]))
+        if K[np.ix_(rows, ~cols)].any() or K[np.ix_(~rows, cols)].any():
+            parts = [(np.full_like(rows, True), np.full_like(cols, True))]
+        else:
+            parts = [(rows, cols), (~rows, ~cols)]
+        return tuple((K[np.ix_(r, c)], self._photon_poles_sq[r]) for r, c in parts)
+
+    def determinant_signs(self, omegas: np.ndarray) -> np.ndarray:
+        """The sign of det(I - M) at every frequency of an array, in batches.
+
+        Agrees with np.sign(determinant_sign(omega)) point by point.  Each
+        chunk of frequencies builds the reduced matrix of every parity
+        sector with one stacked matmul and multiplies the sector signs from
+        one batched slogdet each; a chunk's stacked arrays hold about
+        _SIGN_CHUNK_DOUBLES doubles whatever the truncation.
+        """
+        omegas = np.asarray(omegas, dtype=float)
+        signs = np.ones(len(omegas))
+        omegas_sq = omegas ** 2
+        factor = omegas_sq * _coupling_strength_sum(self.config, omegas)
+        per_point = sum(block.size for block, _ in self._parity_sectors)
+        step = max(1, _SIGN_CHUNK_DOUBLES // per_point)
+        for start in range(0, len(omegas), step):
+            part = slice(start, start + step)
+            for block, poles_sq in self._parity_sectors:
+                weights = 1.0 / (poles_sq - omegas_sq[part, None])
+                core = block.T[None] @ (weights[:, :, None] * block[None])
+                reduced = np.eye(block.shape[1]) - factor[part, None, None] * core
+                signs[part] *= np.linalg.slogdet(reduced)[0]
+        return signs
+
     def determinant(self, omega: float) -> float:
         sign, logdet = np.linalg.slogdet(self._reduced(omega))
         return sign * math.exp(min(logdet, 700.0))
@@ -246,7 +298,8 @@ def secular_roots(config: CavityConfig, overlaps: OverlapSet, q,
     validate(config)
     overlaps.check_shape(config)
     op = SecularOperator(config=config, overlaps=overlaps, q=float(q))
-    return _scan(config, op.determinant_sign, window, op.all_poles())
+    return _scan(config, op.determinant_sign, window, op.all_poles(),
+                 grid_signs=op.determinant_signs)
 
 
 # --------------------------------------------------------------------------
@@ -255,7 +308,8 @@ def secular_roots(config: CavityConfig, overlaps: OverlapSet, q,
 
 def _closed_form_roots(value, name: str, needed_modes: int, config: CavityConfig,
                        overlaps: OverlapSet, q, window) -> np.ndarray:
-    # the scan shared by both closed forms; value is the relation itself
+    # the scan shared by both closed forms; value(config, overlaps, freqs,
+    # omega) is the relation itself, given the photon frequencies at q
     validate(config)
     overlaps.check_shape(config)
     if config.species_count() != 1:
@@ -264,9 +318,9 @@ def _closed_form_roots(value, name: str, needed_modes: int, config: CavityConfig
         raise ConfigError(
             f"{name} requires exciton_mode_count == {needed_modes}, "
             f"got {config.exciton_mode_count}")
-    poles = np.concatenate([photon_frequencies(config, float(q)),
-                            [config.oscillators[0].omega]])
-    return _scan(config, lambda w: value(config, overlaps, w, q), window, poles)
+    freqs = photon_frequencies(config, float(q))
+    poles = np.concatenate([freqs, [config.oscillators[0].omega]])
+    return _scan(config, lambda w: value(config, overlaps, freqs, w), window, poles)
 
 
 def _weighted_column_sum(overlaps: OverlapSet, photon_freqs: np.ndarray,
@@ -275,27 +329,31 @@ def _weighted_column_sum(overlaps: OverlapSet, photon_freqs: np.ndarray,
     return float(np.sum(overlaps.K[:, a] * overlaps.K[:, b] * weights))
 
 
+def _one_exciton(config: CavityConfig, overlaps: OverlapSet,
+                 freqs: np.ndarray, omega: float) -> float:
+    # one_exciton_value at the photon frequencies freqs, without validate
+    sp = config.oscillators[0]
+    factor = sp.G ** 2 * omega ** 2 / (sp.omega ** 2 - omega ** 2)
+    return 1.0 - factor * _weighted_column_sum(overlaps, freqs, omega, 0, 0)
+
+
 def one_exciton_value(config: CavityConfig, overlaps: OverlapSet,
                       omega: float, q) -> float:
     """1 - G^2 Omega^2/(w0^2 - Omega^2) sum_m K[m,0]^2/(Omega_m^2 - Omega^2)."""
-    sp = config.oscillators[0]
-    freqs = photon_frequencies(config, float(q))
-    factor = sp.G ** 2 * omega ** 2 / (sp.omega ** 2 - omega ** 2)
-    return 1.0 - factor * _weighted_column_sum(overlaps, freqs, omega, 0, 0)
+    return _one_exciton(config, overlaps, photon_frequencies(config, float(q)), omega)
 
 
 def one_exciton_roots(config: CavityConfig, overlaps: OverlapSet, q,
                       window: tuple[float, float]) -> np.ndarray:
     """Roots of the scalar single-matter-mode dispersion relation."""
-    return _closed_form_roots(one_exciton_value, "one_exciton_roots", 1,
+    return _closed_form_roots(_one_exciton, "one_exciton_roots", 1,
                               config, overlaps, q, window)
 
 
-def two_exciton_value(config: CavityConfig, overlaps: OverlapSet,
-                      omega: float, q) -> float:
-    """(1 - Sigma_00)(1 - Sigma_11) - Sigma_01^2 for the two-mode relation."""
+def _two_exciton(config: CavityConfig, overlaps: OverlapSet,
+                 freqs: np.ndarray, omega: float) -> float:
+    # two_exciton_value at the photon frequencies freqs, without validate
     sp = config.oscillators[0]
-    freqs = photon_frequencies(config, float(q))
     factor = sp.G ** 2 * omega ** 2 / (sp.omega ** 2 - omega ** 2)
     s00 = factor * _weighted_column_sum(overlaps, freqs, omega, 0, 0)
     s11 = factor * _weighted_column_sum(overlaps, freqs, omega, 1, 1)
@@ -303,10 +361,16 @@ def two_exciton_value(config: CavityConfig, overlaps: OverlapSet,
     return (1.0 - s00) * (1.0 - s11) - s01 ** 2
 
 
+def two_exciton_value(config: CavityConfig, overlaps: OverlapSet,
+                      omega: float, q) -> float:
+    """(1 - Sigma_00)(1 - Sigma_11) - Sigma_01^2 for the two-mode relation."""
+    return _two_exciton(config, overlaps, photon_frequencies(config, float(q)), omega)
+
+
 def two_exciton_roots(config: CavityConfig, overlaps: OverlapSet, q,
                       window: tuple[float, float]) -> np.ndarray:
     """Roots of the two-matter-mode product-minus-cross-term relation."""
-    return _closed_form_roots(two_exciton_value, "two_exciton_roots", 2,
+    return _closed_form_roots(_two_exciton, "two_exciton_roots", 2,
                               config, overlaps, q, window)
 
 

@@ -135,15 +135,18 @@ def test_exit_code_missing_file(tmp_path, capsys):
 
 
 def test_exit_code_solver_error(tmp_path, capsys):
-    # resonance inside the scan window: classical roots pile up against it
+    # resonance inside the scan window: classical roots pile up against it;
+    # the failed command writes no output, not even the output directory
     path = write_config(tmp_path, """
 geometry: {L: 1.0, l: 0.5}
 oscillators: [{omega: 4.0, G: 1.0}]
 solver: {omega_max: 12.0}
 """)
-    code = main(["classical", "--config", path, "--out", str(tmp_path)])
+    out = tmp_path / "newdir"
+    code = main(["classical", "--config", path, "--out", str(out)])
     assert code == 3
     assert json.loads(capsys.readouterr().err)["error"] == "BracketError"
+    assert not out.exists()
 
 
 def test_converge_without_secular_roots_is_a_solver_error(tmp_path, capsys):

@@ -10,11 +10,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from polsp import (BracketError, ConfigError, SecularOperator,
-                   one_exciton_roots, one_exciton_value, overlap_K,
-                   photon_frequencies, pole_free_segments, scan_roots,
-                   secular_roots, spectrum, sweep, two_exciton_roots)
+from polsp import (BracketError, ConfigError, OverlapSet, SecularOperator,
+                   dispersion, model, modes, one_exciton_roots,
+                   one_exciton_value, overlap_K, photon_frequencies,
+                   pole_free_segments, scan_roots, secular_roots, spectrum,
+                   sweep, two_exciton_roots)
+from polsp.cli import parse_config, sweep_grid
 from conftest import make_config
+from test_golden import CONFIGS as GOLDEN_CONFIGS
 
 
 def all_poles(cfg, q):
@@ -146,8 +149,116 @@ def test_secular_reduction_matches_full_determinant():
 
 
 # ---------------------------------------------------------------------------
+# batched, parity-split determinant signs
+# ---------------------------------------------------------------------------
+
+def assert_grid_signs_match(cfg, overlaps, q):
+    # determinant_signs against the scalar determinant_sign on the full
+    # 2n - 1 scan grid of every pole-free segment; returns the number of
+    # sign changes seen, so a caller can insist the grids are not trivial
+    op = SecularOperator(config=cfg, overlaps=overlaps, q=float(q))
+    settings = cfg.solver
+    segments = pole_free_segments((0.0, settings.omega_max), op.all_poles(),
+                                  settings.pole_exclusion)
+    assert segments
+    changes = 0
+    for lo, hi in segments:
+        xs = np.linspace(lo, hi, 2 * settings.scan_points - 1)
+        expected = np.sign([op.determinant_sign(x) for x in xs])
+        np.testing.assert_array_equal(op.determinant_signs(xs), expected)
+        changes += int(np.sum(expected[:-1] != expected[1:]))
+    return changes
+
+
+def golden_cases():
+    # every golden config at its own truncation and q grid ends, plus the
+    # converge ladder of the converge config
+    for name, text in GOLDEN_CONFIGS.items():
+        cfg, snapshot = parse_config(text)
+        qs = sweep_grid(snapshot)
+        for q in sorted({float(qs[0]), float(qs[-1])}):
+            yield pytest.param(cfg, q, id=f"{name}-q{q:g}")
+        if name == "converge":
+            for xi in (1, 2, 4):
+                yield pytest.param(cfg.with_truncation(exciton_mode_count=xi), 0.0,
+                                   id=f"{name}-xi{xi}")
+
+
+@pytest.mark.parametrize("cfg,q", list(golden_cases()))
+def test_determinant_signs_match_scalar_on_golden_configs(cfg, q):
+    # c10_weak (G = 0.001) has its roots inside the pole exclusions, so
+    # its grids may show no sign change at all
+    assert_grid_signs_match(cfg, overlap_K(cfg), q)
+
+
+@pytest.mark.parametrize("kwargs,q", [
+    (dict(photon=12, exciton=5), 0.0),  # odd Xi: sectors of 3 and 2
+    (dict(photon=12, exciton=1), 0.4),  # Xi = 1: the odd sector is empty
+    (dict(photon=1, exciton=3), 0.0),  # N = 1: no even-m photon
+    (dict(species=((4.0, 1.0), (6.5, 0.0), (8.0, 0.6)), photon=10,
+          exciton=4), 0.3),  # G = 0 species mixed with coupled ones
+    (dict(L=1.0, l=1.0, photon=10, exciton=6), 0.0),  # l = L
+    (dict(L=1.3, l=0.7, c=0.9, photon=14, exciton=4), 1.7),  # q > 0
+], ids=["odd_xi", "xi_1", "n_1", "mixed_g0", "l_eq_L", "q_positive"])
+def test_determinant_signs_match_scalar(kwargs, q):
+    cfg = make_config(**{"omega_max": 12.0, "scan_points": 300, **kwargs})
+    assert assert_grid_signs_match(cfg, overlap_K(cfg), q) > 0
+
+
+def test_determinant_signs_with_cross_parity_overlaps():
+    # a hand-built K coupling opposite parities: det(I - M) no longer
+    # factors, and the batched signs must still follow the full determinant
+    cfg = make_config(L=1.2, l=0.7, photon=9, exciton=4, omega_max=12.0,
+                      scan_points=300)
+    K = overlap_K(cfg).K.copy()
+    K[0, 1] = K[1, 0] = 0.35
+    K[4, 3] = -0.2
+    hand = OverlapSet(K=K, D=K @ K.T, L=cfg.L, l=cfg.l,
+                      photon_mode_count=9, exciton_mode_count=4)
+    for q in (0.0, 0.8):
+        assert assert_grid_signs_match(cfg, hand, q) > 0
+
+
+def test_secular_roots_equal_the_scalar_scan():
+    # the batched grid signs change how the grid is evaluated, not a root
+    for cfg, q in [(make_config(species=((4.0, 1.0), (6.0, 0.7)), photon=12,
+                                exciton=5, omega_max=11.0, root_tol=1e-12,
+                                pole_exclusion=1e-2), 0.6),
+                   (make_config(L=1.0, l=0.5, species=((20.0, 3.0),), photon=64,
+                                exciton=16, omega_max=17.0, scan_points=800), 1.5)]:
+        overlaps = overlap_K(cfg)
+        op = SecularOperator(config=cfg, overlaps=overlaps, q=q)
+        window = (0.0, cfg.solver.omega_max)
+        scalar = scan_roots(op.determinant_sign, window, op.all_poles(),
+                            exclusion=cfg.solver.pole_exclusion,
+                            scan_points=cfg.solver.scan_points,
+                            rel_tol=cfg.solver.root_tol)
+        batched = secular_roots(cfg, overlaps, q, window)
+        assert len(batched) > 0
+        assert np.array_equal(batched, scalar)
+
+
+# ---------------------------------------------------------------------------
 # closed-form few-exciton relations
 # ---------------------------------------------------------------------------
+
+def test_closed_form_scan_validates_once(monkeypatch):
+    # the photon frequencies are computed once per scan, so a scan of
+    # thousands of evaluations validates the config only at its entry
+    cfg = make_config(L=1.0, l=0.5, species=((4.0, 1.0),), photon=10,
+                      exciton=1, scan_points=300)
+    overlaps = overlap_K(cfg)
+    calls = []
+
+    def counting_validate(config):
+        calls.append(config)
+        return model.validate(config)
+
+    monkeypatch.setattr(dispersion, "validate", counting_validate)
+    monkeypatch.setattr(modes, "validate", counting_validate)
+    roots = one_exciton_roots(cfg, overlaps, 0.3, (0.5, 12.0))
+    assert len(roots) > 0
+    assert len(calls) <= 3
 
 def test_one_exciton_agrees_with_secular():
     cfg = make_config(L=1.0, l=0.5, species=((4.0, 1.0),), photon=12,
