@@ -12,11 +12,10 @@ from .errors import (BracketError, BranchMatchError, ConfigError,
                      PoleError, PolspError, QuadratureError, SolverError,
                      SpeciesError, TruncatedSpectrumWarning, TruncationError)
 from .model import (METHODS, CavityConfig, OscillatorSpecies, SolverSettings,
-                    TransverseWavenumber, validate)
+                    validate)
 from .modes import (ExcitonMode, OverlapSet, PhotonMode, classical_D,
                     exciton_parity_even, overlap_K, photon_frequencies,
-                    photon_frequency, photon_parity_even,
-                    sine_half_integral)
+                    photon_parity_even, sine_half_integral)
 from .hopfield import (DynamicalMatrix, PolaritonMode, build_dynamical_matrix,
                        diagonalize, spectrum)
 from .dispersion import (DispersionCurve, SecularOperator,
@@ -35,9 +34,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "METHODS", "CavityConfig", "OscillatorSpecies", "SolverSettings",
-    "TransverseWavenumber", "validate",
+    "validate",
     "PhotonMode", "ExcitonMode", "OverlapSet", "overlap_K", "classical_D",
-    "photon_frequency", "photon_frequencies", "photon_parity_even",
+    "photon_frequencies", "photon_parity_even",
     "exciton_parity_even", "sine_half_integral",
     "DynamicalMatrix", "PolaritonMode", "build_dynamical_matrix",
     "diagonalize", "spectrum",

@@ -17,6 +17,7 @@ import json
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -29,25 +30,26 @@ from .errors import ConfigError, GeometryError, ParseError, PolspError, \
     SolverError, SpeciesError, TruncationError
 from .hopfield import build_dynamical_matrix, diagonalize
 from .kk import kk_forward, kk_inverse, load_samples
-from .model import METHODS, CavityConfig, OscillatorSpecies, SolverSettings, validate
+from .model import METHODS, CavityConfig, OscillatorSpecies, SolverSettings
 from .modes import overlap_K
 
 # ---------------------------------------------------------------------------
 # config ingestion
 # ---------------------------------------------------------------------------
 
-_GEOMETRY_KEYS = {"L", "l", "c"}
-_BASIS_KEYS = {"photon_modes", "exciton_modes"}
-_SWEEP_KEYS = {"q_min", "q_max", "points"}
-_SOLVER_KEYS = {"method", "root_tol", "pole_exclusion", "scan_points",
-                "omega_max", "allow_evanescent"}
-_SECTIONS = {"geometry", "oscillators", "basis", "sweep", "solver"}
+# section -> key -> (type, default); a default of None marks a required key,
+# and a section holding one is itself required.  The parsed sections, with
+# every default filled in, are the config snapshot that the digest covers.
+_SCHEMA = {
+    "geometry": {"L": (float, None), "l": (float, None), "c": (float, 1.0)},
+    "oscillators": {"omega": (float, None), "G": (float, None)},
+    "basis": {"photon_modes": (int, 32), "exciton_modes": (int, 4)},
+    "sweep": {"q_min": (float, 0.0), "q_max": (float, 0.0), "points": (int, 1)},
+    "solver": {f.name: (type(f.default), f.default) for f in fields(SolverSettings)},
+}
 
-_DEFAULT_PHOTON_MODES = 32
-_DEFAULT_EXCITON_MODES = 4
 
-
-def _mapping(obj, section: str, allowed: set) -> dict:
+def _mapping(obj, section: str, allowed) -> dict:
     """obj as a mapping whose keys all lie in allowed, else ParseError."""
     if not isinstance(obj, dict):
         raise ParseError(f"section must be a mapping, got {type(obj).__name__}",
@@ -58,29 +60,35 @@ def _mapping(obj, section: str, allowed: set) -> dict:
     return obj
 
 
-def _as_float(mapping: dict, key: str, section: str, default=None) -> float:
-    if key not in mapping:
-        if default is None:
-            raise ParseError("required key missing", field=f"{section}.{key}")
-        return default
-    value = mapping[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ParseError(f"expected a number, got {value!r}", field=f"{section}.{key}")
-    if not math.isfinite(value):
-        raise ParseError(f"expected a finite number, got {value!r}",
-                         field=f"{section}.{key}")
-    return float(value)
+def _section(obj, section: str, schema: dict) -> dict:
+    """Every key of schema read from obj, defaults filled in.
 
-
-def _as_int(mapping: dict, key: str, section: str, default=None) -> int:
-    if key not in mapping:
-        if default is None:
-            raise ParseError("required key missing", field=f"{section}.{key}")
-        return default
-    value = mapping[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ParseError(f"expected an integer, got {value!r}", field=f"{section}.{key}")
-    return value
+    Numbers and booleans are type-checked here; the one string key,
+    solver.method, is checked against METHODS by parse_config.
+    """
+    obj = _mapping(obj, section, schema)
+    out = {}
+    for key, (kind, default) in schema.items():
+        where = f"{section}.{key}"
+        if key not in obj and default is None:
+            raise ParseError("required key missing", field=where)
+        value = obj.get(key, default)
+        if kind is bool and not isinstance(value, bool):
+            raise ParseError("expected a boolean", field=where)
+        if kind in (int, float) and (isinstance(value, bool)
+                                     or not isinstance(value, (int, kind))):
+            expected = "an integer" if kind is int else "a number"
+            raise ParseError(f"expected {expected}, got {value!r}", field=where)
+        if kind is float:
+            try:
+                value = float(value)
+            except OverflowError:  # an integer too large for a float
+                value = math.inf
+            if not math.isfinite(value):
+                raise ParseError(f"expected a finite number, got {value!r}",
+                                 field=where)
+        out[key] = value
+    return out
 
 
 def parse_config(text: str) -> tuple[CavityConfig, dict]:
@@ -91,84 +99,46 @@ def parse_config(text: str) -> tuple[CavityConfig, dict]:
         raise ParseError(f"invalid YAML: {exc}") from exc
     if raw is None:
         raise ParseError("config file is empty")
-    raw = _mapping(raw, "<root>", _SECTIONS)
+    raw = _mapping(raw, "<root>", _SCHEMA)
 
-    if "geometry" not in raw:
-        raise ParseError("required section missing", field="geometry")
-    geometry = _mapping(raw["geometry"], "geometry", _GEOMETRY_KEYS)
-    L = _as_float(geometry, "L", "geometry")
-    l = _as_float(geometry, "l", "geometry")
-    c = _as_float(geometry, "c", "geometry", default=1.0)
+    snapshot = {}
+    for name, schema in _SCHEMA.items():
+        if name not in raw and any(d is None for _, d in schema.values()):
+            raise ParseError("required section missing", field=name)
+        if name != "oscillators":
+            snapshot[name] = _section(raw.get(name, {}), name, schema)
+        elif isinstance(raw[name], list):
+            snapshot[name] = [_section(entry, f"{name}[{k}]", schema)
+                              for k, entry in enumerate(raw[name])]
+        else:
+            raise ParseError("must be a list of {omega, G} mappings", field=name)
 
-    if "oscillators" not in raw:
-        raise ParseError("required section missing", field="oscillators")
-    osc_raw = raw["oscillators"]
-    if not isinstance(osc_raw, list):
-        raise ParseError("must be a list of {omega, G} mappings", field="oscillators")
-    species = []
-    for k, entry in enumerate(osc_raw):
-        entry = _mapping(entry, f"oscillators[{k}]", {"omega", "G"})
-        species.append(OscillatorSpecies(
-            omega=_as_float(entry, "omega", f"oscillators[{k}]"),
-            G=_as_float(entry, "G", f"oscillators[{k}]")))
-
-    basis = _mapping(raw.get("basis", {}), "basis", _BASIS_KEYS)
-    photon_modes = _as_int(basis, "photon_modes", "basis", default=_DEFAULT_PHOTON_MODES)
-    exciton_modes = _as_int(basis, "exciton_modes", "basis", default=_DEFAULT_EXCITON_MODES)
-
-    sweep_sec = _mapping(raw.get("sweep", {}), "sweep", _SWEEP_KEYS)
-    q_min = _as_float(sweep_sec, "q_min", "sweep", default=0.0)
-    q_max = _as_float(sweep_sec, "q_max", "sweep", default=0.0)
-    points = _as_int(sweep_sec, "points", "sweep", default=1)
-    if points < 1:
+    sweep_sec = snapshot["sweep"]
+    if sweep_sec["points"] < 1:
         raise ParseError("points must be >= 1", field="sweep.points")
-    if q_min < 0.0:
+    if sweep_sec["q_min"] < 0.0:
         raise ParseError("q_min must be >= 0", field="sweep.q_min")
-    if q_max < q_min:
+    if sweep_sec["q_max"] < sweep_sec["q_min"]:
         raise ParseError("q_max must be >= q_min", field="sweep.q_max")
-
-    solver_sec = _mapping(raw.get("solver", {}), "solver", _SOLVER_KEYS)
-    defaults = SolverSettings()
-    method = solver_sec.get("method", defaults.method)
+    method = snapshot["solver"]["method"]
     if not isinstance(method, str) or method not in METHODS:
         raise ParseError(f"method must be one of {METHODS}, got {method!r}",
                          field="solver.method")
-    allow_ev = solver_sec.get("allow_evanescent", defaults.allow_evanescent)
-    if not isinstance(allow_ev, bool):
-        raise ParseError("expected a boolean", field="solver.allow_evanescent")
-    settings = SolverSettings(
-        method=method,
-        root_tol=_as_float(solver_sec, "root_tol", "solver", defaults.root_tol),
-        pole_exclusion=_as_float(solver_sec, "pole_exclusion", "solver",
-                                 defaults.pole_exclusion),
-        scan_points=_as_int(solver_sec, "scan_points", "solver", defaults.scan_points),
-        omega_max=_as_float(solver_sec, "omega_max", "solver", defaults.omega_max),
-        allow_evanescent=allow_ev)
 
-    config = CavityConfig(L=L, l=l, c=c, oscillators=tuple(species),
-                          photon_mode_count=photon_modes,
-                          exciton_mode_count=exciton_modes,
-                          solver=settings)
+    basis = snapshot["basis"]
     try:
-        validate(config)
+        config = CavityConfig(
+            **snapshot["geometry"],
+            oscillators=[OscillatorSpecies(**sp) for sp in snapshot["oscillators"]],
+            photon_mode_count=basis["photon_modes"],
+            exciton_mode_count=basis["exciton_modes"],
+            solver=SolverSettings(**snapshot["solver"]))
     except GeometryError as exc:
         raise GeometryError(f"geometry: {exc}") from None
     except SpeciesError as exc:
         raise SpeciesError(f"oscillators: {exc}") from None
     except TruncationError as exc:
         raise TruncationError(f"basis: {exc}") from None
-
-    snapshot = {
-        "geometry": {"L": L, "l": l, "c": c},
-        "oscillators": [{"omega": sp.omega, "G": sp.G} for sp in species],
-        "basis": {"photon_modes": photon_modes, "exciton_modes": exciton_modes},
-        "sweep": {"q_min": q_min, "q_max": q_max, "points": points},
-        "solver": {"method": settings.method, "root_tol": settings.root_tol,
-                   "pole_exclusion": settings.pole_exclusion,
-                   "scan_points": settings.scan_points,
-                   "omega_max": settings.omega_max,
-                   "allow_evanescent": settings.allow_evanescent},
-    }
     return config, snapshot
 
 

@@ -37,7 +37,7 @@ from . import hopfield
 from .errors import (BracketError, BranchMatchError, ConfigError,
                      EvanescentError, PoleError, QuadratureError)
 from .kk import LorentzSet
-from .model import CavityConfig, validate
+from .model import CavityConfig, transverse_wavenumber
 from .modes import (OverlapSet, exciton_parity_even, overlap_K,
                     photon_frequencies, photon_parity_even)
 
@@ -295,9 +295,8 @@ class SecularOperator:
 def secular_roots(config: CavityConfig, overlaps: OverlapSet, q,
                   window: tuple[float, float]) -> np.ndarray:
     """Zeros of the secular determinant in the window, pole-split and bisected."""
-    validate(config)
     overlaps.check_shape(config)
-    op = SecularOperator(config=config, overlaps=overlaps, q=float(q))
+    op = SecularOperator(config=config, overlaps=overlaps, q=transverse_wavenumber(q))
     return _scan(config, op.determinant_sign, window, op.all_poles(),
                  grid_signs=op.determinant_signs)
 
@@ -310,7 +309,6 @@ def _closed_form_roots(value, name: str, needed_modes: int, config: CavityConfig
                        overlaps: OverlapSet, q, window) -> np.ndarray:
     # the scan shared by both closed forms; value(config, overlaps, freqs,
     # omega) is the relation itself, given the photon frequencies at q
-    validate(config)
     overlaps.check_shape(config)
     if config.species_count() != 1:
         raise ConfigError(f"{name} requires exactly one species")
@@ -318,7 +316,7 @@ def _closed_form_roots(value, name: str, needed_modes: int, config: CavityConfig
         raise ConfigError(
             f"{name} requires exciton_mode_count == {needed_modes}, "
             f"got {config.exciton_mode_count}")
-    freqs = photon_frequencies(config, float(q))
+    freqs = photon_frequencies(config, q)
     poles = np.concatenate([freqs, [config.oscillators[0].omega]])
     return _scan(config, lambda w: value(config, overlaps, freqs, w), window, poles)
 
@@ -331,7 +329,8 @@ def _weighted_column_sum(overlaps: OverlapSet, photon_freqs: np.ndarray,
 
 def _one_exciton(config: CavityConfig, overlaps: OverlapSet,
                  freqs: np.ndarray, omega: float) -> float:
-    # one_exciton_value at the photon frequencies freqs, without validate
+    # one_exciton_value at the photon frequencies freqs, which a scan
+    # computes once
     sp = config.oscillators[0]
     factor = sp.G ** 2 * omega ** 2 / (sp.omega ** 2 - omega ** 2)
     return 1.0 - factor * _weighted_column_sum(overlaps, freqs, omega, 0, 0)
@@ -340,7 +339,7 @@ def _one_exciton(config: CavityConfig, overlaps: OverlapSet,
 def one_exciton_value(config: CavityConfig, overlaps: OverlapSet,
                       omega: float, q) -> float:
     """1 - G^2 Omega^2/(w0^2 - Omega^2) sum_m K[m,0]^2/(Omega_m^2 - Omega^2)."""
-    return _one_exciton(config, overlaps, photon_frequencies(config, float(q)), omega)
+    return _one_exciton(config, overlaps, photon_frequencies(config, q), omega)
 
 
 def one_exciton_roots(config: CavityConfig, overlaps: OverlapSet, q,
@@ -352,7 +351,7 @@ def one_exciton_roots(config: CavityConfig, overlaps: OverlapSet, q,
 
 def _two_exciton(config: CavityConfig, overlaps: OverlapSet,
                  freqs: np.ndarray, omega: float) -> float:
-    # two_exciton_value at the photon frequencies freqs, without validate
+    # two_exciton_value at the photon frequencies freqs
     sp = config.oscillators[0]
     factor = sp.G ** 2 * omega ** 2 / (sp.omega ** 2 - omega ** 2)
     s00 = factor * _weighted_column_sum(overlaps, freqs, omega, 0, 0)
@@ -364,7 +363,7 @@ def _two_exciton(config: CavityConfig, overlaps: OverlapSet,
 def two_exciton_value(config: CavityConfig, overlaps: OverlapSet,
                       omega: float, q) -> float:
     """(1 - Sigma_00)(1 - Sigma_11) - Sigma_01^2 for the two-mode relation."""
-    return _two_exciton(config, overlaps, photon_frequencies(config, float(q)), omega)
+    return _two_exciton(config, overlaps, photon_frequencies(config, q), omega)
 
 
 def two_exciton_roots(config: CavityConfig, overlaps: OverlapSet, q,
@@ -532,8 +531,7 @@ def _kernel_double_integrals(modes: _SlabModes, s: float, uc: np.ndarray,
 
 def _green_matrix(config: CavityConfig, modes: _SlabModes, omega: float,
                   qv: float) -> np.ndarray:
-    # green_matching_matrix without validate, for evaluators whose entry
-    # point has already validated the config
+    # green_matching_matrix on slab-mode arrays that a scan builds once
     s = (omega / config.c) ** 2 - qv ** 2
     if s < 0.0 and not config.solver.allow_evanescent:
         raise EvanescentError(
@@ -578,9 +576,8 @@ def green_matching_matrix(config: CavityConfig, omega: float, q) -> np.ndarray:
     already satisfy the mirror conditions.  Rows: Xi self-consistency rows,
     then value and derivative continuity at each slab face.
     """
-    validate(config)
     modes = _SlabModes(config.l, config.exciton_mode_count)
-    return _green_matrix(config, modes, omega, float(q))
+    return _green_matrix(config, modes, omega, transverse_wavenumber(q))
 
 
 def green_determinant(config: CavityConfig, omega: float, q) -> float:
@@ -590,8 +587,7 @@ def green_determinant(config: CavityConfig, omega: float, q) -> float:
 
 def green_roots(config: CavityConfig, q, window: tuple[float, float]) -> np.ndarray:
     """Sign-change roots of the Green-function determinant in the window."""
-    validate(config)
-    qv = float(q)
+    qv = transverse_wavenumber(q)
     lo, hi = window
     if not config.solver.allow_evanescent:
         lo = max(lo, qv * config.c * (1.0 + 1e-12))
@@ -632,15 +628,8 @@ def classical_branch_values(config: CavityConfig, susceptibility,
     on the even-index empty-cavity roots at l = L/2, which this form
     avoids by construction.
     """
-    validate(config)
-    return _classical_values(config, _resolve_susceptibility(susceptibility),
-                             omega, float(q))
-
-
-def _classical_values(config: CavityConfig, chi, omega: float,
-                      qv: float) -> tuple[float, float]:
-    # classical_branch_values without validate, for evaluators whose entry
-    # point has already validated the config; chi is a resolved callable
+    qv = transverse_wavenumber(q)
+    chi = _resolve_susceptibility(susceptibility)
     s = (omega / config.c) ** 2 - qv ** 2
     if s < 0.0 and not config.solver.allow_evanescent:
         raise EvanescentError(
@@ -668,8 +657,7 @@ def classical_roots(config: CavityConfig, susceptibility, q,
     finite scan reports only the ones it can separate; the doubled-density
     check turns an under-resolved accumulation into BracketError.
     """
-    validate(config)
-    qv = float(q)
+    qv = transverse_wavenumber(q)
     lo, hi = window
     if not config.solver.allow_evanescent:
         lo = max(lo, qv * config.c * (1.0 + 1e-12))
@@ -678,7 +666,7 @@ def classical_roots(config: CavityConfig, susceptibility, q,
 
     def branch(which):
         def f(omega):
-            return _classical_values(config, chi, omega, qv)[which]
+            return classical_branch_values(config, chi, omega, qv)[which]
         return f
 
     return tuple(_scan(config, branch(which), (lo, hi), poles) for which in (0, 1))
@@ -774,8 +762,7 @@ def sweep(config: CavityConfig, q_values, method: str | None = None,
     (e.g. ThreadPoolExecutor.map); every per-q solve is independent, so
     the assembled curve is identical for any worker count.
     """
-    validate(config)
-    qs = np.asarray([float(q) for q in q_values], dtype=float)
+    qs = np.asarray([transverse_wavenumber(q) for q in q_values], dtype=float)
     if len(qs) == 0:
         raise ConfigError("q grid is empty")
     if np.any(np.diff(qs) <= 0) and len(qs) > 1:

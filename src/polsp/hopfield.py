@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DimensionError, NormalizationError
-from .model import CavityConfig, validate
+from .model import CavityConfig, transverse_wavenumber
 from .modes import OverlapSet, overlap_K, photon_frequencies
 
 # relative scales: smallest admissible Omega^2, standard-form check,
@@ -91,12 +91,11 @@ class PolaritonMode:
 
 def build_dynamical_matrix(config: CavityConfig, overlaps: OverlapSet, q) -> DynamicalMatrix:
     """Assemble the 2(N + S*Xi) evolution matrix at in-plane wavenumber q."""
-    validate(config)
     overlaps.check_shape(config)
     n = config.photon_mode_count
     s = config.species_count()
     xi = config.exciton_mode_count
-    qv = float(q)
+    qv = transverse_wavenumber(q)
 
     om_phot = photon_frequencies(config, qv)
     om_spec = np.array([sp.omega for sp in config.oscillators])

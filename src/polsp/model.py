@@ -69,22 +69,12 @@ class SolverSettings:
 
 
 @dataclass(frozen=True)
-class TransverseWavenumber:
-    """Magnitude of the in-plane wave vector (rad/length)."""
-
-    q: float
-
-    def __post_init__(self) -> None:
-        if not (self.q >= 0.0):
-            raise ConfigError(f"transverse wavenumber must be >= 0, got {self.q}")
-
-    def __float__(self) -> float:
-        return float(self.q)
-
-
-@dataclass(frozen=True)
 class CavityConfig:
     """Full problem statement: geometry, matter content, truncations, solver.
+
+    Construction validates (see ``validate``), and so does every copy made
+    by ``dataclasses.replace`` or ``with_truncation``: a CavityConfig that
+    exists is a valid one.
 
     Parameters
     ----------
@@ -96,7 +86,7 @@ class CavityConfig:
         Vacuum light speed; free parameter so dimensionful checks stay
         possible (default 1).
     oscillators : tuple of OscillatorSpecies
-        Non-empty list of independent matter species.
+        Non-empty sequence of independent matter species, stored as a tuple.
     photon_mode_count : int
         Photon basis truncation N >= 1.
     exciton_mode_count : int
@@ -111,6 +101,11 @@ class CavityConfig:
     photon_mode_count: int = 1
     exciton_mode_count: int = 1
     solver: SolverSettings = field(default_factory=SolverSettings)
+
+    def __post_init__(self) -> None:
+        # a tuple, so no species can be added once the config has validated
+        object.__setattr__(self, "oscillators", tuple(self.oscillators))
+        validate(self)
 
     def species_count(self) -> int:
         return len(self.oscillators)
@@ -129,9 +124,9 @@ class CavityConfig:
 def validate(config: CavityConfig) -> CavityConfig:
     """Check every type invariant; return the config unchanged if all hold.
 
-    Idempotent by construction.  Every solver entry point calls this, so an
-    invalid config fails with the same error taxonomy no matter which
-    operation sees it first.
+    Idempotent.  Construction calls this (CavityConfig.__post_init__), so
+    an invalid config fails with the same error taxonomy before any
+    operation sees it.
 
     Raises
     ------
@@ -176,3 +171,11 @@ def validate(config: CavityConfig) -> CavityConfig:
     if not (0.0 < s.omega_max < math.inf):
         raise ConfigError(f"omega_max must be > 0 and finite, got {s.omega_max}")
     return config
+
+
+def transverse_wavenumber(q) -> float:
+    """The in-plane wavenumber q as a float; ConfigError unless 0 <= q < inf."""
+    qv = float(q)
+    if not 0.0 <= qv < math.inf:
+        raise ConfigError(f"transverse wavenumber must be finite and >= 0, got {qv}")
+    return qv

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError
-from .model import CavityConfig, validate
+from .model import CavityConfig, transverse_wavenumber
 
 
 def sine_half_integral(k: np.ndarray | float, half_width: float) -> np.ndarray | float:
@@ -47,19 +47,15 @@ def exciton_parity_even(xi: int | np.ndarray) -> bool | np.ndarray:
 
 @dataclass(frozen=True)
 class PhotonMode:
-    """One cavity photon mode: index, wavenumber, dispersion, profile."""
+    """One cavity photon mode phi_m, zero outside the cavity.
+
+    overlap_K and classical_D never evaluate it: it is the reference profile
+    integrated by the quadrature checks of their closed forms in
+    tests/test_modes.py, the unit-level side of acceptance criterion 5.
+    """
 
     m: int
     L: float
-    c: float
-
-    @property
-    def Q(self) -> float:
-        """Longitudinal wavenumber pi m / L."""
-        return np.pi * self.m / self.L
-
-    def frequency(self, q: float) -> float:
-        return self.c * float(np.hypot(self.Q, float(q)))
 
     def profile(self, z: np.ndarray | float) -> np.ndarray:
         z = np.asarray(z, dtype=float)
@@ -70,15 +66,14 @@ class PhotonMode:
 
 @dataclass(frozen=True)
 class ExcitonMode:
-    """One slab matter mode: index and wavefunction, zero outside the slab."""
+    """One slab matter mode chi_xi, zero outside the slab.
+
+    Like PhotonMode, the reference wavefunction for the quadrature checks
+    of the overlap closed forms; no solver evaluates it.
+    """
 
     xi: int
     l: float
-
-    @property
-    def b(self) -> float:
-        """Intrinsic wavenumber (xi+1) pi / l."""
-        return (self.xi + 1) * np.pi / self.l
 
     def wavefunction(self, z: np.ndarray | float) -> np.ndarray:
         z = np.asarray(z, dtype=float)
@@ -114,19 +109,10 @@ class OverlapSet:
                 f"Xi={self.exciton_mode_count}; config wants N={n}, Xi={xi}")
 
 
-def photon_frequency(config: CavityConfig, m: int, q) -> float:
-    """Omega_m(q) = c sqrt((pi m / L)^2 + q^2) for 1 <= m <= N."""
-    validate(config)
-    if not 1 <= m <= config.photon_mode_count:
-        raise IndexError(f"photon index m={m} outside 1..{config.photon_mode_count}")
-    return PhotonMode(m, config.L, config.c).frequency(float(q))
-
-
 def photon_frequencies(config: CavityConfig, q) -> np.ndarray:
-    """All Omega_m(q) for m = 1..N as a vector."""
-    validate(config)
+    """All Omega_m(q) = c sqrt((pi m / L)^2 + q^2) for m = 1..N as a vector."""
     Q = np.pi * np.arange(1, config.photon_mode_count + 1) / config.L
-    return config.c * np.hypot(Q, float(q))
+    return config.c * np.hypot(Q, transverse_wavenumber(q))
 
 
 def overlap_K(config: CavityConfig) -> OverlapSet:
@@ -138,7 +124,6 @@ def overlap_K(config: CavityConfig) -> OverlapSet:
         K = (2/sqrt(L l)) [cos((aL - bl)/2) sinc-int(a-b, h)
                            - cos((aL + bl)/2) sinc-int(a+b, h)].
     """
-    validate(config)
     L, l = config.L, config.l
     n, xi_count = config.photon_mode_count, config.exciton_mode_count
     h = l / 2.0
@@ -166,7 +151,6 @@ def classical_D(config: CavityConfig) -> np.ndarray:
     This is the matrix the truncated D(Xi) increases toward in the Loewner
     order; the frequency-domain classical limit uses it implicitly.
     """
-    validate(config)
     L, l = config.L, config.l
     n = config.photon_mode_count
     h = l / 2.0

@@ -74,6 +74,9 @@ def test_type_errors():
     with pytest.raises(ParseError):
         parse_config(MINIMAL + "sweep: {q_max: .inf}")
     with pytest.raises(ParseError):
+        # an integer too large for a float is not finite either
+        parse_config(MINIMAL + "sweep: {q_max: 1" + "0" * 400 + "}")
+    with pytest.raises(ParseError):
         parse_config("not yaml: [unclosed")
     with pytest.raises(ParseError):
         parse_config("")

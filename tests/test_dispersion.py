@@ -11,10 +11,13 @@ import numpy as np
 import pytest
 
 from polsp import (BracketError, ConfigError, OverlapSet, SecularOperator,
-                   dispersion, model, modes, one_exciton_roots,
-                   one_exciton_value, overlap_K, photon_frequencies,
-                   pole_free_segments, scan_roots, secular_roots, spectrum,
-                   sweep, two_exciton_roots)
+                   build_dynamical_matrix, classical_branch_values,
+                   classical_roots, cli, dispersion, green_determinant,
+                   green_matching_matrix, green_roots, hopfield, model, modes,
+                   one_exciton_roots, one_exciton_value, overlap_K,
+                   photon_frequencies, pole_free_segments, scan_roots,
+                   secular_roots, spectrum, sweep, two_exciton_roots,
+                   two_exciton_value, validate)
 from polsp.cli import parse_config, sweep_grid
 from conftest import make_config
 from test_golden import CONFIGS as GOLDEN_CONFIGS
@@ -243,22 +246,30 @@ def test_secular_roots_equal_the_scalar_scan():
 # ---------------------------------------------------------------------------
 
 def test_closed_form_scan_validates_once(monkeypatch):
-    # the photon frequencies are computed once per scan, so a scan of
-    # thousands of evaluations validates the config only at its entry
-    cfg = make_config(L=1.0, l=0.5, species=((4.0, 1.0),), photon=10,
-                      exciton=1, scan_points=300)
-    overlaps = overlap_K(cfg)
+    # construction is the one validation: a sweep of any scanning method
+    # on a config that already exists never validates again, however many
+    # evaluations its scans make
+    cfg = make_config(L=1.0, l=0.5, species=((20.0, 3.0),), photon=10,
+                      exciton=2, omega_max=12.0, scan_points=120)
+    one_mode = cfg.with_truncation(exciton_mode_count=1)
     calls = []
 
     def counting_validate(config):
         calls.append(config)
-        return model.validate(config)
+        return validate(config)
 
-    monkeypatch.setattr(dispersion, "validate", counting_validate)
-    monkeypatch.setattr(modes, "validate", counting_validate)
-    roots = one_exciton_roots(cfg, overlaps, 0.3, (0.5, 12.0))
-    assert len(roots) > 0
-    assert len(calls) <= 3
+    # wherever validate is bound, so a re-imported call is counted too
+    for module in (model, modes, hopfield, dispersion, cli):
+        for name, value in list(vars(module).items()):
+            if value is validate:
+                monkeypatch.setattr(module, name, counting_validate)
+    for method, config in (("secular", cfg), ("one_exciton", one_mode),
+                           ("two_exciton", cfg), ("green", cfg),
+                           ("classical", cfg)):
+        curve = sweep(config, [0.0, 0.5, 1.0], method=method)
+        assert curve.branch_count() > 0, method
+    assert calls == []
+
 
 def test_one_exciton_agrees_with_secular():
     cfg = make_config(L=1.0, l=0.5, species=((4.0, 1.0),), photon=12,
@@ -356,6 +367,44 @@ def test_sweep_rejects_bad_grids():
         sweep(cfg, [0.5, 0.5, 1.0])
     with pytest.raises(ConfigError):
         sweep(cfg, [1.0, 0.5])
+    for bad in ([0.0, np.nan], [0.0, np.inf], [-0.5, 0.0]):
+        with pytest.raises(ConfigError):
+            sweep(cfg, bad)
+
+
+def single_q_entry_points():
+    # every public function of one q, as name -> call(q)
+    cfg = make_config(L=1.0, l=0.5, species=((20.0, 3.0),), photon=6,
+                      exciton=2, omega_max=12.0)
+    one = cfg.with_truncation(exciton_mode_count=1)
+    ov, ov1, window = overlap_K(cfg), overlap_K(one), (0.5, 12.0)
+    return {
+        "photon_frequencies": lambda q: photon_frequencies(cfg, q),
+        "spectrum": lambda q: spectrum(cfg, q),
+        "build_dynamical_matrix": lambda q: build_dynamical_matrix(cfg, ov, q),
+        "secular_roots": lambda q: secular_roots(cfg, ov, q, window),
+        "one_exciton_roots": lambda q: one_exciton_roots(one, ov1, q, window),
+        "one_exciton_value": lambda q: one_exciton_value(one, ov1, 5.0, q),
+        "two_exciton_roots": lambda q: two_exciton_roots(cfg, ov, q, window),
+        "two_exciton_value": lambda q: two_exciton_value(cfg, ov, 5.0, q),
+        "green_matching_matrix": lambda q: green_matching_matrix(cfg, 5.0, q),
+        "green_determinant": lambda q: green_determinant(cfg, 5.0, q),
+        "green_roots": lambda q: green_roots(cfg, q, window),
+        "classical_branch_values": lambda q: classical_branch_values(cfg, None, 5.0, q),
+        "classical_roots": lambda q: classical_roots(cfg, None, q, window),
+    }
+
+
+SINGLE_Q_ENTRY_POINTS = single_q_entry_points()
+
+
+@pytest.mark.parametrize("name", sorted(SINGLE_Q_ENTRY_POINTS))
+@pytest.mark.parametrize("q", [np.nan, np.inf, -1.0], ids=["nan", "inf", "negative"])
+def test_single_q_entry_points_reject_bad_q(name, q):
+    # a NaN, infinite or negative q is a configuration error at every entry
+    # point, never an empty root list or a solver failure further down
+    with pytest.raises(ConfigError, match="transverse wavenumber"):
+        SINGLE_Q_ENTRY_POINTS[name](q)
 
 
 def test_sweep_methods_agree_on_shared_branches():

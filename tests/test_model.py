@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import pytest
 
-from polsp import (ConfigError, GeometryError, SpeciesError,
-                   TransverseWavenumber, TruncationError, validate)
+from polsp import (CavityConfig, ConfigError, GeometryError, OscillatorSpecies,
+                   SolverSettings, SpeciesError, TruncationError, validate)
 from conftest import make_config
 
 
@@ -93,13 +94,40 @@ def test_species_count():
     assert cfg.species_count() == 2
 
 
-def test_transverse_wavenumber():
-    assert float(TransverseWavenumber(1.5)) == 1.5
-    assert float(TransverseWavenumber(0.0)) == 0.0
+@pytest.mark.parametrize("kwargs,error", [
+    ({"L": 0.0}, GeometryError),
+    ({"species": ()}, SpeciesError),
+    ({"exciton": 0}, TruncationError),
+    ({"scan_points": 1}, ConfigError),
+], ids=["geometry", "species", "truncation", "solver"])
+def test_construction_validates(kwargs, error):
+    # no validate call: building the config is enough to raise
+    with pytest.raises(error):
+        make_config(**kwargs)
+
+
+def test_copies_validate():
+    cfg = make_config()
+    with pytest.raises(GeometryError):
+        replace(cfg, l=2.0)
+    with pytest.raises(SpeciesError):
+        replace(cfg, oscillators=(OscillatorSpecies(omega=-1.0, G=1.0),))
     with pytest.raises(ConfigError):
-        TransverseWavenumber(-0.1)
-    with pytest.raises(ConfigError):
-        TransverseWavenumber(float("nan"))
+        replace(cfg, solver=SolverSettings(method="shooting"))
+    with pytest.raises(TruncationError):
+        cfg.with_truncation(photon_mode_count=0)
+    with pytest.raises(TruncationError):
+        cfg.with_truncation(exciton_mode_count=0)
+
+
+def test_species_list_is_stored_as_tuple():
+    species = [OscillatorSpecies(omega=4.0, G=1.0)]
+    cfg = CavityConfig(L=1.0, l=0.5, oscillators=species)
+    assert cfg.oscillators == (OscillatorSpecies(omega=4.0, G=1.0),)
+    assert isinstance(cfg.oscillators, tuple)
+    # a species appended to the caller's list never reaches the config
+    species.append(OscillatorSpecies(omega=-1.0, G=1.0))
+    assert len(cfg.oscillators) == 1
 
 
 def test_config_is_frozen():

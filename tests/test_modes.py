@@ -15,13 +15,13 @@ from scipy.integrate import quad
 
 from polsp import (DimensionError, ExcitonMode, PhotonMode, classical_D,
                    exciton_parity_even, overlap_K, photon_frequencies,
-                   photon_frequency, photon_parity_even, sine_half_integral)
+                   photon_parity_even, sine_half_integral)
 from conftest import make_config
 
 
 def quad_overlap(m: int, xi: int, L: float, l: float) -> float:
     # defining integral of K over the slab, independent route
-    phi = PhotonMode(m=m, L=L, c=1.0)
+    phi = PhotonMode(m=m, L=L)
     chi = ExcitonMode(xi=xi, l=l)
     val, err = quad(lambda z: phi.profile(z) * chi.wavefunction(z),
                     -l / 2.0, l / 2.0, limit=400, epsabs=1e-14, epsrel=1e-13)
@@ -30,8 +30,8 @@ def quad_overlap(m: int, xi: int, L: float, l: float) -> float:
 
 
 def quad_photon_product(m: int, n: int, L: float, l: float) -> float:
-    phi_m = PhotonMode(m=m, L=L, c=1.0)
-    phi_n = PhotonMode(m=n, L=L, c=1.0)
+    phi_m = PhotonMode(m=m, L=L)
+    phi_n = PhotonMode(m=n, L=L)
     val, err = quad(lambda z: phi_m.profile(z) * phi_n.profile(z),
                     -l / 2.0, l / 2.0, limit=400, epsabs=1e-14, epsrel=1e-13)
     assert err < 1e-12
@@ -58,7 +58,7 @@ def test_parity_predicates():
 def test_mode_functions_are_normalized_and_vanish_at_edges():
     L, l = 1.7, 0.9
     for m in (1, 2, 5):
-        phi = PhotonMode(m=m, L=L, c=1.0)
+        phi = PhotonMode(m=m, L=L)
         norm, _ = quad(lambda z: phi.profile(z) ** 2, -L / 2, L / 2, limit=200)
         assert norm == pytest.approx(1.0, abs=1e-12)
         assert phi.profile(-L / 2) == pytest.approx(0.0, abs=1e-12)
@@ -139,16 +139,13 @@ def test_exciton_completeness_is_loewner_monotone():
 
 def test_photon_frequency_bounds_and_values():
     cfg = make_config(L=2.0, c=3.0, photon=4)
-    assert photon_frequency(cfg, 1, 0.0) == pytest.approx(3.0 * np.pi / 2.0)
-    assert photon_frequency(cfg, 2, 1.5) == pytest.approx(
+    assert photon_frequencies(cfg, 0.0)[0] == pytest.approx(3.0 * np.pi / 2.0)
+    assert photon_frequencies(cfg, 1.5)[1] == pytest.approx(
         3.0 * np.hypot(2 * np.pi / 2.0, 1.5))
-    with pytest.raises(IndexError):
-        photon_frequency(cfg, 0, 0.0)
-    with pytest.raises(IndexError):
-        photon_frequency(cfg, 5, 0.0)
     freqs = photon_frequencies(cfg, 0.7)
+    assert len(freqs) == 4
     assert freqs == pytest.approx(
-        [photon_frequency(cfg, m, 0.7) for m in (1, 2, 3, 4)])
+        [3.0 * np.hypot(m * np.pi / 2.0, 0.7) for m in (1, 2, 3, 4)])
     assert np.all(np.diff(freqs) > 0)
 
 
