@@ -26,9 +26,8 @@ from .dispersion import (DispersionCurve, SecularOperator,
                          pole_free_segments, scan_roots, secular_roots,
                          sine_solution, sweep, two_exciton_roots,
                          two_exciton_value)
-from .kk import (KKResult, LorentzSet, SampledSusceptibility, chi_prime,
-                 kk_forward, kk_inverse, load_samples, save_samples,
-                 species_from_grid)
+from .kk import (KKResult, LorentzSet, SampledSusceptibility, kk_forward,
+                 kk_inverse, load_samples, save_samples, species_from_grid)
 
 __version__ = "0.1.0"
 
@@ -45,7 +44,7 @@ __all__ = [
     "two_exciton_value", "green_matching_matrix", "green_determinant",
     "green_roots", "classical_branch_values", "classical_roots", "sweep",
     "scan_roots", "pole_free_segments", "cosine_solution", "sine_solution",
-    "LorentzSet", "SampledSusceptibility", "KKResult", "chi_prime",
+    "LorentzSet", "SampledSusceptibility", "KKResult",
     "kk_forward", "kk_inverse", "species_from_grid", "load_samples",
     "save_samples",
     "PolspError", "ConfigError", "GeometryError", "SpeciesError",

@@ -25,7 +25,7 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .dispersion import _lorentz_classical_roots, secular_roots, sweep
+from .dispersion import _lorentz_classical_roots, _roots_for_method, sweep
 from .errors import ConfigError, GeometryError, ParseError, PolspError, \
     SolverError, SpeciesError, TruncationError
 from .hopfield import build_dynamical_matrix, diagonalize
@@ -256,7 +256,7 @@ def _cmd_converge(config: CavityConfig, snapshot: dict, args):
     # the complete-matter-basis experiment: hold N fixed, double Xi, watch
     # the secular roots approach the classical ones
     window = (0.0, config.solver.omega_max)
-    reference = np.sort(np.concatenate(_lorentz_classical_roots(config, 0.0, window)))
+    reference = _roots_for_method(config, None, "classical", 0.0, window)
     if len(reference) == 0:
         raise SolverError("no classical roots inside the window; widen omega_max")
     compare = min(5, len(reference))
@@ -266,7 +266,7 @@ def _cmd_converge(config: CavityConfig, snapshot: dict, args):
     top = config.exciton_mode_count
     for xi in sorted(top // 2 ** k for k in range(5) if top // 2 ** k >= 1):
         cfg = config.with_truncation(exciton_mode_count=xi)
-        roots = secular_roots(cfg, overlap_K(cfg), 0.0, window)
+        roots = _roots_for_method(cfg, overlap_K(cfg), "secular", 0.0, window)
         take = min(compare, len(roots))
         if take == 0:
             raise SolverError(

@@ -69,6 +69,25 @@ def sine_solution(x: float, s: float) -> float:
     return math.sinh(r * x) / r
 
 
+def _longitudinal_sq(config: CavityConfig, omega: float, qv: float) -> float:
+    # s = (Omega/c)^2 - q^2, refused below the light line unless the
+    # evanescent continuation is enabled
+    s = (omega / config.c) ** 2 - qv ** 2
+    if s < 0.0 and not config.solver.allow_evanescent:
+        raise EvanescentError(
+            f"q={qv} exceeds Omega/c={omega / config.c}; set allow_evanescent")
+    return s
+
+
+def _propagating_window(config: CavityConfig, qv: float,
+                        window: tuple[float, float]) -> tuple[float, float]:
+    # the window clamped to Omega > q c unless the continuation is enabled
+    lo, hi = window
+    if not config.solver.allow_evanescent:
+        lo = max(lo, qv * config.c * (1.0 + 1e-12))
+    return lo, hi
+
+
 def _damped_pair(x: float, s: float) -> tuple[float, float]:
     # (cosine_solution, sine_solution) jointly rescaled by exp(-(t - limit))
     # once the hyperbolic argument t = sqrt(-s) x would overflow.  Joint
@@ -395,13 +414,10 @@ class _SlabModes:
     """
 
     def __init__(self, l: float, count: int):
-        self.l, self.h, self.norm = l, l / 2.0, math.sqrt(2.0 / l)
+        self.h, self.norm = l / 2.0, math.sqrt(2.0 / l)
         idx = np.arange(count)
         self.b = (idx + 1) * np.pi / l
         self.b_sq = self.b ** 2
-        # b_xi ** 2 by the scalar power, whose last bit can differ from the
-        # array square; the partial-fraction diagonal uses this one
-        self.b_sq_scalar = np.array([b ** 2 for b in self.b.tolist()])
         bh = (idx + 1) * np.pi / 2.0
         self.sinbh, self.cosbh = np.sin(bh), np.cos(bh)
         self.sgn = (-1.0) ** (idx + 1)
@@ -459,17 +475,14 @@ def _gauss_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(n)
 
 
-def _double_integral_quadrature(l: float, count: int, eta: int, s: float) -> np.ndarray:
+def _double_integral_quadrature(modes: _SlabModes, eta: int, s: float) -> np.ndarray:
     # column eta of the kernel double integral by nested Gauss-Legendre,
     # splitting the inner integral at the |z - z'| kink; used only near
     # the removable resonance of the closed form
-    h = l / 2.0
-    n = min(160, 48 + 8 * (eta + 1))
-    x, w = _gauss_nodes(n)
+    h, norm, b_eta = modes.h, modes.norm, modes.b[eta]
+    x, w = _gauss_nodes(min(160, 48 + 8 * (eta + 1)))
     z = h * x
     wz = h * w
-    norm = math.sqrt(2.0 / l)
-    b_eta = (eta + 1) * np.pi / l
 
     def chi_eta(zz):
         return norm * np.sin(b_eta * (zz + h))
@@ -491,9 +504,7 @@ def _double_integral_quadrature(l: float, count: int, eta: int, s: float) -> np.
             zp = mid + half * x
             total += half * np.sum(w * kernel(np.abs(zi - zp)) * chi_eta(zp))
         inner[i] = total
-    idx = np.arange(count)
-    b_all = (idx + 1) * np.pi / l
-    chi_all = norm * np.sin(np.outer(b_all, z + h))
+    chi_all = norm * np.sin(np.outer(modes.b, z + h))
     return chi_all @ (wz * inner)
 
 
@@ -523,19 +534,16 @@ def _kernel_double_integrals(modes: _SlabModes, s: float, uc: np.ndarray,
     coeff_cos = ch * value_plus - sh * delta_deriv
     coeff_sin = s * sh * value_plus + ch * delta_deriv
     out = uc[:, None] * coeff_cos + us[:, None] * coeff_sin
-    out.flat[::len(b) + 1] += 1.0 / np.where(resonant, 1.0, modes.b_sq_scalar - s)
+    out.flat[::len(b) + 1] += 1.0 / np.where(resonant, 1.0, den)
     for eta in np.flatnonzero(resonant):
-        out[:, eta] = _double_integral_quadrature(modes.l, len(b), int(eta), s)
+        out[:, eta] = _double_integral_quadrature(modes, int(eta), s)
     return out
 
 
 def _green_matrix(config: CavityConfig, modes: _SlabModes, omega: float,
                   qv: float) -> np.ndarray:
     # green_matching_matrix on slab-mode arrays that a scan builds once
-    s = (omega / config.c) ** 2 - qv ** 2
-    if s < 0.0 and not config.solver.allow_evanescent:
-        raise EvanescentError(
-            f"q={qv} exceeds Omega/c={omega / config.c}; set allow_evanescent")
+    s = _longitudinal_sq(config, omega, qv)
     for sp in config.oscillators:
         if abs(sp.omega ** 2 - omega ** 2) <= 1e-300:
             raise PoleError(f"green system evaluated at species pole {sp.omega}")
@@ -588,14 +596,11 @@ def green_determinant(config: CavityConfig, omega: float, q) -> float:
 def green_roots(config: CavityConfig, q, window: tuple[float, float]) -> np.ndarray:
     """Sign-change roots of the Green-function determinant in the window."""
     qv = transverse_wavenumber(q)
-    lo, hi = window
-    if not config.solver.allow_evanescent:
-        lo = max(lo, qv * config.c * (1.0 + 1e-12))
     poles = [sp.omega for sp in config.oscillators]
     modes = _SlabModes(config.l, config.exciton_mode_count)
     return _scan(config,
                  lambda w: float(np.linalg.det(_green_matrix(config, modes, w, qv))),
-                 (lo, hi), poles)
+                 _propagating_window(config, qv, window), poles)
 
 
 # --------------------------------------------------------------------------
@@ -630,10 +635,7 @@ def classical_branch_values(config: CavityConfig, susceptibility,
     """
     qv = transverse_wavenumber(q)
     chi = _resolve_susceptibility(susceptibility)
-    s = (omega / config.c) ** 2 - qv ** 2
-    if s < 0.0 and not config.solver.allow_evanescent:
-        raise EvanescentError(
-            f"q={qv} exceeds Omega/c={omega / config.c}; set allow_evanescent")
+    s = _longitudinal_sq(config, omega, qv)
     s_med = (1.0 + chi(omega)) * (omega / config.c) ** 2 - qv ** 2
     h = config.l / 2.0
     gap = (config.L - config.l) / 2.0
@@ -658,10 +660,7 @@ def classical_roots(config: CavityConfig, susceptibility, q,
     check turns an under-resolved accumulation into BracketError.
     """
     qv = transverse_wavenumber(q)
-    lo, hi = window
-    if not config.solver.allow_evanescent:
-        lo = max(lo, qv * config.c * (1.0 + 1e-12))
-
+    window = _propagating_window(config, qv, window)
     chi = _resolve_susceptibility(susceptibility)
 
     def branch(which):
@@ -669,7 +668,7 @@ def classical_roots(config: CavityConfig, susceptibility, q,
             return classical_branch_values(config, chi, omega, qv)[which]
         return f
 
-    return tuple(_scan(config, branch(which), (lo, hi), poles) for which in (0, 1))
+    return tuple(_scan(config, branch(which), window, poles) for which in (0, 1))
 
 
 def _lorentz_classical_roots(config: CavityConfig, q,
@@ -689,9 +688,6 @@ class DispersionCurve:
 
     method: str
     branches: tuple[np.ndarray, ...]
-    photon_mode_count: int
-    exciton_mode_count: int
-    species_count: int
 
     def branch_count(self) -> int:
         return len(self.branches)
@@ -795,7 +791,4 @@ def sweep(config: CavityConfig, q_values, method: str | None = None,
         open_ids = next_open
 
     arrays = tuple(np.array(b) for b in branches)
-    return DispersionCurve(method=chosen, branches=arrays,
-                           photon_mode_count=config.photon_mode_count,
-                           exciton_mode_count=config.exciton_mode_count,
-                           species_count=config.species_count())
+    return DispersionCurve(method=chosen, branches=arrays)

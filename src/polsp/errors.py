@@ -18,15 +18,15 @@ class ConfigError(PolspError):
 
 
 class GeometryError(ConfigError):
-    """Cavity or slab geometry violates 0 < l <= L, c > 0."""
+    """Cavity or slab geometry is not real or violates 0 < l <= L, c > 0."""
 
 
 class SpeciesError(ConfigError):
-    """An oscillator species has omega <= 0 or G < 0."""
+    """A species entry is not an OscillatorSpecies, or has omega <= 0 or G < 0."""
 
 
 class TruncationError(ConfigError):
-    """A basis truncation count is below 1."""
+    """A basis truncation count is not an integer >= 1."""
 
 
 class ParseError(ConfigError):
@@ -72,7 +72,7 @@ class PoleError(SolverError):
 
 
 class QuadratureError(SolverError):
-    """A numerical integral failed to reach its tolerance."""
+    """The Green matching matrix is not finite at some frequency."""
 
 
 class BranchMatchError(SolverError):

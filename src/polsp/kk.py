@@ -102,11 +102,6 @@ class SampledSusceptibility:
         return _pv_integral(self.grid, self.weight, float(omega))
 
 
-def chi_prime(model, omega: float) -> float:
-    """Real susceptibility of either model variant at one frequency."""
-    return model.chi_prime(omega)
-
-
 # --------------------------------------------------------------------------
 # principal-value machinery
 # --------------------------------------------------------------------------
@@ -153,29 +148,18 @@ def _pv_integral(grid: np.ndarray, numerator: np.ndarray, omega: float,
 
     k = int(np.argmin(np.abs(grid - omega)))
     exact_node = abs(grid[k] - omega) <= 1e-14 * max(1.0, omega)
-    if exact_node:
-        f_at = numerator[k]
-    else:
-        f_at = float(np.interp(omega, grid, numerator))
-
-    reduced = numerator - f_at
+    f_at = numerator[k] if exact_node else float(np.interp(omega, grid, numerator))
     with np.errstate(divide="ignore", invalid="ignore"):
-        integrand = reduced / den
-    # repair the removable singularity: limit is f'(omega)/(2 omega)
-    bad = ~np.isfinite(integrand) | (np.abs(grid - omega) <= 1e-14 * max(1.0, omega))
-    if np.any(bad):
-        idx = np.where(bad)[0]
-        for i in idx:
-            if omega > 0.0 and 0 < i < len(grid) - 1:
-                deriv = (numerator[i + 1] - numerator[i - 1]) / (grid[i + 1] - grid[i - 1])
-                integrand[i] = deriv / (2.0 * omega)
-            elif omega > 0.0 and i in (0, len(grid) - 1):
-                j = 1 if i == 0 else len(grid) - 2
-                deriv = (numerator[j] - numerator[i]) / (grid[j] - grid[i])
-                integrand[i] = deriv / (2.0 * omega)
-            else:
-                # omega = 0 at the first node: copy the neighboring value
-                integrand[i] = integrand[i + 1] if i + 1 < len(grid) else 0.0
+        integrand = (numerator - f_at) / den
+    # off the nodes den never vanishes; at the node omega the singularity is
+    # removable with limit f'(omega)/(2 omega), or at omega = 0 (the first
+    # node) the neighboring value
+    if exact_node and omega > 0.0:
+        lo, hi = max(k - 1, 0), min(k + 1, len(grid) - 1)
+        deriv = (numerator[hi] - numerator[lo]) / (grid[hi] - grid[lo])
+        integrand[k] = deriv / (2.0 * omega)
+    elif exact_node:
+        integrand[k] = integrand[k + 1]
     if not np.all(np.isfinite(integrand)):
         raise GridError("PV integrand not finite after subtraction")
 
@@ -203,10 +187,16 @@ class KKResult:
     tail_estimate: float
 
 
-def _edge_warning(grid: np.ndarray, values: np.ndarray, label: str) -> None:
+def _checked_samples(grid, values, label: str) -> tuple[np.ndarray, np.ndarray]:
+    # the grid and samples of a transform as float arrays, GridError unless
+    # both are finite and of one shape; warns when weight sits at an edge
+    grid = _check_grid(grid)
+    values = np.asarray(values, dtype=float)
+    if values.shape != grid.shape:
+        raise GridError("sample shape does not match grid")
+    if not np.all(np.isfinite(values)):
+        raise GridError(f"{label} samples must be finite")
     scale = float(np.max(np.abs(values)))
-    if scale == 0.0:
-        return
     # a grid that starts at zero covers the whole half line on that side,
     # so only weight stranded at a truncated edge signals bias
     edge = abs(float(values[-1]))
@@ -217,6 +207,7 @@ def _edge_warning(grid: np.ndarray, values: np.ndarray, label: str) -> None:
             f"{label} has weight {edge:.3g} at the grid edge (scale {scale:.3g}); "
             "the finite-support transform is biased there",
             TruncatedSpectrumWarning, stacklevel=3)
+    return grid, values
 
 
 def _tail_estimate(grid: np.ndarray, numerator: np.ndarray) -> float:
@@ -228,11 +219,7 @@ def _tail_estimate(grid: np.ndarray, numerator: np.ndarray) -> float:
 
 def kk_forward(grid: np.ndarray, chi_imag: np.ndarray) -> KKResult:
     """chi'(Omega) = (2/pi) PV int w chi''(w) / (w^2 - Omega^2) dw."""
-    grid = _check_grid(grid)
-    chi_imag = np.asarray(chi_imag, dtype=float)
-    if chi_imag.shape != grid.shape:
-        raise GridError("sample shape does not match grid")
-    _edge_warning(grid, chi_imag, "chi''")
+    grid, chi_imag = _checked_samples(grid, chi_imag, "chi''")
     numerator = grid * chi_imag
     out = np.array([(2.0 / np.pi) * _pv_integral(grid, numerator, w, tail_model=True)
                     for w in grid])
@@ -242,11 +229,7 @@ def kk_forward(grid: np.ndarray, chi_imag: np.ndarray) -> KKResult:
 
 def kk_inverse(grid: np.ndarray, chi_real: np.ndarray) -> KKResult:
     """chi''(Omega) = -(2 Omega/pi) PV int chi'(w) / (w^2 - Omega^2) dw."""
-    grid = _check_grid(grid)
-    chi_real = np.asarray(chi_real, dtype=float)
-    if chi_real.shape != grid.shape:
-        raise GridError("sample shape does not match grid")
-    _edge_warning(grid, chi_real, "chi'")
+    grid, chi_real = _checked_samples(grid, chi_real, "chi'")
     out = np.empty_like(chi_real)
     for k, w in enumerate(grid):
         if w == 0.0:

@@ -11,6 +11,7 @@ Conventions fixed here and assumed everywhere else:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 from .errors import ConfigError, GeometryError, SpeciesError, TruncationError
@@ -121,55 +122,72 @@ class CavityConfig:
         return out
 
 
+def _real(value) -> bool:
+    # a real number; bool is an int subclass but never a length or a rate
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _integer(value) -> bool:
+    # an integer, numpy's included, that is not a bool
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def validate(config: CavityConfig) -> CavityConfig:
     """Check every type invariant; return the config unchanged if all hold.
 
     Idempotent.  Construction calls this (CavityConfig.__post_init__), so
     an invalid config fails with the same error taxonomy before any
-    operation sees it.
+    operation sees it.  A bool is neither a real number nor an integer here.
 
     Raises
     ------
     GeometryError
-        Nonpositive or non-finite lengths, l > L, or c not in (0, inf).
+        Nonpositive, non-finite or non-real lengths, l > L, or c not a real
+        in (0, inf).
     SpeciesError
-        Empty species list, omega not in (0, inf), or G not in [0, inf).
+        Empty species list, an entry that is not an OscillatorSpecies,
+        omega not a real in (0, inf), or G not a real in [0, inf).
     TruncationError
-        photon_mode_count or exciton_mode_count below 1.
+        photon_mode_count or exciton_mode_count not an integer >= 1.
     ConfigError
-        Solver settings out of range or non-finite.
+        A solver that is not a SolverSettings, or settings of the wrong
+        type, out of range or non-finite.
     """
-    if not (0.0 < config.L < math.inf):
+    if not (_real(config.L) and 0.0 < config.L < math.inf):
         raise GeometryError(f"cavity length must be positive and finite, got L={config.L}")
-    if not (0.0 < config.l <= config.L):
+    if not (_real(config.l) and 0.0 < config.l <= config.L):
         raise GeometryError(f"slab thickness must satisfy 0 < l <= L, got l={config.l}, L={config.L}")
-    if not (0.0 < config.c < math.inf):
+    if not (_real(config.c) and 0.0 < config.c < math.inf):
         raise GeometryError(f"light speed must be positive and finite, got c={config.c}")
 
     if len(config.oscillators) == 0:
         raise SpeciesError("at least one oscillator species is required")
     for k, sp in enumerate(config.oscillators):
-        if not (0.0 < sp.omega < math.inf):
+        if not isinstance(sp, OscillatorSpecies):
+            raise SpeciesError(f"oscillators[{k}] must be an OscillatorSpecies, got {sp!r}")
+        if not (_real(sp.omega) and 0.0 < sp.omega < math.inf):
             raise SpeciesError(f"oscillators[{k}].omega must be > 0 and finite, got {sp.omega}")
-        if not (0.0 <= sp.G < math.inf):
+        if not (_real(sp.G) and 0.0 <= sp.G < math.inf):
             raise SpeciesError(f"oscillators[{k}].G must be >= 0 and finite, got {sp.G}")
 
-    if config.photon_mode_count < 1:
-        raise TruncationError(f"photon_mode_count must be >= 1, got {config.photon_mode_count}")
-    if config.exciton_mode_count < 1:
-        raise TruncationError(f"exciton_mode_count must be >= 1, got {config.exciton_mode_count}")
+    for name in ("photon_mode_count", "exciton_mode_count"):
+        count = getattr(config, name)
+        if not (_integer(count) and count >= 1):
+            raise TruncationError(f"{name} must be an integer >= 1, got {count!r}")
 
     s = config.solver
+    if not isinstance(s, SolverSettings):
+        raise ConfigError(f"solver must be a SolverSettings, got {s!r}")
     if s.method not in METHODS:
         raise ConfigError(f"unknown solver method {s.method!r}; expected one of {METHODS}")
-    if not (0.0 < s.root_tol < math.inf):
-        raise ConfigError(f"root_tol must be > 0 and finite, got {s.root_tol}")
-    if not (0.0 < s.pole_exclusion < math.inf):
-        raise ConfigError(f"pole_exclusion must be > 0 and finite, got {s.pole_exclusion}")
-    if s.scan_points < 2:
-        raise ConfigError(f"scan_points must be >= 2, got {s.scan_points}")
-    if not (0.0 < s.omega_max < math.inf):
-        raise ConfigError(f"omega_max must be > 0 and finite, got {s.omega_max}")
+    for name in ("root_tol", "pole_exclusion", "omega_max"):
+        value = getattr(s, name)
+        if not (_real(value) and 0.0 < value < math.inf):
+            raise ConfigError(f"{name} must be > 0 and finite, got {value!r}")
+    if not (_integer(s.scan_points) and s.scan_points >= 2):
+        raise ConfigError(f"scan_points must be an integer >= 2, got {s.scan_points!r}")
+    if not isinstance(s.allow_evanescent, bool):
+        raise ConfigError(f"allow_evanescent must be a bool, got {s.allow_evanescent!r}")
     return config
 
 

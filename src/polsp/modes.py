@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import ConfigError, DimensionError
 from .model import CavityConfig, transverse_wavenumber
 
 
@@ -86,27 +86,30 @@ class ExcitonMode:
 class OverlapSet:
     """Overlap matrix K[m, xi] and photon self-coupling D = K K^T.
 
-    Arrays are frozen read-only so the set can be shared across workers.
+    K.shape holds the truncations.  Arrays are frozen read-only so the set
+    can be shared across workers.
     """
 
     K: np.ndarray
     D: np.ndarray
     L: float
     l: float
-    photon_mode_count: int
-    exciton_mode_count: int
 
     def __post_init__(self) -> None:
         self.K.flags.writeable = False
         self.D.flags.writeable = False
 
     def check_shape(self, config: CavityConfig) -> None:
-        """Raise DimensionError if the set does not match the config."""
+        """Raise DimensionError on other truncations, ConfigError on other L, l."""
         n, xi = config.photon_mode_count, config.exciton_mode_count
         if self.K.shape != (n, xi) or self.D.shape != (n, n):
             raise DimensionError(
-                f"overlap set built for N={self.photon_mode_count}, "
-                f"Xi={self.exciton_mode_count}; config wants N={n}, Xi={xi}")
+                f"overlap set has K of shape {self.K.shape} and D of shape "
+                f"{self.D.shape}; config wants N={n}, Xi={xi}")
+        if (self.L, self.l) != (config.L, config.l):
+            raise ConfigError(
+                f"overlap set built for L={self.L}, l={self.l}; "
+                f"config has L={config.L}, l={config.l}")
 
 
 def photon_frequencies(config: CavityConfig, q) -> np.ndarray:
@@ -141,8 +144,7 @@ def overlap_K(config: CavityConfig) -> OverlapSet:
     xi_idx = np.arange(xi_count)[None, :]
     K[photon_parity_even(m_idx) != exciton_parity_even(xi_idx)] = 0.0
     D = K @ K.T
-    return OverlapSet(K=K, D=D, L=L, l=l,
-                      photon_mode_count=n, exciton_mode_count=xi_count)
+    return OverlapSet(K=K, D=D, L=L, l=l)
 
 
 def classical_D(config: CavityConfig) -> np.ndarray:

@@ -7,6 +7,8 @@ agree on every root that is not hidden inside a pole exclusion window.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -216,10 +218,24 @@ def test_determinant_signs_with_cross_parity_overlaps():
     K = overlap_K(cfg).K.copy()
     K[0, 1] = K[1, 0] = 0.35
     K[4, 3] = -0.2
-    hand = OverlapSet(K=K, D=K @ K.T, L=cfg.L, l=cfg.l,
-                      photon_mode_count=9, exciton_mode_count=4)
+    hand = OverlapSet(K=K, D=K @ K.T, L=cfg.L, l=cfg.l)
     for q in (0.0, 0.8):
         assert assert_grid_signs_match(cfg, hand, q) > 0
+
+
+def test_overlaps_of_another_geometry_are_refused():
+    # equal truncations, different slab: the set's K would give the roots
+    # of the other cavity, so every route that takes an OverlapSet refuses it
+    thick = make_config(L=1.0, l=0.5, photon=8, exciton=2, omega_max=12.0)
+    thin = replace(thick, l=0.3)
+    foreign = overlap_K(thin)
+    window = (0.0, thick.solver.omega_max)
+    for solve in (lambda: secular_roots(thick, foreign, 0.0, window),
+                  lambda: build_dynamical_matrix(thick, foreign, 0.0),
+                  lambda: two_exciton_roots(thick, foreign, 0.0, window)):
+        with pytest.raises(ConfigError, match="l=0.3"):
+            solve()
+    secular_roots(thin, foreign, 0.0, window)
 
 
 def test_secular_roots_equal_the_scalar_scan():

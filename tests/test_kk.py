@@ -11,9 +11,8 @@ import numpy as np
 import pytest
 
 from polsp import (GridError, LorentzSet, OscillatorSpecies, PoleError,
-                   SampledSusceptibility, TruncatedSpectrumWarning, chi_prime,
-                   kk_forward, kk_inverse, load_samples, save_samples,
-                   species_from_grid)
+                   SampledSusceptibility, TruncatedSpectrumWarning, kk_forward,
+                   kk_inverse, load_samples, save_samples, species_from_grid)
 
 
 OMEGA0, G, GAMMA = 4.0, 1.3, 0.4
@@ -62,8 +61,10 @@ def test_zero_imag_gives_zero_real():
 
 def test_constant_real_part_warns_about_truncation():
     grid = np.linspace(0.0, 20.0, 400)
-    with pytest.warns(TruncatedSpectrumWarning):
+    with pytest.warns(TruncatedSpectrumWarning) as record:
         result = kk_inverse(grid, np.ones_like(grid))
+    # the warning points at the caller's line, not into polsp
+    assert [w.filename for w in record] == [__file__]
     # the finite-support transform of a constant is genuinely nonzero
     assert np.max(np.abs(result.values)) > 0.0
 
@@ -81,22 +82,22 @@ def test_decaying_samples_do_not_warn():
 def test_lorentz_set_closed_form_and_poles():
     model = LorentzSet(species=(OscillatorSpecies(omega=2.0, G=1.5),
                                 OscillatorSpecies(omega=5.0, G=0.5)))
-    assert chi_prime(model, 0.0) == pytest.approx(1.5 ** 2 / 4.0 + 0.5 ** 2 / 25.0)
-    assert chi_prime(model, 1.0) == pytest.approx(
+    assert model.chi_prime(0.0) == pytest.approx(1.5 ** 2 / 4.0 + 0.5 ** 2 / 25.0)
+    assert model.chi_prime(1.0) == pytest.approx(
         2.25 / (4.0 - 1.0) + 0.25 / (25.0 - 1.0))
     with pytest.raises(PoleError):
-        chi_prime(model, 2.0)
+        model.chi_prime(2.0)
     assert model.poles() == (2.0, 5.0)
 
 
 def test_lorentz_set_sign_structure():
     model = LorentzSet(species=(OscillatorSpecies(omega=2.0, G=1.0),
                                 OscillatorSpecies(omega=5.0, G=1.0)))
-    assert chi_prime(model, 1.0) > 0.0          # below every resonance
-    assert chi_prime(model, 50.0) < 0.0         # above every resonance
+    assert model.chi_prime(1.0) > 0.0          # below every resonance
+    assert model.chi_prime(50.0) < 0.0         # above every resonance
     # far tail falls like -sum G^2 / W^2
     w = 300.0
-    assert chi_prime(model, w) == pytest.approx(-2.0 / w ** 2, rel=1e-2)
+    assert model.chi_prime(w) == pytest.approx(-2.0 / w ** 2, rel=1e-2)
 
 
 def test_sampled_narrow_bump_approaches_lorentz():
@@ -133,6 +134,11 @@ def test_sampled_grid_validation():
             SampledSusceptibility(grid=np.array(grid), weight=np.array(weight))
     with pytest.raises(GridError):
         kk_forward(np.array([0.0, np.nan, 2.0]), np.zeros(3))
+    # non-finite samples are refused before any PV integral sees them
+    for transform in (kk_forward, kk_inverse):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(GridError, match="samples must be finite"):
+                transform(np.linspace(0.0, 3.0, 4), np.array([0.0, 1.0, bad, 0.0]))
 
 
 def test_species_from_grid_conserves_total_strength():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from polsp import (CavityConfig, ConfigError, GeometryError, OscillatorSpecies,
@@ -29,7 +30,9 @@ def test_geometry_errors():
         validate(make_config(c=-1.0))
     # non-finite values must not slip through the comparisons
     for bad in ({"L": math.inf}, {"L": math.inf, "l": math.inf},
-                {"c": math.inf}, {"c": math.nan}):
+                {"c": math.inf}, {"c": math.nan},
+                # lengths must be real numbers, and a bool is not one
+                {"L": "1.0"}, {"l": "0.5"}, {"c": True}, {"L": True, "l": True}):
         with pytest.raises(GeometryError):
             validate(make_config(**bad))
 
@@ -45,9 +48,13 @@ def test_species_errors():
         validate(make_config(species=((0.0, 1.0),)))
     with pytest.raises(SpeciesError):
         validate(make_config(species=((4.0, -0.5),)))
-    for bad in ((math.inf, 1.0), (4.0, math.inf), (math.nan, 1.0), (4.0, math.nan)):
+    for bad in ((math.inf, 1.0), (4.0, math.inf), (math.nan, 1.0), (4.0, math.nan),
+                ("4.0", 1.0), (4.0, "1.0"), (True, 1.0), (4.0, True)):
         with pytest.raises(SpeciesError):
             validate(make_config(species=(bad,)))
+    # every entry must be a species, not a bare (omega, G) pair
+    with pytest.raises(SpeciesError):
+        CavityConfig(L=1.0, l=0.5, oscillators=((4.0, 1.0),))
 
 
 def test_zero_coupling_is_legal():
@@ -60,6 +67,13 @@ def test_truncation_errors():
         validate(make_config(photon=0))
     with pytest.raises(TruncationError):
         validate(make_config(exciton=-1))
+    for bad in ({"photon": 2.5}, {"exciton": 2.0}, {"photon": "8"},
+                {"photon": True}, {"exciton": np.bool_(True)}):
+        with pytest.raises(TruncationError):
+            validate(make_config(**bad))
+    # numpy integers are integers
+    cfg = make_config(photon=np.int64(8), exciton=np.int32(2))
+    assert (cfg.photon_mode_count, cfg.exciton_mode_count) == (8, 2)
 
 
 def test_solver_setting_errors():
@@ -74,9 +88,17 @@ def test_solver_setting_errors():
     with pytest.raises(ConfigError):
         validate(make_config(omega_max=0.0))
     for key in ("root_tol", "pole_exclusion", "omega_max"):
-        for bad in (math.inf, math.nan):
+        for bad in (math.inf, math.nan, "1e-3", True):
             with pytest.raises(ConfigError):
                 validate(make_config(**{key: bad}))
+    for bad in (100.5, 400.0, "400", True):
+        with pytest.raises(ConfigError):
+            validate(make_config(scan_points=bad))
+    for bad in ("false", 0, None):
+        with pytest.raises(ConfigError):
+            validate(make_config(allow_evanescent=bad))
+    with pytest.raises(ConfigError):
+        replace(make_config(), solver=None)
 
 
 def test_with_truncation_copies():

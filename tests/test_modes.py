@@ -153,7 +153,8 @@ def test_overlap_set_shape_check():
     cfg = make_config(photon=8, exciton=2)
     overlaps = overlap_K(cfg)
     overlaps.check_shape(cfg)
-    with pytest.raises(DimensionError):
+    # the message states the set's real shape, not the config's
+    with pytest.raises(DimensionError, match=r"K of shape \(8, 2\)"):
         overlaps.check_shape(cfg.with_truncation(photon_mode_count=9))
 
 

@@ -34,9 +34,9 @@ SWEEP_LAYERS = ("dispersion.scan_roots", "dispersion.solve", "model.validate")
     (["sweep", "--method", "secular"], SWEEP_LAYERS),
     (["sweep", "--method", "green"], SWEEP_LAYERS),
     (["sweep", "--method", "classical"], SWEEP_LAYERS),
-    # converge calls the root finders directly, not through the per-q solve
-    (["converge"], ("dispersion.scan_roots", "dispersion.secular_roots",
-                    "dispersion.classical_roots", "model.validate")),
+    (["converge"], ("dispersion.scan_roots", "dispersion.solve",
+                    "dispersion.secular_roots", "dispersion.classical_roots",
+                    "model.validate")),
 ], ids=["sweep_secular", "sweep_green", "sweep_classical", "converge"])
 def test_traced_command_counts_its_layers(tmp_path, argv, layers):
     config = tmp_path / "tiny.yaml"
