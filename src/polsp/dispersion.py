@@ -69,6 +69,26 @@ def sine_solution(x: float, s: float) -> float:
     return math.sinh(r * x) / r
 
 
+def cosine_solutions(x, s) -> np.ndarray:
+    """cosine_solution elementwise over the broadcast arrays x and s."""
+    x, s = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(s, dtype=float))
+    rx = np.sqrt(np.abs(s)) * x
+    out = np.cos(rx)
+    neg = s < 0.0
+    out[neg] = np.cosh(rx[neg])
+    return out
+
+
+def sine_solutions(x, s) -> np.ndarray:
+    """sine_solution elementwise over the broadcast arrays x and s."""
+    x, s = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(s, dtype=float))
+    r = np.sqrt(np.abs(s))
+    out = x.copy()
+    for part, fn in ((s > 0.0, np.sin), (s < 0.0, np.sinh)):
+        out[part] = fn(r[part] * x[part]) / r[part]
+    return out
+
+
 def _longitudinal_sq(config: CavityConfig, omega: float, qv: float) -> float:
     # s = (Omega/c)^2 - q^2, refused below the light line unless the
     # evanescent continuation is enabled
@@ -201,7 +221,8 @@ def _scan(config: CavityConfig, f, window: tuple[float, float], poles,
 # secular determinant
 # --------------------------------------------------------------------------
 
-# doubles held by one chunk's stacked arrays in determinant_signs
+# doubles held by one chunk's stacked arrays in determinant_signs and
+# _green_determinants
 _SIGN_CHUNK_DOUBLES = 32768
 
 
@@ -424,29 +445,44 @@ class _SlabModes:
         self.eye = np.eye(count)
 
 
+def _sinc_integral(k, h: float):
+    # sin(k h)/k, continued through k = 0
+    return h * np.sinc(k * h / np.pi)
+
+
+def _propagating_moments(modes: _SlabModes, qz):
+    # _slab_moments at s = qz^2 > 0 by the form that holds for qz h >= 0.5;
+    # qz is a float, or an (n, 1) column giving one row of moments per entry
+    sum_int = _sinc_integral(modes.b + qz, modes.h)
+    diff_int = _sinc_integral(modes.b - qz, modes.h)
+    uc = modes.norm * modes.sinbh * (sum_int + diff_int)
+    us = modes.norm * modes.cosbh * (diff_int - sum_int) / qz
+    return uc, us
+
+
+def _small_qz_moment(modes: _SlabModes, s, qz, cos_qzh):
+    # us of _propagating_moments for qz h < 0.5: the same antiderivative
+    # rearranged to avoid the 0/0 at qz -> 0; the denominator b^2 - s stays
+    # bounded away from zero because qz h < 0.5 < b h.  The caller passes
+    # cos(qz h) from math for one s and from numpy for a column, so the
+    # scalar bytes do not depend on numpy's cos
+    return modes.norm * modes.cosbh * 2.0 * (
+        modes.sinbh * cos_qzh
+        - modes.b * modes.cosbh * _sinc_integral(qz, modes.h)) / (modes.b_sq - s)
+
+
 def _slab_moments(modes: _SlabModes, s: float) -> tuple[np.ndarray, np.ndarray]:
     # moments uC[xi] = int chi_xi cos-solution, uS[xi] = int chi_xi sin-solution
     h, norm, b, b_sq = modes.h, modes.norm, modes.b, modes.b_sq
     sinbh, cosbh, sgn = modes.sinbh, modes.cosbh, modes.sgn
-
-    def sinc_int(k):
-        return h * np.sinc(k * h / np.pi)
-
     if s > 0.0:
         qz = math.sqrt(s)
-        sum_int, diff_int = sinc_int(b + qz), sinc_int(b - qz)
-        uc = norm * sinbh * (sum_int + diff_int)
-        if qz * h >= 0.5:
-            us = norm * cosbh * (diff_int - sum_int) / qz
-        else:
-            # same antiderivative rearranged to avoid the 0/0 at qz -> 0;
-            # the denominator b^2 - s stays bounded away from zero here
-            # because qz h < 0.5 < b h
-            us = norm * cosbh * 2.0 * (
-                sinbh * math.cos(qz * h) - b * cosbh * sinc_int(qz)) / (b_sq - s)
+        uc, us = _propagating_moments(modes, qz)
+        if qz * h < 0.5:
+            us = _small_qz_moment(modes, s, qz, math.cos(qz * h))
         return uc, us
     if s == 0.0:
-        uc = norm * sinbh * 2.0 * sinc_int(b)
+        uc = norm * sinbh * 2.0 * _sinc_integral(b, h)
         us = norm * cosbh * 2.0 * (sinbh - b * cosbh * h) / b_sq
         return uc, us
     kappa = math.sqrt(-s)
@@ -456,11 +492,10 @@ def _slab_moments(modes: _SlabModes, s: float) -> tuple[np.ndarray, np.ndarray]:
     return uc, us
 
 
-def _boundary_kernel_values(uc: np.ndarray, us: np.ndarray, s: float, h: float):
+def _boundary_kernel_values(uc: np.ndarray, us: np.ndarray, s, ch, sh):
     # particular solution y_xi(z) = int g(z, z') chi_xi(z') dz' and its
-    # derivative, evaluated at the slab faces z = +-h
-    ch = cosine_solution(h, s)
-    sh = sine_solution(h, s)
+    # derivative, evaluated at the slab faces z = +-h, from the fundamental
+    # pair ch, sh at z = h; s, ch, sh are (n, 1) columns for (n, Xi) moments
     sh_uc, ch_us = sh * uc, ch * us
     ch_uc, s_sh_us = ch * uc, s * sh * us
     value_plus = -0.5 * (sh_uc - ch_us)
@@ -487,57 +522,80 @@ def _double_integral_quadrature(modes: _SlabModes, eta: int, s: float) -> np.nda
     def chi_eta(zz):
         return norm * np.sin(b_eta * (zz + h))
 
-    def kernel(dist: np.ndarray) -> np.ndarray:
-        if s > 0.0:
-            r = math.sqrt(s)
-            return -0.5 * np.sin(r * dist) / r
-        if s == 0.0:
-            return -0.5 * dist
-        r = math.sqrt(-s)
-        return -0.5 * np.sinh(r * dist) / r
-
-    inner = np.empty_like(z)
-    for i, zi in enumerate(z):
-        total = 0.0
-        for lo, hi in ((-h, zi), (zi, h)):
-            mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-            zp = mid + half * x
-            total += half * np.sum(w * kernel(np.abs(zi - zp)) * chi_eta(zp))
-        inner[i] = total
+    # inner integral at every outer node z_i, over (-h, z_i) and (z_i, h)
+    lo = np.stack([np.full_like(z, -h), z], axis=1)[:, :, None]
+    hi = np.stack([z, np.full_like(z, h)], axis=1)[:, :, None]
+    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    zp = mid + half * x
+    kernel = -0.5 * sine_solutions(np.abs(z[:, None, None] - zp), s)
+    parts = half[:, :, 0] * np.sum(w * kernel * chi_eta(zp), axis=2)
+    inner = parts[:, 0] + parts[:, 1]
     chi_all = norm * np.sin(np.outer(modes.b, z + h))
     return chi_all @ (wz * inner)
 
 
-def _kernel_double_integrals(modes: _SlabModes, s: float, uc: np.ndarray,
-                             us: np.ndarray, value_plus: np.ndarray,
-                             deriv_plus: np.ndarray) -> np.ndarray:
-    """Matrix of int int chi_xi(z) g(z, z') chi_eta(z') dz dz', closed form.
+def _resonant_columns(modes: _SlabModes, s) -> np.ndarray:
+    # where the partial-fraction denominator b_eta^2 - s is too small for
+    # the closed form, per row of the (n, 1) column s
+    return np.abs(modes.b_sq - s) <= _RESONANT_RTOL * np.maximum(modes.b_sq, np.abs(s))
+
+
+def _kernel_double_integrals(modes: _SlabModes, s, uc: np.ndarray, us: np.ndarray,
+                             value_plus: np.ndarray, deriv_plus: np.ndarray,
+                             ch, sh) -> np.ndarray:
+    """Matrices of int int chi_xi(z) g(z, z') chi_eta(z') dz dz', closed form.
 
     Solving (d^2/dz^2 + s) y = -chi_eta with the kernel gives
     y = chi_eta/(b_eta^2 - s) plus a homogeneous correction fixed by the
     known boundary values of the kernel solution; projecting back onto
-    chi_xi needs only the slab moments ``uc, us`` and the kernel solution's
-    value and derivative at z = +h, which the caller has already computed.
-    Near b_eta^2 = s the subtraction cancels catastrophically and that
-    single column falls back to nested Gauss-Legendre quadrature, which is
-    exact there.
+    chi_xi needs only the slab moments ``uc, us``, the kernel solution's
+    value and derivative at z = +h and the fundamental pair ``ch, sh`` at
+    z = h, which the caller has already computed.  Every argument holds one
+    row per frequency (s, ch and sh as (n, 1) columns) and the result is
+    the (n, Xi, Xi) stack.  Near b_eta^2 = s the subtraction cancels
+    catastrophically and that single column falls back to nested
+    Gauss-Legendre quadrature, which is exact there.
     """
-    ch = cosine_solution(modes.h, s)
-    sh = sine_solution(modes.h, s)
-    b, b_sq = modes.b, modes.b_sq
-    den = b_sq - s
-    resonant = np.abs(den) <= _RESONANT_RTOL * np.maximum(b_sq, abs(s))
+    b = modes.b
+    den = modes.b_sq - s
+    resonant = _resonant_columns(modes, s)
     safe_den = np.where(resonant, 1.0, den)
     # derivative of the partial-fraction term chi_eta/(b^2 - s) at z = +h
     grad_pf = modes.norm * b * modes.sgn / safe_den
     delta_deriv = deriv_plus - grad_pf
     coeff_cos = ch * value_plus - sh * delta_deriv
     coeff_sin = s * sh * value_plus + ch * delta_deriv
-    out = uc[:, None] * coeff_cos + us[:, None] * coeff_sin
-    out.flat[::len(b) + 1] += 1.0 / np.where(resonant, 1.0, den)
-    for eta in np.flatnonzero(resonant):
-        out[:, eta] = _double_integral_quadrature(modes, int(eta), s)
+    out = uc[:, :, None] * coeff_cos[:, None, :] + us[:, :, None] * coeff_sin[:, None, :]
+    out.reshape(len(out), len(b) ** 2)[:, ::len(b) + 1] += 1.0 / safe_den
+    for row, eta in zip(*np.nonzero(resonant)):
+        out[row, :, eta] = _double_integral_quadrature(modes, int(eta), float(s[row, 0]))
     return out
+
+
+def _matching_matrices(modes: _SlabModes, s, beta, uc: np.ndarray, us: np.ndarray,
+                       slab_pair, gap_pair) -> np.ndarray:
+    # the (n, Xi+4, Xi+4) stack of matching matrices; s, beta and the
+    # fundamental pairs at the slab half-width and at the gap width are
+    # (n, 1) columns, uc and us the (n, Xi) slab moments
+    ch, sh = slab_pair
+    cg, sg = gap_pair
+    count = len(modes.b)
+    vp, vm, dp, dm = _boundary_kernel_values(uc, us, s, ch, sh)
+    kernel_m = _kernel_double_integrals(modes, s, uc, us, vp, dp, ch, sh)
+    mats = np.zeros((len(s), count + 4, count + 4))
+    # self-consistency: c_xi = beta (sum_eta M[xi,eta] c_eta + A uc + B us)
+    mats[:, :count, :count] = modes.eye - beta[:, :, None] * kernel_m
+    mats[:, :count, count] = -beta * uc
+    mats[:, :count, count + 1] = -beta * us
+    # value and derivative continuity at z = -h against the left exterior
+    # solution, then at z = +h against the right one
+    mats[:, count:, :count] = np.concatenate((vm, dm, vp, dp), axis=1).reshape(-1, 4, count)
+    zero = np.zeros_like(ch)
+    mats[:, count:, count:] = np.concatenate((ch, -sh, -sg, zero,
+                                              s * sh, ch, -cg, zero,
+                                              ch, sh, zero, sg,
+                                              -s * sh, ch, zero, -cg), axis=1).reshape(-1, 4, 4)
+    return mats
 
 
 def _green_matrix(config: CavityConfig, modes: _SlabModes, omega: float,
@@ -548,32 +606,63 @@ def _green_matrix(config: CavityConfig, modes: _SlabModes, omega: float,
         if abs(sp.omega ** 2 - omega ** 2) <= 1e-300:
             raise PoleError(f"green system evaluated at species pole {sp.omega}")
 
-    count = config.exciton_mode_count
-    h, gap = modes.h, (config.L - config.l) / 2.0
+    gap = (config.L - config.l) / 2.0
     beta = _coupling_strength_sum(config, omega) * omega ** 2 / config.c ** 2
-
     uc, us = _slab_moments(modes, s)
-    vp, vm, dp, dm = _boundary_kernel_values(uc, us, s, h)
-    kernel_m = _kernel_double_integrals(modes, s, uc, us, vp, dp)
-    ch, sh = cosine_solution(h, s), sine_solution(h, s)
-    cg, sg = cosine_solution(gap, s), sine_solution(gap, s)
 
-    mat = np.zeros((count + 4, count + 4))
-    # self-consistency: c_xi = beta (sum_eta M[xi,eta] c_eta + A uc + B us)
-    mat[:count, :count] = modes.eye - beta * kernel_m
-    mat[:count, count] = -beta * uc
-    mat[:count, count + 1] = -beta * us
-    # value and derivative continuity at z = -h against the left exterior
-    # solution, then at z = +h against the right one
-    mat[count:, :count] = (vm, dm, vp, dp)
-    mat[count:, count:] = ((ch, -sh, -sg, 0.0),
-                           (s * sh, ch, -cg, 0.0),
-                           (ch, sh, 0.0, sg),
-                           (-s * sh, ch, 0.0, -cg))
+    # every scalar as a (1, 1) column of a one-row stack
+    s_col, beta_col, ch, sh, cg, sg = np.array(
+        [s, beta, cosine_solution(modes.h, s), sine_solution(modes.h, s),
+         cosine_solution(gap, s), sine_solution(gap, s)]).reshape(6, 1, 1)
+    mat = _matching_matrices(modes, s_col, beta_col, uc[None], us[None],
+                             (ch, sh), (cg, sg))[0]
     if not np.isfinite(mat).all():
         raise QuadratureError(
             f"green matching matrix not finite at Omega={omega:.6g}, q={qv:.6g}")
     return mat
+
+
+def _green_determinants(config: CavityConfig, modes: _SlabModes, omegas: np.ndarray,
+                        qv: float, scalar_det) -> np.ndarray:
+    """det of the matching matrix at every frequency of an array, in batches.
+
+    Rows with s > 0, no resonant column and no species pole are built as
+    stacked matrices and share one np.linalg.det per chunk; a chunk's
+    stacks hold about _SIGN_CHUNK_DOUBLES doubles whatever the truncation.
+    Every other row (s <= 0 included), and any row whose stacked matrix is
+    not finite, goes through ``scalar_det(omega)`` in ascending order, so
+    the first frequency the scalar evaluator refuses raises its error.
+    """
+    omegas = np.asarray(omegas, dtype=float)
+    dets = np.empty(len(omegas))
+    gap = (config.L - config.l) / 2.0
+    step = max(1, _SIGN_CHUNK_DOUBLES // (2 * (len(modes.b) + 4) ** 2))
+    for start in range(0, len(omegas), step):
+        w = omegas[start:start + step, None]
+        with np.errstate(all="ignore"):
+            s = (w / config.c) ** 2 - qv ** 2
+            batch = (s > 0.0) & ~_resonant_columns(modes, s).any(axis=1, keepdims=True)
+            for sp in config.oscillators:
+                batch &= np.abs(sp.omega ** 2 - w ** 2) > 1e-300
+            rows = np.flatnonzero(batch)
+            s, w = s[rows], w[rows]
+            qz = np.sqrt(s)
+            beta = _coupling_strength_sum(config, w) * w ** 2 / config.c ** 2
+            uc, us = _propagating_moments(modes, qz)
+            us = np.where(qz * modes.h < 0.5,
+                          _small_qz_moment(modes, s, qz, np.cos(qz * modes.h)), us)
+            mats = _matching_matrices(
+                modes, s, beta, uc, us,
+                (cosine_solutions(modes.h, s), sine_solutions(modes.h, s)),
+                (cosine_solutions(gap, s), sine_solutions(gap, s)))
+        finite = np.isfinite(mats).all(axis=(1, 2))
+        chunk = dets[start:start + step]
+        chunk[rows[finite]] = np.linalg.det(mats[finite])
+        scalar_rows = np.ones(len(chunk), dtype=bool)
+        scalar_rows[rows[finite]] = False
+        for i in np.flatnonzero(scalar_rows):
+            chunk[i] = scalar_det(omegas[start + i])
+    return dets
 
 
 def green_matching_matrix(config: CavityConfig, omega: float, q) -> np.ndarray:
@@ -593,14 +682,31 @@ def green_determinant(config: CavityConfig, omega: float, q) -> float:
     return float(np.linalg.det(green_matching_matrix(config, omega, q)))
 
 
-def green_roots(config: CavityConfig, q, window: tuple[float, float]) -> np.ndarray:
-    """Sign-change roots of the Green-function determinant in the window."""
-    qv = transverse_wavenumber(q)
-    poles = [sp.omega for sp in config.oscillators]
+def _green_evaluators(config: CavityConfig, qv: float):
+    # (det, green_signs) at one q over one set of slab-mode arrays: the
+    # scalar determinant for bisection and its batched form for a scan grid
     modes = _SlabModes(config.l, config.exciton_mode_count)
-    return _scan(config,
-                 lambda w: float(np.linalg.det(_green_matrix(config, modes, w, qv))),
-                 _propagating_window(config, qv, window), poles)
+
+    def det(omega: float) -> float:
+        return float(np.linalg.det(_green_matrix(config, modes, omega, qv)))
+
+    def green_signs(xs: np.ndarray) -> np.ndarray:
+        return _green_determinants(config, modes, xs, qv, det)
+
+    return det, green_signs
+
+
+def green_roots(config: CavityConfig, q, window: tuple[float, float]) -> np.ndarray:
+    """Sign-change roots of the Green-function determinant in the window.
+
+    The scan grid is evaluated in batches; bisection calls the scalar
+    determinant.
+    """
+    qv = transverse_wavenumber(q)
+    det, green_signs = _green_evaluators(config, qv)
+    poles = [sp.omega for sp in config.oscillators]
+    return _scan(config, det, _propagating_window(config, qv, window), poles,
+                 grid_signs=green_signs)
 
 
 # --------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 
 from .errors import ConfigError, GeometryError, SpeciesError, TruncationError
@@ -87,7 +88,8 @@ class CavityConfig:
         Vacuum light speed; free parameter so dimensionful checks stay
         possible (default 1).
     oscillators : tuple of OscillatorSpecies
-        Non-empty sequence of independent matter species, stored as a tuple.
+        Non-empty sequence of independent matter species, stored as a tuple;
+        anything that is not iterable raises SpeciesError.
     photon_mode_count : int
         Photon basis truncation N >= 1.
     exciton_mode_count : int
@@ -104,6 +106,9 @@ class CavityConfig:
     solver: SolverSettings = field(default_factory=SolverSettings)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.oscillators, Iterable):
+            raise SpeciesError("oscillators must be a sequence of OscillatorSpecies, "
+                               f"got {self.oscillators!r}")
         # a tuple, so no species can be added once the config has validated
         object.__setattr__(self, "oscillators", tuple(self.oscillators))
         validate(self)

@@ -13,21 +13,28 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from polsp import (EvanescentError, green_determinant,
-                   green_matching_matrix, green_roots, one_exciton_roots,
-                   overlap_K)
-from polsp.dispersion import (_SlabModes, _boundary_kernel_values,
-                              _kernel_double_integrals, _slab_moments)
+from polsp import (EvanescentError, PoleError, cosine_solution,
+                   green_determinant, green_matching_matrix, green_roots,
+                   one_exciton_roots, overlap_K, pole_free_segments,
+                   scan_roots, sine_solution)
+from polsp.cli import parse_config, sweep_grid
+from polsp.dispersion import (_SIGN_CHUNK_DOUBLES, _SlabModes,
+                              _boundary_kernel_values, _green_evaluators,
+                              _kernel_double_integrals, _propagating_window,
+                              _slab_moments, cosine_solutions, sine_solutions)
 from conftest import make_config
+from test_golden import CONFIGS as GOLDEN_CONFIGS
 
 
 def closed_form_kernel(l: float, count: int, s: float) -> np.ndarray:
     # the closed form fed the slab moments and boundary values exactly as
     # the matching matrix computes them once per evaluation
     modes = _SlabModes(l, count)
-    uc, us = _slab_moments(modes, s)
-    vp, _, dp, _ = _boundary_kernel_values(uc, us, s, modes.h)
-    return _kernel_double_integrals(modes, s, uc, us, vp, dp)
+    uc, us = (m[None] for m in _slab_moments(modes, s))
+    col = np.full((1, 1), s)
+    ch, sh = cosine_solutions(modes.h, col), sine_solutions(modes.h, col)
+    vp, _, dp, _ = _boundary_kernel_values(uc, us, col, ch, sh)
+    return _kernel_double_integrals(modes, col, uc, us, vp, dp, ch, sh)[0]
 
 
 def oracle_double_integral(l: float, xi: int, eta: int, s: float) -> float:
@@ -164,3 +171,161 @@ def test_green_determinant_sign_brackets_quartic_root():
     assert len(roots) >= 2
     # lower root below both bare lines, upper above, as for any 2x2 mixing
     assert roots[0] < 1.0 < roots[-1]
+
+
+# ---------------------------------------------------------------------------
+# batched evaluation of the scan grid
+# ---------------------------------------------------------------------------
+
+def test_array_fundamental_pair_matches_the_scalar_one():
+    # every sign of s, s = 0 included, against the math-module pair
+    xs = np.array([0.0, 0.3, 1.7, 4.0])
+    ss = np.array([-40.0, -1e-3, 0.0, 2e-9, 5.0, 900.0])
+    cos_arr = cosine_solutions(xs[:, None], ss[None, :])
+    sin_arr = sine_solutions(xs[:, None], ss[None, :])
+    for i, x in enumerate(xs):
+        for j, s in enumerate(ss):
+            assert cos_arr[i, j] == pytest.approx(cosine_solution(x, s), rel=1e-14)
+            assert sin_arr[i, j] == pytest.approx(sine_solution(x, s), rel=1e-14,
+                                                  abs=1e-300)
+
+
+def scalar_grid_signs(det, xs):
+    return np.sign([det(x) for x in xs])
+
+
+def assert_green_grid_signs_match(cfg, q):
+    # the batched grid against np.sign of the scalar determinant on the
+    # full 2n - 1 grid of every pole-free segment of the green scan; returns
+    # the number of sign changes seen
+    det, green_signs = _green_evaluators(cfg, float(q))
+    settings = cfg.solver
+    window = _propagating_window(cfg, float(q), (0.0, settings.omega_max))
+    segments = pole_free_segments(window, [sp.omega for sp in cfg.oscillators],
+                                  settings.pole_exclusion)
+    assert segments
+    changes = 0
+    for lo, hi in segments:
+        xs = np.linspace(lo, hi, 2 * settings.scan_points - 1)
+        expected = scalar_grid_signs(det, xs)
+        np.testing.assert_array_equal(np.sign(green_signs(xs)), expected)
+        changes += int(np.sum(expected[:-1] != expected[1:]))
+    return changes
+
+
+def golden_green_cases():
+    # every golden config at both ends of its q grid, scanned by green
+    for name, text in GOLDEN_CONFIGS.items():
+        cfg, snapshot = parse_config(text)
+        qs = sweep_grid(snapshot)
+        for q in sorted({float(qs[0]), float(qs[-1])}):
+            yield pytest.param(cfg, q, id=f"{name}-q{q:g}")
+
+
+@pytest.mark.parametrize("cfg,q", list(golden_green_cases()))
+def test_green_grid_signs_match_scalar_on_golden_configs(cfg, q):
+    assert_green_grid_signs_match(cfg, q)
+
+
+README_CAVITY = dict(L=1.0, l=0.5, species=((20.0, 3.0),), photon=64, exciton=16,
+                     omega_max=17.0, scan_points=800)
+
+
+@pytest.mark.parametrize("q", [0.0, 1.5, 4.0])
+def test_green_grid_signs_match_scalar_on_readme_cavity(q):
+    assert assert_green_grid_signs_match(make_config(**README_CAVITY), q) > 0
+
+
+def random_green_case(rng):
+    # a random cavity and q with a frequency list that holds exact
+    # resonances b_eta^2 = s, s = 0, qz h < 0.5 and, when the continuation
+    # is enabled, evanescent points; species poles themselves are left out
+    L = rng.uniform(0.6, 3.0)
+    l = rng.uniform(0.2, 1.0) * L
+    c = rng.choice([1.0, rng.uniform(0.5, 1.5)])
+    species = [(rng.uniform(1.0, 30.0), rng.uniform(0.0, 4.0))
+               for _ in range(rng.integers(1, 4))]
+    if rng.random() < 0.4:
+        species[0] = (species[0][0], 0.0)
+    evanescent = bool(rng.random() < 0.4)
+    cfg = make_config(L=L, l=l, c=c, species=tuple(species), photon=4,
+                      exciton=int(rng.integers(1, 20)), allow_evanescent=evanescent)
+    q = float(rng.choice([0.0, rng.uniform(0.0, 5.0)]))
+    h = l / 2.0
+    b = (np.arange(cfg.exciton_mode_count) + 1) * np.pi / l
+    small_qz = np.concatenate([rng.uniform(0.0, 0.5 / h, 6), [1e-7 / h]])
+    omegas = [c * np.hypot(b, q),                     # s = b_eta^2
+              [q * c],                                # s = 0
+              c * np.hypot(small_qz, q),              # qz h < 0.5
+              rng.uniform(q * c, q * c + 40.0, 150)]  # propagating
+    if evanescent:
+        omegas.append(rng.uniform(0.0, q * c, 20))    # s < 0
+    omegas = np.concatenate(omegas)
+    poles = np.array([w for w, _ in species])
+    omegas = omegas[np.min(np.abs(omegas[:, None] - poles), axis=1) > 1e-9]
+    if not evanescent:
+        # c hypot(0, q) / c can round to just below q
+        omegas = omegas[(omegas / c) ** 2 - q ** 2 >= 0.0]
+    return cfg, q, omegas
+
+
+def test_green_grid_signs_match_scalar_on_random_cases():
+    rng = np.random.default_rng(20261018)
+    points = 0
+    for _ in range(60):
+        cfg, q, omegas = random_green_case(rng)
+        det, green_signs = _green_evaluators(cfg, q)
+        np.testing.assert_array_equal(np.sign(green_signs(omegas)),
+                                      scalar_grid_signs(det, omegas))
+        points += len(omegas)
+    assert points > 8000
+
+
+def test_green_roots_equal_the_scalar_scan():
+    # the batched grid changes how the grid is evaluated, not a root
+    for cfg, q in [(make_config(L=1.0, l=0.5, species=((20.0, 3.0),), photon=24,
+                                exciton=4, omega_max=12.0, scan_points=200), 2.0),
+                   (make_config(L=1.4, l=0.9, c=0.8, species=((6.0, 1.2), (9.0, 0.0),
+                                                               (13.0, 0.7)),
+                                photon=8, exciton=7, omega_max=16.0,
+                                root_tol=1e-12, pole_exclusion=5e-2), 0.7),
+                   (make_config(**README_CAVITY), 1.5)]:
+        window = (0.0, cfg.solver.omega_max)
+        scalar = scan_roots(lambda w: green_determinant(cfg, w, q),
+                            _propagating_window(cfg, q, window),
+                            [sp.omega for sp in cfg.oscillators],
+                            exclusion=cfg.solver.pole_exclusion,
+                            scan_points=cfg.solver.scan_points,
+                            rel_tol=cfg.solver.root_tol)
+        batched = green_roots(cfg, q, window)
+        assert len(batched) > 0
+        assert np.array_equal(batched, scalar)
+
+
+def raised(fn):
+    with pytest.raises((EvanescentError, PoleError)) as info:
+        fn()
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize("pole_at,light_at", [(1, 2), (2, 1), (1.0, 1.1), (1.1, 1.0)],
+                         ids=["pole_first", "light_first", "pole_first_one_chunk",
+                              "light_first_one_chunk"])
+def test_green_grid_raises_the_scalar_loops_first_error(pole_at, light_at):
+    # one grid with a species pole and a point below the light line, both
+    # past the first chunk, in two chunks or in one: the batched grid
+    # raises the error of the first offending point in scan order, as the
+    # scalar loop does
+    cfg = make_config(L=1.0, l=0.5, species=((5.0, 1.0),), photon=4, exciton=3)
+    q = 2.0
+    chunk = _SIGN_CHUNK_DOUBLES // (2 * (cfg.exciton_mode_count + 4) ** 2)
+    xs = np.linspace(2.5, 12.0, 3 * chunk)
+    xs[int(pole_at * chunk) + 5] = 5.0
+    xs[int(light_at * chunk) + 5] = 1.5
+    det, green_signs = _green_evaluators(cfg, q)
+    expected = raised(lambda: scalar_grid_signs(det, xs))
+    assert expected[0] is (PoleError if pole_at < light_at else EvanescentError)
+    assert raised(lambda: green_signs(xs)) == expected
+    assert raised(lambda: scan_roots(det, (xs[0], xs[-1]), [], exclusion=1e-6,
+                                     scan_points=2, rel_tol=1e-10,
+                                     grid_signs=lambda _: green_signs(xs))) == expected

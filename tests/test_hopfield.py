@@ -114,6 +114,22 @@ def test_eigenvectors_are_eta_orthogonal():
         assert gram == pytest.approx(np.eye(len(modes)), abs=1e-9)
 
 
+def test_modes_are_complete():
+    # Bogoliubov completeness over all modes, U = (W, X) and V = (Y, Z)
+    # with one column per mode: UU^+ - V*V^T = I and UV^+ - V*U^T = 0, so
+    # the modes span the whole photon and matter space
+    for cfg, q in ((make_config(species=((3.0, 1.0),), photon=5, exciton=2), 0.0),
+                   (make_config(L=1.2, l=0.7, species=((3.0, 0.8), (4.5, 0.0), (6.0, 1.3)),
+                                photon=6, exciton=3), 0.7)):
+        modes = diagonalize(build_dynamical_matrix(cfg, overlap_K(cfg), q))
+        U = np.array([np.concatenate([m.W, m.X]) for m in modes]).T
+        V = np.array([np.concatenate([m.Y, m.Z]) for m in modes]).T
+        assert U.shape == (len(modes), len(modes))
+        identity = np.eye(len(modes))
+        assert np.max(np.abs(U @ U.conj().T - V.conj() @ V.T - identity)) <= 1e-10
+        assert np.max(np.abs(U @ V.conj().T - V.conj() @ U.T)) <= 1e-10
+
+
 def test_modes_solve_the_raw_eigenproblem():
     # independent reference: the general eigensolver on the unreduced M
     for cfg, q in ((make_config(L=1.3, l=0.9, species=((3.0, 0.8), (5.0, 1.4)),

@@ -55,6 +55,10 @@ def test_species_errors():
     # every entry must be a species, not a bare (omega, G) pair
     with pytest.raises(SpeciesError):
         CavityConfig(L=1.0, l=0.5, oscillators=((4.0, 1.0),))
+    # a list that is not iterable at all
+    for bad in (None, 5):
+        with pytest.raises(SpeciesError, match="sequence of OscillatorSpecies"):
+            CavityConfig(L=1.0, l=0.5, oscillators=bad)
 
 
 def test_zero_coupling_is_legal():
