@@ -303,29 +303,65 @@ class SecularOperator:
             parts = [(rows, cols), (~rows, ~cols)]
         return tuple((K[np.ix_(r, c)], self._photon_poles_sq[r]) for r, c in parts)
 
+    @cached_property
+    def _pair_products(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+        # per non-empty parity sector: P[m, p] = K[m, a] K[m, b] over the
+        # packed upper triangle (a, b) = triu_indices, its squared photon
+        # poles, and the index U[a, b] = U[b, a] = p that unpacks a row of
+        # W @ P into the symmetric K^T W K.  P is filled one matter mode a
+        # at a time, so no full-size temporary exists.  A sector without
+        # photons or matter modes has reduced determinant 1 and is skipped
+        sectors = []
+        for block, poles_sq in self._parity_sectors:
+            if block.size == 0:
+                continue
+            count = block.shape[1]
+            rows, cols = np.triu_indices(count)
+            products = np.empty((block.shape[0], len(rows)))
+            for a in range(count):
+                products[:, rows == a] = block[:, a:a + 1] * block[:, a:]
+            unpack = np.empty((count, count), dtype=np.intp)
+            unpack[rows, cols] = unpack[cols, rows] = np.arange(len(rows))
+            sectors.append((products, poles_sq, unpack))
+        return tuple(sectors)
+
     def determinant_signs(self, omegas: np.ndarray) -> np.ndarray:
-        """The sign of det(I - M) at every frequency of an array, in batches.
+        """The sign of det(I - M) at every frequency of an ascending array.
 
         Agrees with np.sign(determinant_sign(omega)) point by point.  Each
-        chunk of frequencies builds the reduced matrix of every parity
-        sector with one stacked matmul and multiplies the sector signs from
-        one batched slogdet each; a chunk's stacked arrays hold about
-        _SIGN_CHUNK_DOUBLES doubles whatever the truncation.
+        parity sector takes, per chunk of frequencies, one matrix product
+        of the scaled pole weights with its pair products, unpacks it into
+        stacked symmetric reduced matrices and takes their signs from one
+        batched slogdet; a chunk's arrays hold about _SIGN_CHUNK_DOUBLES
+        doubles whatever the truncation.
+
+        The determinant is the product of the sector determinants, so a
+        root of each sector between the same two adjacent frequencies
+        leaves its sign unchanged there.  That raises BracketError instead
+        of hiding two roots.
         """
         omegas = np.asarray(omegas, dtype=float)
-        signs = np.ones(len(omegas))
         omegas_sq = omegas ** 2
         factor = omegas_sq * _coupling_strength_sum(self.config, omegas)
-        per_point = sum(block.size for block, _ in self._parity_sectors)
-        step = max(1, _SIGN_CHUNK_DOUBLES // per_point)
-        for start in range(0, len(omegas), step):
-            part = slice(start, start + step)
-            for block, poles_sq in self._parity_sectors:
-                weights = 1.0 / (poles_sq - omegas_sq[part, None])
-                core = block.T[None] @ (weights[:, :, None] * block[None])
-                reduced = np.eye(block.shape[1]) - factor[part, None, None] * core
-                signs[part] *= np.linalg.slogdet(reduced)[0]
-        return signs
+        signs = np.ones((len(self._pair_products), len(omegas)))
+        for sector, (products, poles_sq, unpack) in enumerate(self._pair_products):
+            count = len(unpack)
+            step = max(1, _SIGN_CHUNK_DOUBLES
+                       // (len(poles_sq) + products.shape[1] + count * count))
+            for start in range(0, len(omegas), step):
+                part = slice(start, start + step)
+                weights = -factor[part, None] / (poles_sq - omegas_sq[part, None])
+                reduced = (weights @ products)[:, unpack]
+                reduced[:, range(count), range(count)] += 1.0
+                signs[sector, part] = np.linalg.slogdet(reduced)[0]
+        both = np.all(signs[:, :-1] * signs[:, 1:] < 0.0, axis=0)
+        if len(signs) > 1 and both.any():
+            i = int(np.argmax(both))
+            raise BracketError(
+                f"both parity sectors change sign between {omegas[i]:.9g} and "
+                f"{omegas[i + 1]:.9g}, so their roots cancel in the determinant; "
+                "increase scan_points")
+        return np.prod(signs, axis=0)
 
     def determinant(self, omega: float) -> float:
         sign, logdet = np.linalg.slogdet(self._reduced(omega))

@@ -105,13 +105,17 @@ def test_scan_roots_empty_window():
 
 def secular_with_escalation(cfg, q, window, expected_count, poles):
     # anticrossing gaps in random configs can fall below any fixed scan
-    # resolution; retry with a denser scan until the count stabilizes.
+    # resolution, and roots of both parity sectors can share one scan cell
+    # (BracketError); retry with a denser scan until the count stabilizes.
     # The root values are never taken from the other method, only the
     # budget is raised.
     from dataclasses import replace
     for points in (cfg.solver.scan_points, 3000, 30000):
         dense = replace(cfg, solver=replace(cfg.solver, scan_points=points))
-        sec = secular_roots(dense, overlap_K(dense), q, window)
+        try:
+            sec = secular_roots(dense, overlap_K(dense), q, window)
+        except BracketError:
+            continue
         kept = drop_near_poles(sec, poles, cfg.solver.pole_exclusion)
         if len(kept) == expected_count:
             return kept
@@ -132,6 +136,28 @@ def test_secular_matches_dynamical_on_random_configs():
         assert len(dyn_kept) == len(sec_kept), (cfg, q)
         if len(dyn_kept):
             assert np.max(np.abs(dyn_kept - sec_kept) / dyn_kept) < 1e-8
+
+
+def test_opposite_parity_roots_in_one_scan_cell_are_refused():
+    # the second random draw above holds roots of both parity sectors
+    # within one cell of its 300-point scan: their signs cancel in the
+    # determinant, which must raise instead of returning 5 of the 7 roots
+    rng = np.random.default_rng(20260819)
+    for _ in range(2):
+        cfg = random_config(rng)
+        q = rng.uniform(0.0, 2.0)
+    dyn = spectrum(cfg, q)
+    window = (0.0, float(dyn[-1]) * 1.05)
+    poles = all_poles(cfg, q)
+    dyn_kept = drop_near_poles(dyn, poles, cfg.solver.pole_exclusion)
+    assert len(dyn_kept) == 7
+    with pytest.raises(BracketError, match="both parity sectors"):
+        secular_roots(cfg, overlap_K(cfg), q, window)
+    dense = replace(cfg, solver=replace(cfg.solver, scan_points=3000))
+    sec_kept = drop_near_poles(secular_roots(dense, overlap_K(dense), q, window),
+                               poles, cfg.solver.pole_exclusion)
+    assert len(sec_kept) == 7
+    assert np.max(np.abs(dyn_kept - sec_kept) / dyn_kept) < 1e-8
 
 
 def test_secular_determinant_has_pole_structure():
@@ -204,7 +230,10 @@ def test_determinant_signs_match_scalar_on_golden_configs(cfg, q):
           exciton=4), 0.3),  # G = 0 species mixed with coupled ones
     (dict(L=1.0, l=1.0, photon=10, exciton=6), 0.0),  # l = L
     (dict(L=1.3, l=0.7, c=0.9, photon=14, exciton=4), 1.7),  # q > 0
-], ids=["odd_xi", "xi_1", "n_1", "mixed_g0", "l_eq_L", "q_positive"])
+    # many points per chunk; the exclusion keeps out the cluster of 26
+    # roots of both sectors against the resonance, where the scan raises
+    (dict(photon=128, exciton=32, pole_exclusion=1e-2), 0.0),
+], ids=["odd_xi", "xi_1", "n_1", "mixed_g0", "l_eq_L", "q_positive", "n_128_xi_32"])
 def test_determinant_signs_match_scalar(kwargs, q):
     cfg = make_config(**{"omega_max": 12.0, "scan_points": 300, **kwargs})
     assert assert_grid_signs_match(cfg, overlap_K(cfg), q) > 0

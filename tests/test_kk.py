@@ -7,12 +7,16 @@ analytic round-trip oracle for the numerical transforms.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
-from polsp import (GridError, LorentzSet, OscillatorSpecies, PoleError,
-                   SampledSusceptibility, TruncatedSpectrumWarning, kk_forward,
-                   kk_inverse, load_samples, save_samples, species_from_grid)
+from polsp import (GridError, LorentzSet, OscillatorSpecies, ParseError,
+                   PoleError, SampledSusceptibility, TruncatedSpectrumWarning,
+                   kk_forward, kk_inverse, load_samples, save_samples,
+                   species_from_grid)
+from polsp.kk import _pv_integral
 
 
 OMEGA0, G, GAMMA = 4.0, 1.3, 0.4
@@ -52,17 +56,75 @@ def test_round_trip_and_refinement():
     assert errs[1] < 2e-3
 
 
-def test_zero_imag_gives_zero_real():
-    grid = np.linspace(0.0, 20.0, 500)
-    result = kk_forward(grid, np.zeros_like(grid))
+def transform_per_node(transform, grid, values):
+    # the reference: one scalar PV integral per node, as the transforms'
+    # definitions read
+    numerator = grid * values if transform is kk_forward else values
+    out = []
+    for w in grid:
+        if transform is kk_inverse and w == 0.0:
+            out.append(0.0)
+            continue
+        pv = _pv_integral(grid, numerator, w, tail_model=True)
+        scale = 2.0 / np.pi if transform is kk_forward else -2.0 * w / np.pi
+        out.append(scale * pv)
+    return np.array(out)
+
+
+def reference_cases():
+    rng = np.random.default_rng(7)
+    uneven = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 40.0, 299))])
+    return {"uneven": uneven,
+            "uneven_from_0.5": np.sort(rng.uniform(0.5, 40.0, 300)),
+            "offset": np.linspace(1.5, 40.0, 400),
+            "n_2": np.array([0.0, 7.0]),
+            "n_2_offset": np.array([3.0, 5.5]),
+            "n_3": np.array([0.0, 4.5, 11.0]),
+            "n_3_offset": np.array([2.0, 3.9, 6.1])}
+
+
+@pytest.mark.parametrize("transform", [kk_forward, kk_inverse])
+@pytest.mark.parametrize("name", list(reference_cases()))
+def test_transforms_match_the_scalar_integral(transform, name):
+    # the batched transforms change the order of summation only
+    grid = reference_cases()[name]
+    real, imag = damped_pair(grid)
+    values = imag if transform is kk_forward else real
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncatedSpectrumWarning)
+        got = transform(grid, values).values
+        expected = transform_per_node(transform, grid, values)
+    assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+    if transform is kk_inverse and grid[0] == 0.0:
+        assert got[0] == 0.0
+
+
+@pytest.mark.parametrize("transform", [kk_forward, kk_inverse])
+def test_overflowing_integrand_is_a_grid_error(transform):
+    # samples near the largest double: the subtracted numerators overflow,
+    # node by node and batched alike
+    grid = np.linspace(0.0, 3.0, 4)
+    values = np.array([0.0, 1e308, -1e308, 0.0])
+    with pytest.raises(GridError, match="not finite"):
+        transform_per_node(transform, grid, values)
+    with pytest.raises(GridError, match="not finite"):
+        transform(grid, values)
+
+
+@pytest.mark.parametrize("transform", [kk_forward, kk_inverse])
+@pytest.mark.parametrize("start", [0.0, 2.0])
+def test_zero_samples_give_zero(transform, start):
+    grid = np.linspace(start, 20.0, 500)
+    result = transform(grid, np.zeros_like(grid))
     assert np.all(result.values == 0.0)
     assert result.tail_estimate == 0.0
 
 
-def test_constant_real_part_warns_about_truncation():
+@pytest.mark.parametrize("transform", [kk_forward, kk_inverse])
+def test_constant_samples_warn_about_truncation(transform):
     grid = np.linspace(0.0, 20.0, 400)
     with pytest.warns(TruncatedSpectrumWarning) as record:
-        result = kk_inverse(grid, np.ones_like(grid))
+        result = transform(grid, np.ones_like(grid))
     # the warning points at the caller's line, not into polsp
     assert [w.filename for w in record] == [__file__]
     # the finite-support transform of a constant is genuinely nonzero
@@ -176,10 +238,19 @@ def test_save_load_round_trip(tmp_path):
 
 
 def test_load_samples_rejects_garbage(tmp_path):
-    from polsp import ParseError
     bad = tmp_path / "bad.txt"
     bad.write_text("1.0 2.0 3.0\n4.0 5.0 6.0\n")
     with pytest.raises(ParseError):
         load_samples(bad)
     with pytest.raises(ParseError):
         load_samples(tmp_path / "missing.txt")
+
+
+@pytest.mark.parametrize("text", ["", "# a comment\n\n   \n# another\n"])
+def test_load_samples_without_samples(tmp_path, text):
+    path = tmp_path / "empty.txt"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParseError, match="holds no samples"):
+            load_samples(path)
