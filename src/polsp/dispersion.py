@@ -288,31 +288,28 @@ class SecularOperator:
         return sign
 
     @cached_property
-    def _parity_sectors(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        # (K block, its squared photon poles) for odd-m photons with even-xi
-        # matter modes and for even-m photons with odd-xi ones.  overlap_K
-        # zeroes K exactly between them, so the reduced matrix is block
-        # diagonal and its determinant the product of the blocks'; a K with
-        # cross-parity entries becomes one sector holding every row and column
+    def _parity_sectors(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+        # Odd-m photons with even-xi matter modes, and even-m photons with
+        # odd-xi ones.  overlap_K zeroes K exactly between them, so the
+        # reduced matrix is block diagonal and its determinant the product
+        # of the blocks'; a K with cross-parity entries becomes one sector
+        # holding every row and column.  A sector without photons or matter
+        # modes has reduced determinant 1 and is left out.  Per sector:
+        # P[m, p] = K[m, a] K[m, b] over the packed upper triangle
+        # (a, b) = triu_indices, the squared photon poles, and the index
+        # U[a, b] = U[b, a] = p that unpacks a row of W @ P into the
+        # symmetric K^T W K.  P is filled one matter mode a at a time, so
+        # no full-size temporary exists
         K = self.overlaps.K
-        rows = photon_parity_even(np.arange(1, K.shape[0] + 1))
-        cols = exciton_parity_even(np.arange(K.shape[1]))
-        if K[np.ix_(rows, ~cols)].any() or K[np.ix_(~rows, cols)].any():
-            parts = [(np.full_like(rows, True), np.full_like(cols, True))]
+        even_m = photon_parity_even(np.arange(1, K.shape[0] + 1))
+        even_xi = exciton_parity_even(np.arange(K.shape[1]))
+        if K[np.ix_(even_m, ~even_xi)].any() or K[np.ix_(~even_m, even_xi)].any():
+            parts = [(np.full_like(even_m, True), np.full_like(even_xi, True))]
         else:
-            parts = [(rows, cols), (~rows, ~cols)]
-        return tuple((K[np.ix_(r, c)], self._photon_poles_sq[r]) for r, c in parts)
-
-    @cached_property
-    def _pair_products(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
-        # per non-empty parity sector: P[m, p] = K[m, a] K[m, b] over the
-        # packed upper triangle (a, b) = triu_indices, its squared photon
-        # poles, and the index U[a, b] = U[b, a] = p that unpacks a row of
-        # W @ P into the symmetric K^T W K.  P is filled one matter mode a
-        # at a time, so no full-size temporary exists.  A sector without
-        # photons or matter modes has reduced determinant 1 and is skipped
+            parts = [(even_m, even_xi), (~even_m, ~even_xi)]
         sectors = []
-        for block, poles_sq in self._parity_sectors:
+        for photons, matter in parts:
+            block = K[np.ix_(photons, matter)]
             if block.size == 0:
                 continue
             count = block.shape[1]
@@ -322,7 +319,7 @@ class SecularOperator:
                 products[:, rows == a] = block[:, a:a + 1] * block[:, a:]
             unpack = np.empty((count, count), dtype=np.intp)
             unpack[rows, cols] = unpack[cols, rows] = np.arange(len(rows))
-            sectors.append((products, poles_sq, unpack))
+            sectors.append((products, self._photon_poles_sq[photons], unpack))
         return tuple(sectors)
 
     def determinant_signs(self, omegas: np.ndarray) -> np.ndarray:
@@ -343,8 +340,8 @@ class SecularOperator:
         omegas = np.asarray(omegas, dtype=float)
         omegas_sq = omegas ** 2
         factor = omegas_sq * _coupling_strength_sum(self.config, omegas)
-        signs = np.ones((len(self._pair_products), len(omegas)))
-        for sector, (products, poles_sq, unpack) in enumerate(self._pair_products):
+        signs = np.ones((len(self._parity_sectors), len(omegas)))
+        for sector, (products, poles_sq, unpack) in enumerate(self._parity_sectors):
             count = len(unpack)
             step = max(1, _SIGN_CHUNK_DOUBLES
                        // (len(poles_sq) + products.shape[1] + count * count))
