@@ -37,9 +37,9 @@ from . import hopfield
 from .errors import (BracketError, BranchMatchError, ConfigError,
                      EvanescentError, PoleError, QuadratureError)
 from .kk import LorentzSet
-from .model import CavityConfig, transverse_wavenumber
+from .model import CavityConfig, check_scan_points, transverse_wavenumber
 from .modes import (OverlapSet, exciton_parity_even, overlap_K,
-                    photon_frequencies, photon_parity_even)
+                    photon_frequencies, photon_parity_even, sine_half_integral)
 
 # --------------------------------------------------------------------------
 # branch-free fundamental solutions
@@ -69,24 +69,32 @@ def sine_solution(x: float, s: float) -> float:
     return math.sinh(r * x) / r
 
 
+def _fundamental_pairs(x, s) -> tuple[np.ndarray, np.ndarray]:
+    # (cosine_solutions, sine_solutions) of the broadcast arrays x and s;
+    # the masks for s = 0 and s < 0 are built only where such an s occurs
+    x, s = np.asarray(x, dtype=float), np.asarray(s, dtype=float)
+    positive = s.min() > 0.0
+    r = np.sqrt(s if positive else np.abs(s))
+    rx = r * x
+    if positive:
+        return np.cos(rx), np.sin(rx) / r
+    x, s, r = np.broadcast_arrays(x, s, r)
+    cos, sin = np.cos(rx), x.copy()
+    for part, fn in ((s > 0.0, np.sin), (s < 0.0, np.sinh)):
+        sin[part] = fn(rx[part]) / r[part]
+    neg = s < 0.0
+    cos[neg] = np.cosh(rx[neg])
+    return cos, sin
+
+
 def cosine_solutions(x, s) -> np.ndarray:
     """cosine_solution elementwise over the broadcast arrays x and s."""
-    x, s = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(s, dtype=float))
-    rx = np.sqrt(np.abs(s)) * x
-    out = np.cos(rx)
-    neg = s < 0.0
-    out[neg] = np.cosh(rx[neg])
-    return out
+    return _fundamental_pairs(x, s)[0]
 
 
 def sine_solutions(x, s) -> np.ndarray:
     """sine_solution elementwise over the broadcast arrays x and s."""
-    x, s = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(s, dtype=float))
-    r = np.sqrt(np.abs(s))
-    out = x.copy()
-    for part, fn in ((s > 0.0, np.sin), (s < 0.0, np.sinh)):
-        out[part] = fn(r[part] * x[part]) / r[part]
-    return out
+    return _fundamental_pairs(x, s)[1]
 
 
 def _longitudinal_sq(config: CavityConfig, omega: float, qv: float) -> float:
@@ -188,8 +196,9 @@ def scan_roots(f, window: tuple[float, float], poles, *, exclusion: float,
     raises BracketError rather than guessing.  ``grid_signs(xs)``, if
     given, must return the sign of f at every point of the array xs; it
     replaces the per-point calls on the scan grid only, and bisection
-    always calls the scalar f.
+    always calls the scalar f.  ``scan_points`` must be an integer >= 2.
     """
+    check_scan_points(scan_points)
     roots = []
     for seg in pole_free_segments(window, poles, exclusion):
         lo, hi = seg
@@ -221,8 +230,9 @@ def _scan(config: CavityConfig, f, window: tuple[float, float], poles,
 # secular determinant
 # --------------------------------------------------------------------------
 
-# doubles held by one chunk's stacked arrays in determinant_signs and
-# _green_determinants
+# doubles held by one chunk's stacked arrays: the reduced sector matrices of
+# determinant_signs, and in _green_determinants the matching matrices and
+# kernel stack of one _green_matrices call (bisection builds single rows)
 _SIGN_CHUNK_DOUBLES = 32768
 
 
@@ -473,69 +483,49 @@ class _SlabModes:
         self.b = (idx + 1) * np.pi / l
         self.b_sq = self.b ** 2
         bh = (idx + 1) * np.pi / 2.0
-        self.sinbh, self.cosbh = np.sin(bh), np.cos(bh)
+        self.norm_sinbh, self.norm_cosbh = self.norm * np.sin(bh), self.norm * np.cos(bh)
         self.sgn = (-1.0) ** (idx + 1)
         self.eye = np.eye(count)
+        self.grad_pf = self.norm * self.b * self.sgn  # chi_xi'(h)
+        # b + qz and b - qz as one row, b_pm + qz pm
+        self.b_pm, self.pm = np.concatenate((self.b, self.b)), np.repeat([1.0, -1.0], count)
+        # s below which qz h < 0.5, where the moments take the b^2 - s form
+        self.near_s = (0.5 / self.h) ** 2
 
 
-def _sinc_integral(k, h: float):
-    # sin(k h)/k, continued through k = 0
-    return h * np.sinc(k * h / np.pi)
-
-
-def _propagating_moments(modes: _SlabModes, qz):
-    # _slab_moments at s = qz^2 > 0 by the form that holds for qz h >= 0.5;
-    # qz is a float, or an (n, 1) column giving one row of moments per entry
-    sum_int = _sinc_integral(modes.b + qz, modes.h)
-    diff_int = _sinc_integral(modes.b - qz, modes.h)
-    uc = modes.norm * modes.sinbh * (sum_int + diff_int)
-    us = modes.norm * modes.cosbh * (diff_int - sum_int) / qz
-    return uc, us
-
-
-def _small_qz_moment(modes: _SlabModes, s, qz, cos_qzh):
-    # us of _propagating_moments for qz h < 0.5: the same antiderivative
-    # rearranged to avoid the 0/0 at qz -> 0; the denominator b^2 - s stays
-    # bounded away from zero because qz h < 0.5 < b h.  The caller passes
-    # cos(qz h) from math for one s and from numpy for a column, so the
-    # scalar bytes do not depend on numpy's cos
-    return modes.norm * modes.cosbh * 2.0 * (
-        modes.sinbh * cos_qzh
-        - modes.b * modes.cosbh * _sinc_integral(qz, modes.h)) / (modes.b_sq - s)
-
-
-def _slab_moments(modes: _SlabModes, s: float) -> tuple[np.ndarray, np.ndarray]:
-    # moments uC[xi] = int chi_xi cos-solution, uS[xi] = int chi_xi sin-solution
-    h, norm, b, b_sq = modes.h, modes.norm, modes.b, modes.b_sq
-    sinbh, cosbh, sgn = modes.sinbh, modes.cosbh, modes.sgn
-    if s > 0.0:
-        qz = math.sqrt(s)
-        uc, us = _propagating_moments(modes, qz)
-        if qz * h < 0.5:
-            us = _small_qz_moment(modes, s, qz, math.cos(qz * h))
-        return uc, us
-    if s == 0.0:
-        uc = norm * sinbh * 2.0 * _sinc_integral(b, h)
-        us = norm * cosbh * 2.0 * (sinbh - b * cosbh * h) / b_sq
-        return uc, us
-    kappa = math.sqrt(-s)
-    den = kappa ** 2 + b_sq
-    uc = norm * b * (1.0 - sgn) * math.cosh(kappa * h) / den
-    us = -norm * b * (1.0 + sgn) * (math.sinh(kappa * h) / kappa) / den
+def _slab_moments(modes: _SlabModes, s) -> tuple[np.ndarray, np.ndarray]:
+    # moments uC[xi] = int chi_xi C(z, s) dz and uS[xi] = int chi_xi S(z, s) dz
+    # of the fundamental pair, one row per entry of the (n, 1) column s.
+    # Rows with qz h >= 0.5 integrate cos(qz z) against the sines of b +- qz.
+    # Every other row (small qz, s = 0 and s < 0) takes the closed form
+    # norm b (C(h) or S(h))/(b^2 - s), the parity of chi_xi picking C or S;
+    # its denominator stays away from zero there because qz h < 0.5 < b h
+    count = len(modes.b)
+    qz = np.sqrt(np.maximum(s, modes.near_s))
+    ints = sine_half_integral(modes.b_pm + qz * modes.pm, modes.h)
+    plus, minus = ints[:, :count], ints[:, count:]
+    uc = modes.norm_sinbh * (plus + minus)
+    us = modes.norm_cosbh * (minus - plus) / qz
+    if s.min() < modes.near_s:
+        near = s[:, 0] < modes.near_s
+        s_near = s[near]
+        ch, sh = _fundamental_pairs(modes.h, s_near)
+        scale = modes.norm * modes.b / (modes.b_sq - s_near)
+        uc[near] = scale * (1.0 - modes.sgn) * ch
+        us[near] = -scale * (1.0 + modes.sgn) * sh
     return uc, us
 
 
 def _boundary_kernel_values(uc: np.ndarray, us: np.ndarray, s, ch, sh):
     # particular solution y_xi(z) = int g(z, z') chi_xi(z') dz' and its
     # derivative, evaluated at the slab faces z = +-h, from the fundamental
-    # pair ch, sh at z = h; s, ch, sh are (n, 1) columns for (n, Xi) moments
-    sh_uc, ch_us = sh * uc, ch * us
-    ch_uc, s_sh_us = ch * uc, s * sh * us
-    value_plus = -0.5 * (sh_uc - ch_us)
-    value_minus = -0.5 * (sh_uc + ch_us)
-    deriv_plus = -0.5 * (ch_uc + s_sh_us)
-    deriv_minus = 0.5 * (ch_uc - s_sh_us)
-    return value_plus, value_minus, deriv_plus, deriv_minus
+    # pair ch, sh at z = h; s, ch, sh are (n, 1) columns for (n, Xi) moments.
+    # The factor -1/2 of the kernel is taken into the columns, which rounds
+    # no differently because it is a power of two
+    half_sh, half_ch = -0.5 * sh, -0.5 * ch
+    sh_uc, ch_us = half_sh * uc, half_ch * us
+    ch_uc, s_sh_us = half_ch * uc, s * half_sh * us
+    return sh_uc - ch_us, sh_uc + ch_us, ch_uc + s_sh_us, s_sh_us - ch_uc
 
 
 @lru_cache(maxsize=32)
@@ -567,12 +557,6 @@ def _double_integral_quadrature(modes: _SlabModes, eta: int, s: float) -> np.nda
     return chi_all @ (wz * inner)
 
 
-def _resonant_columns(modes: _SlabModes, s) -> np.ndarray:
-    # where the partial-fraction denominator b_eta^2 - s is too small for
-    # the closed form, per row of the (n, 1) column s
-    return np.abs(modes.b_sq - s) <= _RESONANT_RTOL * np.maximum(modes.b_sq, np.abs(s))
-
-
 def _kernel_double_integrals(modes: _SlabModes, s, uc: np.ndarray, us: np.ndarray,
                              value_plus: np.ndarray, deriv_plus: np.ndarray,
                              ch, sh) -> np.ndarray:
@@ -591,110 +575,101 @@ def _kernel_double_integrals(modes: _SlabModes, s, uc: np.ndarray, us: np.ndarra
     """
     b = modes.b
     den = modes.b_sq - s
-    resonant = _resonant_columns(modes, s)
-    safe_den = np.where(resonant, 1.0, den)
-    # derivative of the partial-fraction term chi_eta/(b^2 - s) at z = +h
-    grad_pf = modes.norm * b * modes.sgn / safe_den
-    delta_deriv = deriv_plus - grad_pf
+    # where b_eta^2 - s is too small for the closed form; s <= 0 never is
+    rows, cols = np.nonzero(np.abs(den) <= _RESONANT_RTOL * np.maximum(modes.b_sq, s))
+    if len(rows):
+        den = den.copy()
+        den[rows, cols] = 1.0
+    # the partial-fraction term's derivative at z = +h is grad_pf/(b^2 - s)
+    delta_deriv = deriv_plus - modes.grad_pf / den
     coeff_cos = ch * value_plus - sh * delta_deriv
     coeff_sin = s * sh * value_plus + ch * delta_deriv
-    out = uc[:, :, None] * coeff_cos[:, None, :] + us[:, :, None] * coeff_sin[:, None, :]
-    out.reshape(len(out), len(b) ** 2)[:, ::len(b) + 1] += 1.0 / safe_den
-    for row, eta in zip(*np.nonzero(resonant)):
-        out[row, :, eta] = _double_integral_quadrature(modes, int(eta), float(s[row, 0]))
+    out = uc[..., None] * coeff_cos[:, None] + us[..., None] * coeff_sin[:, None]
+    out.reshape(len(out), len(b) ** 2)[:, ::len(b) + 1] += 1.0 / den
+    for row, eta in zip(rows.tolist(), cols.tolist()):
+        out[row, :, eta] = _double_integral_quadrature(modes, eta, float(s[row, 0]))
     return out
 
 
-def _matching_matrices(modes: _SlabModes, s, beta, uc: np.ndarray, us: np.ndarray,
-                       slab_pair, gap_pair) -> np.ndarray:
-    # the (n, Xi+4, Xi+4) stack of matching matrices; s, beta and the
-    # fundamental pairs at the slab half-width and at the gap width are
-    # (n, 1) columns, uc and us the (n, Xi) slab moments
-    ch, sh = slab_pair
-    cg, sg = gap_pair
+# The last four rows and columns of a matching matrix: value and derivative
+# continuity at z = -h, then at z = +h, of the interior fundamental pair
+# against the exterior one.  Each nonzero entry is a sign times one of
+# (ch, cg, sh, sg, s sh), at a row and column counted from the end:
+#     row -4:    ch   -sh   -sg     0
+#     row -3:  s sh    ch   -cg     0
+#     row -2:    ch    sh     0    sg
+#     row -1: -s sh    ch     0   -cg
+_FACE_ROWS = np.repeat([-4, -3, -2, -1], 3)
+_FACE_COLS = np.array([-4, -3, -2] * 2 + [-4, -3, -1] * 2)
+_FACE_ENTRIES = np.array([0, 2, 3, 4, 0, 1, 0, 2, 3, 4, 0, 1])
+_FACE_SIGNS = np.array([1.0, -1.0, -1.0, 1.0, 1.0, -1.0, 1.0, 1.0, 1.0, -1.0, 1.0, -1.0])
+
+
+def _green_matrices(config: CavityConfig, modes: _SlabModes, omegas: np.ndarray,
+                    qv: float) -> np.ndarray:
+    """The (n, Xi+4, Xi+4) matching matrices at an (n, 1) column of frequencies.
+
+    Every matching matrix is built here: the scan grid in chunks, bisection
+    and the public entry points one row at a time.  The first row, in
+    order, that lies below the light line without allow_evanescent, sits on
+    a species pole or gives a matrix that is not finite raises
+    EvanescentError, PoleError or QuadratureError, as evaluating the rows
+    one at a time would.  A hyperbolic function that overflows makes its
+    matrix not finite.
+    """
     count = len(modes.b)
-    vp, vm, dp, dm = _boundary_kernel_values(uc, us, s, ch, sh)
-    kernel_m = _kernel_double_integrals(modes, s, uc, us, vp, dp, ch, sh)
-    mats = np.zeros((len(s), count + 4, count + 4))
-    # self-consistency: c_xi = beta (sum_eta M[xi,eta] c_eta + A uc + B us)
-    mats[:, :count, :count] = modes.eye - beta[:, :, None] * kernel_m
-    mats[:, :count, count] = -beta * uc
-    mats[:, :count, count + 1] = -beta * us
-    # value and derivative continuity at z = -h against the left exterior
-    # solution, then at z = +h against the right one
-    mats[:, count:, :count] = np.concatenate((vm, dm, vp, dp), axis=1).reshape(-1, 4, count)
-    zero = np.zeros_like(ch)
-    mats[:, count:, count:] = np.concatenate((ch, -sh, -sg, zero,
-                                              s * sh, ch, -cg, zero,
-                                              ch, sh, zero, sg,
-                                              -s * sh, ch, zero, -cg), axis=1).reshape(-1, 4, 4)
+    s = (omegas / config.c) ** 2 - qv ** 2
+    omegas_sq = omegas ** 2
+    widths = np.array([modes.h, (config.L - config.l) / 2.0])
+    with np.errstate(all="ignore"):
+        beta = _coupling_strength_sum(config, omegas) * omegas_sq / config.c ** 2
+        uc, us = _slab_moments(modes, s)
+        # the fundamental pair at the slab half-width and at the gap width
+        cos, sin = _fundamental_pairs(widths, s)
+        ch, sh = cos[:, :1], sin[:, :1]
+        vp, vm, dp, dm = _boundary_kernel_values(uc, us, s, ch, sh)
+        kernel_m = _kernel_double_integrals(modes, s, uc, us, vp, dp, ch, sh)
+        mats = np.zeros((len(s), count + 4, count + 4))
+        # self-consistency: c_xi = beta (sum_eta M[xi,eta] c_eta + A uc + B us)
+        neg_beta = -beta
+        mats[:, :count, :count] = modes.eye + neg_beta[:, :, None] * kernel_m
+        mats[:, :count, count] = neg_beta * uc
+        mats[:, :count, count + 1] = neg_beta * us
+        mats[:, count:, :count] = np.concatenate((vm, dm, vp, dp), axis=1).reshape(-1, 4, count)
+        entries = np.concatenate((cos, sin, s * sh), axis=1)
+        mats[:, _FACE_ROWS, _FACE_COLS] = entries[:, _FACE_ENTRIES] * _FACE_SIGNS
+        # cheap supersets of the refused rows, which the loop below then
+        # finds exactly: a non-finite entry makes the sum non-finite, and a
+        # squared frequency within 1e-300 of a species pole's is either
+        # equal to it, where beta is not finite, or below 1e-284, where
+        # doubles lie that close together
+        suspect = not math.isfinite(mats.sum()) or omegas_sq.min() < 1e-284
+    if suspect or (not config.solver.allow_evanescent and s.min() < 0.0):
+        for omega, mat in zip(omegas[:, 0].tolist(), mats):
+            _longitudinal_sq(config, omega, qv)
+            for sp in config.oscillators:
+                if abs(sp.omega ** 2 - omega ** 2) <= 1e-300:
+                    raise PoleError(f"green system evaluated at species pole {sp.omega}")
+            if not np.isfinite(mat).all():
+                raise QuadratureError(
+                    f"green matching matrix not finite at Omega={omega:.6g}, q={qv:.6g}")
     return mats
 
 
-def _green_matrix(config: CavityConfig, modes: _SlabModes, omega: float,
-                  qv: float) -> np.ndarray:
-    # green_matching_matrix on slab-mode arrays that a scan builds once
-    s = _longitudinal_sq(config, omega, qv)
-    for sp in config.oscillators:
-        if abs(sp.omega ** 2 - omega ** 2) <= 1e-300:
-            raise PoleError(f"green system evaluated at species pole {sp.omega}")
-
-    gap = (config.L - config.l) / 2.0
-    beta = _coupling_strength_sum(config, omega) * omega ** 2 / config.c ** 2
-    uc, us = _slab_moments(modes, s)
-
-    # every scalar as a (1, 1) column of a one-row stack
-    s_col, beta_col, ch, sh, cg, sg = np.array(
-        [s, beta, cosine_solution(modes.h, s), sine_solution(modes.h, s),
-         cosine_solution(gap, s), sine_solution(gap, s)]).reshape(6, 1, 1)
-    mat = _matching_matrices(modes, s_col, beta_col, uc[None], us[None],
-                             (ch, sh), (cg, sg))[0]
-    if not np.isfinite(mat).all():
-        raise QuadratureError(
-            f"green matching matrix not finite at Omega={omega:.6g}, q={qv:.6g}")
-    return mat
-
-
 def _green_determinants(config: CavityConfig, modes: _SlabModes, omegas: np.ndarray,
-                        qv: float, scalar_det) -> np.ndarray:
+                        qv: float) -> np.ndarray:
     """det of the matching matrix at every frequency of an array, in batches.
 
-    Rows with s > 0, no resonant column and no species pole are built as
-    stacked matrices and share one np.linalg.det per chunk; a chunk's
-    stacks hold about _SIGN_CHUNK_DOUBLES doubles whatever the truncation.
-    Every other row (s <= 0 included), and any row whose stacked matrix is
-    not finite, goes through ``scalar_det(omega)`` in ascending order, so
-    the first frequency the scalar evaluator refuses raises its error.
+    A chunk's stacked matrices hold about _SIGN_CHUNK_DOUBLES doubles
+    whatever the truncation and share one np.linalg.det.  Chunks run in
+    ascending order, so the first refused frequency raises its error.
     """
     omegas = np.asarray(omegas, dtype=float)
     dets = np.empty(len(omegas))
-    gap = (config.L - config.l) / 2.0
     step = max(1, _SIGN_CHUNK_DOUBLES // (2 * (len(modes.b) + 4) ** 2))
     for start in range(0, len(omegas), step):
-        w = omegas[start:start + step, None]
-        with np.errstate(all="ignore"):
-            s = (w / config.c) ** 2 - qv ** 2
-            batch = (s > 0.0) & ~_resonant_columns(modes, s).any(axis=1, keepdims=True)
-            for sp in config.oscillators:
-                batch &= np.abs(sp.omega ** 2 - w ** 2) > 1e-300
-            rows = np.flatnonzero(batch)
-            s, w = s[rows], w[rows]
-            qz = np.sqrt(s)
-            beta = _coupling_strength_sum(config, w) * w ** 2 / config.c ** 2
-            uc, us = _propagating_moments(modes, qz)
-            us = np.where(qz * modes.h < 0.5,
-                          _small_qz_moment(modes, s, qz, np.cos(qz * modes.h)), us)
-            mats = _matching_matrices(
-                modes, s, beta, uc, us,
-                (cosine_solutions(modes.h, s), sine_solutions(modes.h, s)),
-                (cosine_solutions(gap, s), sine_solutions(gap, s)))
-        finite = np.isfinite(mats).all(axis=(1, 2))
-        chunk = dets[start:start + step]
-        chunk[rows[finite]] = np.linalg.det(mats[finite])
-        scalar_rows = np.ones(len(chunk), dtype=bool)
-        scalar_rows[rows[finite]] = False
-        for i in np.flatnonzero(scalar_rows):
-            chunk[i] = scalar_det(omegas[start + i])
+        part = slice(start, start + step)
+        dets[part] = np.linalg.det(_green_matrices(config, modes, omegas[part, None], qv))
     return dets
 
 
@@ -707,7 +682,8 @@ def green_matching_matrix(config: CavityConfig, omega: float, q) -> np.ndarray:
     then value and derivative continuity at each slab face.
     """
     modes = _SlabModes(config.l, config.exciton_mode_count)
-    return _green_matrix(config, modes, omega, transverse_wavenumber(q))
+    return _green_matrices(config, modes, np.full((1, 1), omega, dtype=float),
+                           transverse_wavenumber(q))[0]
 
 
 def green_determinant(config: CavityConfig, omega: float, q) -> float:
@@ -717,14 +693,16 @@ def green_determinant(config: CavityConfig, omega: float, q) -> float:
 
 def _green_evaluators(config: CavityConfig, qv: float):
     # (det, green_signs) at one q over one set of slab-mode arrays: the
-    # scalar determinant for bisection and its batched form for a scan grid
+    # determinant at one frequency for bisection and on an array of them
+    # for a scan grid, both through _green_matrices
     modes = _SlabModes(config.l, config.exciton_mode_count)
 
     def det(omega: float) -> float:
-        return float(np.linalg.det(_green_matrix(config, modes, omega, qv)))
+        return float(np.linalg.det(
+            _green_matrices(config, modes, np.full((1, 1), omega, dtype=float), qv)[0]))
 
     def green_signs(xs: np.ndarray) -> np.ndarray:
-        return _green_determinants(config, modes, xs, qv, det)
+        return _green_determinants(config, modes, xs, qv)
 
     return det, green_signs
 
@@ -732,8 +710,8 @@ def _green_evaluators(config: CavityConfig, qv: float):
 def green_roots(config: CavityConfig, q, window: tuple[float, float]) -> np.ndarray:
     """Sign-change roots of the Green-function determinant in the window.
 
-    The scan grid is evaluated in batches; bisection calls the scalar
-    determinant.
+    The scan grid is evaluated in batches and bisection one frequency at a
+    time, both on the same matching matrices.
     """
     qv = transverse_wavenumber(q)
     det, green_signs = _green_evaluators(config, qv)

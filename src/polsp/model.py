@@ -137,6 +137,12 @@ def _integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def check_scan_points(value) -> None:
+    """ConfigError unless value is an integer >= 2, as a sign scan needs."""
+    if not (_integer(value) and value >= 2):
+        raise ConfigError(f"scan_points must be an integer >= 2, got {value!r}")
+
+
 def validate(config: CavityConfig) -> CavityConfig:
     """Check every type invariant; return the config unchanged if all hold.
 
@@ -189,8 +195,7 @@ def validate(config: CavityConfig) -> CavityConfig:
         value = getattr(s, name)
         if not (_real(value) and 0.0 < value < math.inf):
             raise ConfigError(f"{name} must be > 0 and finite, got {value!r}")
-    if not (_integer(s.scan_points) and s.scan_points >= 2):
-        raise ConfigError(f"scan_points must be an integer >= 2, got {s.scan_points!r}")
+    check_scan_points(s.scan_points)
     if not isinstance(s.allow_evanescent, bool):
         raise ConfigError(f"allow_evanescent must be a bool, got {s.allow_evanescent!r}")
     return config

@@ -152,6 +152,22 @@ solver: {omega_max: 12.0}
     assert not out.exists()
 
 
+def test_overflowing_green_sweep_is_a_solver_error(tmp_path, capsys):
+    # far below the light line the green matching matrix overflows: exit 3
+    # with a QuadratureError record and no output directory
+    path = write_config(tmp_path, """
+geometry: {L: 1.0, l: 0.5}
+oscillators: [{omega: 4.0, G: 1.0}]
+sweep: {q_min: 3000.0, q_max: 3000.0, points: 1}
+solver: {omega_max: 10.0, allow_evanescent: true}
+""")
+    out = tmp_path / "newdir"
+    code = main(["sweep", "--config", path, "--method", "green", "--out", str(out)])
+    assert code == 3
+    assert json.loads(capsys.readouterr().err)["error"] == "QuadratureError"
+    assert not out.exists()
+
+
 def test_converge_without_secular_roots_is_a_solver_error(tmp_path, capsys):
     # the third thread-determinism config: at G = 0.001 the Xi = 1 step of
     # the ladder finds no secular root, which used to crash with ValueError

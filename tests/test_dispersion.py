@@ -99,6 +99,23 @@ def test_scan_roots_empty_window():
                           scan_points=50, rel_tol=1e-10)) == 0
 
 
+@pytest.mark.parametrize("points", [1, 0, 2.5, True, "400"])
+def test_scan_roots_refuses_bad_scan_points(points):
+    # the rule SolverSettings enforces, an integer >= 2, also for a direct
+    # call and for a window with no roots
+    for window in ((0.5, 10.0), (0.5, 1.0)):
+        with pytest.raises(ConfigError, match="scan_points must be an integer >= 2"):
+            scan_roots(np.sin, window, [], exclusion=1e-6, scan_points=points,
+                       rel_tol=1e-10)
+
+
+def test_scan_roots_accepts_two_scan_points_and_numpy_integers():
+    for points in (2, np.int64(200)):
+        roots = scan_roots(np.sin, (3.0, 3.3), [], exclusion=1e-6,
+                           scan_points=points, rel_tol=1e-12)
+        assert roots == pytest.approx([np.pi], rel=1e-11)
+
+
 # ---------------------------------------------------------------------------
 # secular vs dynamical
 # ---------------------------------------------------------------------------

@@ -9,11 +9,13 @@ by the mode-sum route at large photon truncation.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from polsp import (EvanescentError, PoleError, cosine_solution,
+from polsp import (EvanescentError, PoleError, QuadratureError, cosine_solution,
                    green_determinant, green_matching_matrix, green_roots,
                    one_exciton_roots, overlap_K, pole_free_segments,
                    scan_roots, sine_solution)
@@ -30,7 +32,7 @@ def closed_form_kernel(l: float, count: int, s: float) -> np.ndarray:
     # the closed form fed the slab moments and boundary values exactly as
     # the matching matrix computes them once per evaluation
     modes = _SlabModes(l, count)
-    uc, us = (m[None] for m in _slab_moments(modes, s))
+    uc, us = _slab_moments(modes, np.full((1, 1), s))
     col = np.full((1, 1), s)
     ch, sh = cosine_solutions(modes.h, col), sine_solutions(modes.h, col)
     vp, _, dp, _ = _boundary_kernel_values(uc, us, col, ch, sh)
@@ -65,6 +67,59 @@ def oracle_double_integral(l: float, xi: int, eta: int, s: float) -> float:
                     limit=200, epsabs=1e-12, epsrel=1e-11)
     assert err < 1e-9
     return val
+
+
+def oracle_moments(l: float, count: int, s: float) -> tuple[np.ndarray, np.ndarray]:
+    # uC[xi] = int chi_xi(z) C(z, s) dz and uS[xi] = int chi_xi(z) S(z, s) dz
+    # over the slab by adaptive quadrature, with the fundamental pair
+    # written out per regime
+    h = l / 2.0
+    norm = np.sqrt(2.0 / l)
+    if s > 0.0:
+        r = np.sqrt(s)
+        pair = (lambda z: np.cos(r * z), lambda z: np.sin(r * z) / r)
+    elif s == 0.0:
+        pair = (lambda z: 1.0, lambda z: z)
+    else:
+        r = np.sqrt(-s)
+        pair = (lambda z: np.cosh(r * z), lambda z: np.sinh(r * z) / r)
+    # the moments of the wrong parity vanish, so the absolute tolerance
+    # follows the size of the integrand, which C(h, s) bounds
+    tol = 1e-14 * max(1.0, abs(pair[0](h)))
+    out = np.empty((2, count))
+    for xi in range(count):
+        for k, fn in enumerate(pair):
+            out[k, xi], err = quad(
+                lambda z: norm * np.sin((xi + 1) * np.pi * (z + h) / l) * fn(z),
+                -h, h, limit=200, epsabs=tol, epsrel=1e-13)
+            assert err < 100 * tol + 1e-12 * abs(out[k, xi])
+    return out[0], out[1]
+
+
+# qz h = sqrt(s) h at h = 0.45: 2.7, 0.78 and 0.5001 take the sines of
+# b +- qz, the first resonance b_0^2 = s among them; 0.4999, 0.3 and 1e-7
+# are below the 0.5 switch; then s = 0 and two evanescent points
+MOMENT_S = [37.0, 3.0, (np.pi / 0.9) ** 2, (0.5001 / 0.45) ** 2, (0.4999 / 0.45) ** 2,
+            (0.3 / 0.45) ** 2, (1e-7 / 0.45) ** 2, 0.0, -11.0, -400.0]
+
+
+@pytest.mark.parametrize("s", MOMENT_S)
+def test_slab_moments_match_quadrature(s):
+    l, count = 0.9, 5
+    uc, us = _slab_moments(_SlabModes(l, count), np.full((1, 1), s))
+    for got, expected in zip((uc[0], us[0]), oracle_moments(l, count, s)):
+        scale = np.max(np.abs(expected))
+        assert np.max(np.abs(got - expected)) <= 1e-12 * scale
+
+
+def test_slab_moments_rows_are_independent():
+    # every regime in one column gives each row the moments it has alone
+    modes = _SlabModes(0.9, 5)
+    column = _slab_moments(modes, np.array(MOMENT_S)[:, None])
+    for row, s in enumerate(MOMENT_S):
+        for got, alone in zip(column, _slab_moments(modes, np.full((1, 1), s))):
+            np.testing.assert_allclose(got[row], alone[0], rtol=1e-14,
+                                       atol=1e-14 * np.max(np.abs(alone)))
 
 
 @pytest.mark.parametrize("s", [37.0, 3.0, 0.0, -11.0])
@@ -137,6 +192,30 @@ def test_evanescent_region_opt_in():
     assert np.all(np.isfinite(mat))
     # the window clamp disappears too: roots below q c are now reachable
     assert np.isfinite(green_determinant(cfg, 1.0, 2.0))
+
+
+def test_overflowing_evanescent_matrix_is_a_quadrature_error():
+    # far below the light line cosh(sqrt(-s) h) overflows; the matrix is
+    # then not finite, a typed error with no numpy warning on the way
+    cfg = make_config(species=((4.0, 1.0),), allow_evanescent=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QuadratureError, match="not finite at Omega=1, q=3000"):
+            green_determinant(cfg, 1.0, 3000.0)
+        with pytest.raises(QuadratureError, match="not finite at Omega=0.5, q=3000"):
+            green_roots(cfg, 3000.0, (0.5, 10.0))
+
+
+def test_pole_within_the_square_tolerance_is_refused_where_beta_stays_finite():
+    # Omega^2 lies 2e-307 from the species pole's square, inside the 1e-300
+    # pole tolerance, yet G^2/(omega^2 - Omega^2) times Omega^2 stays finite
+    cfg = make_config(species=((1e-150, 1.0),), photon=4, exciton=2)
+    omega = 1.0000001e-150
+    with pytest.raises(PoleError, match="species pole 1e-150"):
+        green_determinant(cfg, omega, 0.0)
+    _, green_signs = _green_evaluators(cfg, 0.0)
+    with pytest.raises(PoleError, match="species pole 1e-150"):
+        green_signs(np.array([0.5, omega, 2.0]))
 
 
 def test_green_matches_mode_sum_and_improves_with_truncation():
