@@ -154,7 +154,7 @@ def _pv_integral(grid: np.ndarray, numerator: np.ndarray, omega: float,
     k = int(np.argmin(np.abs(grid - omega)))
     exact_node = abs(grid[k] - omega) <= 1e-14 * max(1.0, omega)
     f_at = numerator[k] if exact_node else float(np.interp(omega, grid, numerator))
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         integrand = (numerator - f_at) / den
     # off the nodes den never vanishes; at the node omega the singularity is
     # removable with limit f'(omega)/(2 omega), or at omega = 0 (the first
@@ -291,7 +291,9 @@ def _tail_estimate(grid: np.ndarray, numerator: np.ndarray) -> float:
 def kk_forward(grid: np.ndarray, chi_imag: np.ndarray) -> KKResult:
     """chi'(Omega) = (2/pi) PV int w chi''(w) / (w^2 - Omega^2) dw."""
     grid, chi_imag = _checked_samples(grid, chi_imag, "chi''")
-    numerator = grid * chi_imag
+    # an overflowing product is caught as a non-finite PV integrand
+    with np.errstate(over="ignore"):
+        numerator = grid * chi_imag
     out = (2.0 / np.pi) * _pv_at_nodes(grid, numerator, np.arange(len(grid)))
     return KKResult(grid=grid, values=out,
                     tail_estimate=(2.0 / np.pi) * _tail_estimate(grid, numerator))
