@@ -38,8 +38,8 @@ from .errors import (BracketError, BranchMatchError, ConfigError,
                      EvanescentError, PoleError, QuadratureError)
 from .kk import LorentzSet
 from .model import CavityConfig, check_scan_points, transverse_wavenumber
-from .modes import (OverlapSet, exciton_parity_even, overlap_K,
-                    photon_frequencies, photon_parity_even, sine_half_integral)
+from .modes import (OverlapSet, _sector_masks, overlap_K, photon_frequencies,
+                    sine_half_integral)
 
 # --------------------------------------------------------------------------
 # branch-free fundamental solutions
@@ -299,27 +299,24 @@ class SecularOperator:
 
     @cached_property
     def _parity_sectors(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
-        # Odd-m photons with even-xi matter modes, and even-m photons with
-        # odd-xi ones.  overlap_K zeroes K exactly between them, so the
-        # reduced matrix is block diagonal and its determinant the product
-        # of the blocks'; a K with cross-parity entries becomes one sector
-        # holding every row and column.  A sector without photons or matter
-        # modes has reduced determinant 1 and is left out.  Per sector:
+        # The sectors of _sector_masks: odd-m photons with even-xi matter
+        # modes, even-m photons with odd-xi ones.  overlap_K zeroes K
+        # exactly between them, so the reduced matrix is block diagonal and
+        # its determinant the product of the blocks'; a K with cross-parity
+        # entries becomes one sector holding every row and column.  A
+        # sector without photons or matter modes has reduced determinant 1
+        # and is left out.  Per sector:
         # P[m, p] = K[m, a] K[m, b] over the packed upper triangle
         # (a, b) = triu_indices, the squared photon poles, and the index
         # U[a, b] = U[b, a] = p that unpacks a row of W @ P into the
         # symmetric K^T W K.  P is filled one matter mode a at a time, so
         # no full-size temporary exists
         K = self.overlaps.K
-        even_m = photon_parity_even(np.arange(1, K.shape[0] + 1))
-        even_xi = exciton_parity_even(np.arange(K.shape[1]))
-        if K[np.ix_(even_m, ~even_xi)].any() or K[np.ix_(~even_m, even_xi)].any():
-            parts = [(np.full_like(even_m, True), np.full_like(even_xi, True))]
-        else:
-            parts = [(even_m, even_xi), (~even_m, ~even_xi)]
+        n = K.shape[0]
         sectors = []
-        for photons, matter in parts:
-            block = K[np.ix_(photons, matter)]
+        for mask in _sector_masks(n, K.shape[1], 1, (K,)):
+            photons = mask[:n]
+            block = K[np.ix_(photons, mask[n:])]
             if block.size == 0:
                 continue
             count = block.shape[1]

@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DimensionError, NormalizationError
 from .model import CavityConfig, transverse_wavenumber
-from .modes import OverlapSet, overlap_K, photon_frequencies
+from .modes import OverlapSet, _sector_masks, overlap_K, photon_frequencies
 
 # relative scales: smallest admissible Omega^2, standard-form check,
 # degenerate clusters of Omega
@@ -137,41 +137,64 @@ def diagonalize(dyn: DynamicalMatrix) -> list[PolaritonMode]:
     x, y = (p +- r) / (2 sqrt(Omega)), which makes every mode boson-
     normalized and eta-orthogonal to every other mode by construction.
 
+    A and B are block diagonal in the two mirror-parity sectors of
+    modes._sector_masks whenever every entry between the sectors is
+    exactly zero, as build_dynamical_matrix makes them; then each sector
+    is factored and solved on its own.  Any other matrix is one sector.
+    Ordering is global: Omega^2 of all sectors sorted stably, then the
+    cluster and sign rules below over all modes.
+
     Raises NormalizationError when M is not of that form, when A - B has
     no Cholesky factor or when some Omega^2 is not positive; each signals
     an unstable parameter set or an assembly bug.  ConvergenceError means
     the symmetric eigensolver failed.
     """
-    n, half = dyn.photon_mode_count, dyn.half_dim
-    flip = np.ones(2 * half)
-    flip[half + n:] = -1.0
-    M = flip[:, None] * dyn.matrix * flip
-    A, B = M[:half, :half], -M[:half, half:]
-    scale = np.max(np.abs(M))
-    swapped_top = np.hstack([M[:half, half:], M[:half, :half]])
-    etaM = np.vstack([M[:half], -M[half:]])
-    if max(np.max(np.abs(M[half:] + swapped_top)),
-           np.max(np.abs(etaM - etaM.T))) > _PAIRING_RTOL * scale:
+    n, half, M = dyn.photon_mode_count, dyn.half_dim, dyn.matrix
+    # blocks of the matrix with the Zt sign flipped: sign the columns of
+    # the right half and the rows of the bottom half
+    sign = np.ones(half)
+    sign[n:] = -1.0
+    M11, M12 = M[:half, :half], M[:half, half:] * sign
+    M21, M22 = sign[:, None] * M[half:, :half], sign[:, None] * M[half:, half:] * sign
+    if max(np.max(np.abs(gap)) for gap in (M21 + M12, M22 + M11, M11 - M11.T,
+                                           M12 + M21.T, M22 - M22.T)) > (
+            _PAIRING_RTOL * np.max(np.abs(M))):
         raise NormalizationError("matrix is not of the form [[A, -B], [B, -A]] "
                                  "with A, B symmetric: eigenvalues are not +-Omega paired")
-    try:
-        L = np.linalg.cholesky(A - B)
-    except np.linalg.LinAlgError as exc:
-        raise NormalizationError(
-            "A - B is not positive definite: the Hamiltonian is unstable") from exc
-    try:
-        omega2, z = np.linalg.eigh(L.T @ (A + B) @ L)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"eigensolver failed: {exc}") from exc
+    A, B = M11, -M12
+
+    solved = []
+    for mask in _sector_masks(n, dyn.exciton_mode_count, dyn.species_count, (A, B)):
+        block = np.ix_(mask, mask)
+        a_minus_b, a_plus_b = A[block] - B[block], A[block] + B[block]
+        try:
+            L = np.linalg.cholesky(a_minus_b)
+        except np.linalg.LinAlgError as exc:
+            raise NormalizationError(
+                "A - B is not positive definite: the Hamiltonian is unstable") from exc
+        try:
+            omega2, z = np.linalg.eigh(L.T @ a_plus_b @ L)
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError(f"eigensolver failed: {exc}") from exc
+        solved.append((np.flatnonzero(mask), L @ z, a_plus_b, omega2))
+    omega2 = np.concatenate([part[3] for part in solved])
     # a zero mode shows up as Omega^2 at round-off level, an unstable one
     # as a negative Omega^2
-    if omega2[0] <= _ZERO_MODE_RTOL * omega2[-1]:
+    if np.min(omega2) <= _ZERO_MODE_RTOL * np.max(omega2):
         raise NormalizationError("zero-frequency or unstable mode encountered")
 
+    # columns in sector order, rows in (x, y) coordinates with Zt flipped
     omegas = np.sqrt(omega2)
-    r = L @ z
-    p = (A + B) @ r / omegas
-    V = flip[:, None] * np.vstack([p + r, p - r]) / (2.0 * np.sqrt(omegas))
+    V = np.zeros((2 * half, half))
+    start = 0
+    for rows, r, a_plus_b, _ in solved:
+        cols = slice(start, start + len(rows))
+        p = a_plus_b @ r / omegas[cols]
+        V[rows, cols], V[half + rows, cols] = p + r, p - r
+        start += len(rows)
+    V *= np.concatenate([np.ones(half), sign])[:, None] / (2.0 * np.sqrt(omegas))
+    ascending = np.argsort(omega2, kind="stable")
+    omegas, V = omegas[ascending], V[:, ascending]
 
     # deterministic basis: inside each cluster of degenerate Omega, order
     # by dominant coordinate index (ties keep the eigensolver's order);
@@ -182,21 +205,17 @@ def diagonalize(dyn: DynamicalMatrix) -> list[PolaritonMode]:
     V, dominant = V[:, order], dominant[order]
     V *= np.where(V[dominant, np.arange(half)] < 0, -1.0, 1.0)
 
-    modes = []
-    for k in range(half):
-        v = V[:, k]
-        mode = PolaritonMode(
-            Omega=float(omegas[k]),
-            W=v[:n].copy(),
-            X=-1j * v[n:half],
-            Y=v[half:half + n].copy(),
-            Z=-1j * v[half + n:],
-            q=dyn.q)
-        norm = mode.symplectic_norm()
-        if abs(norm - 1.0) > 1e-8:
-            raise NormalizationError(f"mode at Omega={mode.Omega:.6g} has norm {norm}")
-        modes.append(mode)
-    return modes
+    # one row per mode; the boson norm sum(x^2) - sum(y^2) checked at once
+    rows = V.T
+    norms = np.sum(rows[:, :half] ** 2, axis=1) - np.sum(rows[:, half:] ** 2, axis=1)
+    bad = np.abs(norms - 1.0) > 1e-8
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise NormalizationError(f"mode at Omega={omegas[k]:.6g} has norm {norms[k]}")
+    W, Y = rows[:, :n].copy(), rows[:, half:half + n].copy()
+    X, Z = -1j * rows[:, n:half], -1j * rows[:, half + n:]
+    return [PolaritonMode(Omega=omega, W=W[k], X=X[k], Y=Y[k], Z=Z[k], q=dyn.q)
+            for k, omega in enumerate(omegas.tolist())]
 
 
 def spectrum(config: CavityConfig, q) -> np.ndarray:

@@ -45,6 +45,29 @@ def exciton_parity_even(xi: int | np.ndarray) -> bool | np.ndarray:
     return np.asarray(xi) % 2 == 0
 
 
+def _sector_masks(photon_count: int, exciton_count: int, species_count: int,
+                  couplings: tuple[np.ndarray, ...]) -> list[np.ndarray]:
+    """Boolean masks of the mirror-parity sectors over one mode index.
+
+    The index runs over the photons m = 1..N and then the matter modes
+    (j, xi), species-major, so each species repeats the Xi pattern.
+    Odd-m photons share a sector with even-xi matter modes, even-m photons
+    with odd-xi ones.  Each coupling's rows run over a leading and its
+    columns over a trailing stretch of the index (K: photons x xi; a
+    dynamical block: the whole index both ways).  Unless every coupling
+    vanishes exactly across the sectors, one sector holds the whole index.
+    Empty sectors are left out.
+    """
+    even = np.concatenate([photon_parity_even(np.arange(1, photon_count + 1)),
+                           np.tile(exciton_parity_even(np.arange(exciton_count)),
+                                   species_count)])
+    for coupling in couplings:
+        rows, cols = even[:coupling.shape[0]], even[len(even) - coupling.shape[1]:]
+        if coupling[np.ix_(rows, ~cols)].any() or coupling[np.ix_(~rows, cols)].any():
+            return [np.ones_like(even)]
+    return [mask for mask in (even, ~even) if mask.any()]
+
+
 @dataclass(frozen=True)
 class PhotonMode:
     """One cavity photon mode phi_m, zero outside the cavity.
