@@ -292,7 +292,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", required=True, help="YAML config path")
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--method", default=None, choices=METHODS,
-                        help="override solver.method from the config")
+                        help="override solver.method from the config (sweep only)")
     parser.add_argument("--threads", type=int, default=1,
                         help="worker threads for q sweeps")
     parser.add_argument("--q", type=float, default=0.0,
@@ -308,6 +308,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if args.method is not None and args.command != "sweep":
+            raise ParseError(f"{args.command} does not take --method; only sweep does",
+                             field="--method")
         config, snapshot = load_config(args.config)
         if args.threads < 1:
             raise ParseError("threads must be >= 1")

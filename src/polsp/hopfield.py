@@ -25,7 +25,9 @@ and the eta-orthogonality of eigenvectors across distinct eigenvalues.
 the sign of the Zt coordinates brings M to the standard bosonic form
 [[A, -B], [B, -A]] with A and B symmetric (Colpa, Physica A 93, 327
 (1978)), which one Cholesky factorization and one symmetric eigenproblem
-of half the size diagonalize.
+of half the size diagonalize.  The mirror-parity selection rule of K makes
+A and B block diagonal in two parity sectors, so ``diagonalize`` factors
+and solves each sector on its own and then orders all modes globally.
 """
 
 from __future__ import annotations

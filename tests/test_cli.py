@@ -131,6 +131,18 @@ def test_exit_code_out_of_range_value(tmp_path, capsys, text, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["spectrum", "classical", "kk", "converge"])
+def test_method_is_refused_where_ignored(tmp_path, capsys, command):
+    # only sweep reads --method; elsewhere it is a configuration error that
+    # writes no output, not even the output directory
+    path = write_config(tmp_path, MINIMAL)
+    out = tmp_path / "out"
+    assert main([command, "--config", path, "--method", "secular", "--out", str(out)]) == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "ParseError" and "--method" in record["message"]
+    assert not out.exists()
+
+
 def test_exit_code_missing_file(tmp_path, capsys):
     code = main(["sweep", "--config", str(tmp_path / "absent.yaml")])
     assert code == 2

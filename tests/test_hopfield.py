@@ -17,6 +17,7 @@ import pytest
 from polsp import (CavityConfig, DimensionError, NormalizationError,
                    SolverSettings, build_dynamical_matrix, diagonalize,
                    overlap_K, photon_frequencies, spectrum, DynamicalMatrix)
+from polsp.modes import _sector_masks
 from conftest import make_config
 
 
@@ -176,6 +177,77 @@ def _bare(matrix) -> DynamicalMatrix:
                            species_count=0, exciton_mode_count=1, q=0.0)
 
 
+def _sectors(dyn: DynamicalMatrix) -> list[np.ndarray]:
+    # the parity sectors diagonalize finds in A and B of the flipped matrix
+    half, n = dyn.half_dim, dyn.photon_mode_count
+    flip = np.r_[np.ones(half + n), -np.ones(half - n)]
+    M = flip[:, None] * dyn.matrix * flip
+    return _sector_masks(n, dyn.exciton_mode_count, dyn.species_count,
+                         (M[:half, :half], -M[:half, half:]))
+
+
+def _one_sector_frequencies(dyn: DynamicalMatrix) -> np.ndarray:
+    # the standard-form reduction over the whole matrix, with no split
+    half, n = dyn.half_dim, dyn.photon_mode_count
+    flip = np.r_[np.ones(half + n), -np.ones(half - n)]
+    M = flip[:, None] * dyn.matrix * flip
+    A, B = M[:half, :half], -M[:half, half:]
+    L = np.linalg.cholesky(A - B)
+    return np.sqrt(np.linalg.eigvalsh(L.T @ (A + B) @ L))
+
+
+def _split_cases():
+    # random species with G = 0 mixed in, odd Xi, l = L, and N = Xi = 1,
+    # where the sector of even-m photons and odd-xi matter modes is empty
+    rng = np.random.default_rng(20261018)
+    cases = [(make_config(species=((4.0, 1.0),), photon=1, exciton=1), 0.3),
+             (make_config(L=1.0, l=1.0, species=((3.0, 1.2), (5.0, 0.0)),
+                          photon=9, exciton=5), 0.8)]
+    for _ in range(10):
+        L = rng.uniform(0.8, 2.5)
+        species = tuple((rng.uniform(1.0, 9.0), rng.choice([0.0, rng.uniform(0.1, 2.0)]))
+                        for _ in range(rng.integers(1, 4)))
+        cases.append((make_config(L=L, l=rng.uniform(0.3, 1.0) * L, c=rng.uniform(0.7, 1.5),
+                                  species=species, photon=int(rng.integers(1, 30)),
+                                  exciton=int(rng.integers(1, 10))),
+                      rng.uniform(0.0, 2.0)))
+    return cases
+
+
+def test_parity_split_matches_one_sector_reference():
+    for cfg, q in _split_cases():
+        dyn = build_dynamical_matrix(cfg, overlap_K(cfg), q)
+        expected = 1 if cfg.photon_mode_count == cfg.exciton_mode_count == 1 else 2
+        assert len(_sectors(dyn)) == expected
+        omegas = np.array([mode.Omega for mode in diagonalize(dyn)])
+        reference = _one_sector_frequencies(dyn)
+        assert len(omegas) == dyn.half_dim
+        assert np.all(np.diff(omegas) >= 0.0)
+        assert np.max(np.abs(omegas - reference) / reference) <= 1e-12
+
+
+def test_cross_parity_entry_takes_the_one_sector_path():
+    # one cross-parity pair A[0, 1] = A[1, 0] between the photons m = 1 and
+    # m = 2, placed in the (W, W) and (Y, Y) blocks as the pairing demands
+    cfg = make_config(species=((3.0, 0.8), (5.5, 1.1)), photon=6, exciton=3)
+    dyn = build_dynamical_matrix(cfg, overlap_K(cfg), 0.4)
+    M = dyn.matrix.copy()
+    half, extra = dyn.half_dim, 0.3 * dyn.matrix[0, 0]
+    M[0, 1] = M[1, 0] = extra
+    M[half, half + 1] = M[half + 1, half] = -extra
+    coupled = DynamicalMatrix(matrix=M, photon_mode_count=6, species_count=2,
+                              exciton_mode_count=3, q=0.4)
+    assert len(_sectors(dyn)) == 2 and len(_sectors(coupled)) == 1
+    modes = diagonalize(coupled)
+    scale = np.linalg.norm(M, 2)
+    for mode, v in zip(modes, _raw_vectors(modes).T):
+        assert np.linalg.norm(M @ v - mode.Omega * v) <= 1e-10 * scale
+    omegas = np.array([mode.Omega for mode in modes])
+    assert np.max(np.abs(omegas - _one_sector_frequencies(coupled)) / omegas) <= 1e-12
+    assert np.max(np.abs(omegas - spectrum(cfg, 0.4)) / omegas) > 1e-6
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_diagonalize_rejects_complex_spectrum():
     # a rotation (A + B negative) and an indefinite A - B: both give
     # frequencies +-i Omega
@@ -184,6 +256,7 @@ def test_diagonalize_rejects_complex_spectrum():
             diagonalize(_bare(matrix))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_diagonalize_rejects_unpaired_spectrum():
     # diag(1, -2) breaks the +-Omega pairing; the other two are zero
     # modes, with A - B = 0 and with A + B = 0
