@@ -309,8 +309,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.method is not None and args.command != "sweep":
-            raise ParseError(f"{args.command} does not take --method; only sweep does",
-                             field="--method")
+            raise ParseError(f"only sweep takes --method, not {args.command}", field="--method")
         config, snapshot = load_config(args.config)
         if args.threads < 1:
             raise ParseError("threads must be >= 1")

@@ -25,9 +25,8 @@ and the eta-orthogonality of eigenvectors across distinct eigenvalues.
 the sign of the Zt coordinates brings M to the standard bosonic form
 [[A, -B], [B, -A]] with A and B symmetric (Colpa, Physica A 93, 327
 (1978)), which one Cholesky factorization and one symmetric eigenproblem
-of half the size diagonalize.  The mirror-parity selection rule of K makes
-A and B block diagonal in two parity sectors, so ``diagonalize`` factors
-and solves each sector on its own and then orders all modes globally.
+of half the size diagonalize, once per mirror-parity sector of the
+modes; all modes are then ordered together.
 """
 
 from __future__ import annotations
@@ -139,12 +138,11 @@ def diagonalize(dyn: DynamicalMatrix) -> list[PolaritonMode]:
     x, y = (p +- r) / (2 sqrt(Omega)), which makes every mode boson-
     normalized and eta-orthogonal to every other mode by construction.
 
-    A and B are block diagonal in the two mirror-parity sectors of
-    modes._sector_masks whenever every entry between the sectors is
-    exactly zero, as build_dynamical_matrix makes them; then each sector
-    is factored and solved on its own.  Any other matrix is one sector.
-    Ordering is global: Omega^2 of all sectors sorted stably, then the
-    cluster and sign rules below over all modes.
+    Each mirror-parity sector of modes._sector_masks is factored and
+    solved on its own when A and B vanish exactly between the sectors, as
+    build_dynamical_matrix makes them; any other matrix is one sector.
+    Omega^2 of all sectors is sorted stably before the global cluster and
+    sign rules below.
 
     Raises NormalizationError when M is not of that form, when A - B has
     no Cholesky factor or when some Omega^2 is not positive; each signals
@@ -152,18 +150,15 @@ def diagonalize(dyn: DynamicalMatrix) -> list[PolaritonMode]:
     the symmetric eigensolver failed.
     """
     n, half, M = dyn.photon_mode_count, dyn.half_dim, dyn.matrix
-    # blocks of the matrix with the Zt sign flipped: sign the columns of
-    # the right half and the rows of the bottom half
-    sign = np.ones(half)
-    sign[n:] = -1.0
-    M11, M12 = M[:half, :half], M[:half, half:] * sign
+    # views of M with the Zt sign flipped, which must read [[A, -B], [B, -A]]
+    flip = np.r_[np.ones(half + n), -np.ones(half - n)]
+    sign = flip[half:]
+    A, B = M[:half, :half], -M[:half, half:] * sign
     M21, M22 = sign[:, None] * M[half:, :half], sign[:, None] * M[half:, half:] * sign
-    if max(np.max(np.abs(gap)) for gap in (M21 + M12, M22 + M11, M11 - M11.T,
-                                           M12 + M21.T, M22 - M22.T)) > (
-            _PAIRING_RTOL * np.max(np.abs(M))):
+    gaps = (M21 - B, M22 + A, A - A.T, M21.T - B, M22 - M22.T)
+    if max(np.max(np.abs(gap)) for gap in gaps) > _PAIRING_RTOL * np.max(np.abs(M)):
         raise NormalizationError("matrix is not of the form [[A, -B], [B, -A]] "
                                  "with A, B symmetric: eigenvalues are not +-Omega paired")
-    A, B = M11, -M12
 
     solved = []
     for mask in _sector_masks(n, dyn.exciton_mode_count, dyn.species_count, (A, B)):
@@ -194,7 +189,7 @@ def diagonalize(dyn: DynamicalMatrix) -> list[PolaritonMode]:
         p = a_plus_b @ r / omegas[cols]
         V[rows, cols], V[half + rows, cols] = p + r, p - r
         start += len(rows)
-    V *= np.concatenate([np.ones(half), sign])[:, None] / (2.0 * np.sqrt(omegas))
+    V *= flip[:, None] / (2.0 * np.sqrt(omegas))
     ascending = np.argsort(omega2, kind="stable")
     omegas, V = omegas[ascending], V[:, ascending]
 
@@ -210,10 +205,9 @@ def diagonalize(dyn: DynamicalMatrix) -> list[PolaritonMode]:
     # one row per mode; the boson norm sum(x^2) - sum(y^2) checked at once
     rows = V.T
     norms = np.sum(rows[:, :half] ** 2, axis=1) - np.sum(rows[:, half:] ** 2, axis=1)
-    bad = np.abs(norms - 1.0) > 1e-8
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise NormalizationError(f"mode at Omega={omegas[k]:.6g} has norm {norms[k]}")
+    bad = np.flatnonzero(np.abs(norms - 1.0) > 1e-8)
+    if bad.size:
+        raise NormalizationError(f"mode at Omega={omegas[bad[0]]:.6g} has norm {norms[bad[0]]}")
     W, Y = rows[:, :n].copy(), rows[:, half:half + n].copy()
     X, Z = -1j * rows[:, n:half], -1j * rows[:, half + n:]
     return [PolaritonMode(Omega=omega, W=W[k], X=X[k], Y=Y[k], Z=Z[k], q=dyn.q)

@@ -47,17 +47,11 @@ def exciton_parity_even(xi: int | np.ndarray) -> bool | np.ndarray:
 
 def _sector_masks(photon_count: int, exciton_count: int, species_count: int,
                   couplings: tuple[np.ndarray, ...]) -> list[np.ndarray]:
-    """Boolean masks of the mirror-parity sectors over one mode index.
-
-    The index runs over the photons m = 1..N and then the matter modes
-    (j, xi), species-major, so each species repeats the Xi pattern.
-    Odd-m photons share a sector with even-xi matter modes, even-m photons
-    with odd-xi ones.  Each coupling's rows run over a leading and its
-    columns over a trailing stretch of the index (K: photons x xi; a
-    dynamical block: the whole index both ways).  Unless every coupling
-    vanishes exactly across the sectors, one sector holds the whole index.
-    Empty sectors are left out.
-    """
+    # Non-empty masks of the mirror-parity sectors over photons m = 1..N,
+    # then matter modes (j, xi) species-major: odd-m photons with even-xi
+    # matter, even-m with odd-xi.  A coupling's rows index a leading, its
+    # columns a trailing stretch (K: photons x xi; A, B: all x all).  If
+    # any coupling is non-zero across the sectors, one mask holds all.
     even = np.concatenate([photon_parity_even(np.arange(1, photon_count + 1)),
                            np.tile(exciton_parity_even(np.arange(exciton_count)),
                                    species_count)])
