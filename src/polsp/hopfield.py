@@ -174,7 +174,7 @@ def diagonalize(dyn: DynamicalMatrix) -> list[PolaritonMode]:
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError(f"eigensolver failed: {exc}") from exc
         solved.append((np.flatnonzero(mask), L @ z, a_plus_b, omega2))
-    omega2 = np.concatenate([part[3] for part in solved])
+    omega2 = np.concatenate([w2 for _, _, _, w2 in solved])
     # a zero mode shows up as Omega^2 at round-off level, an unstable one
     # as a negative Omega^2
     if np.min(omega2) <= _ZERO_MODE_RTOL * np.max(omega2):
@@ -184,11 +184,11 @@ def diagonalize(dyn: DynamicalMatrix) -> list[PolaritonMode]:
     omegas = np.sqrt(omega2)
     V = np.zeros((2 * half, half))
     start = 0
-    for rows, r, a_plus_b, _ in solved:
-        cols = slice(start, start + len(rows))
+    for idx, r, a_plus_b, _ in solved:
+        cols = slice(start, start + len(idx))
         p = a_plus_b @ r / omegas[cols]
-        V[rows, cols], V[half + rows, cols] = p + r, p - r
-        start += len(rows)
+        V[idx, cols], V[half + idx, cols] = p + r, p - r
+        start += len(idx)
     V *= flip[:, None] / (2.0 * np.sqrt(omegas))
     ascending = np.argsort(omega2, kind="stable")
     omegas, V = omegas[ascending], V[:, ascending]

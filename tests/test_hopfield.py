@@ -177,21 +177,23 @@ def _bare(matrix) -> DynamicalMatrix:
                            species_count=0, exciton_mode_count=1, q=0.0)
 
 
-def _sectors(dyn: DynamicalMatrix) -> list[np.ndarray]:
-    # the parity sectors diagonalize finds in A and B of the flipped matrix
+def _standard_form(dyn: DynamicalMatrix) -> tuple[np.ndarray, np.ndarray]:
+    # A and B of the matrix with the Zt sign flipped, [[A, -B], [B, -A]]
     half, n = dyn.half_dim, dyn.photon_mode_count
     flip = np.r_[np.ones(half + n), -np.ones(half - n)]
     M = flip[:, None] * dyn.matrix * flip
-    return _sector_masks(n, dyn.exciton_mode_count, dyn.species_count,
-                         (M[:half, :half], -M[:half, half:]))
+    return M[:half, :half], -M[:half, half:]
+
+
+def _sectors(dyn: DynamicalMatrix) -> list[np.ndarray]:
+    # the parity sectors diagonalize finds in A and B
+    return _sector_masks(dyn.photon_mode_count, dyn.exciton_mode_count,
+                         dyn.species_count, _standard_form(dyn))
 
 
 def _one_sector_frequencies(dyn: DynamicalMatrix) -> np.ndarray:
     # the standard-form reduction over the whole matrix, with no split
-    half, n = dyn.half_dim, dyn.photon_mode_count
-    flip = np.r_[np.ones(half + n), -np.ones(half - n)]
-    M = flip[:, None] * dyn.matrix * flip
-    A, B = M[:half, :half], -M[:half, half:]
+    A, B = _standard_form(dyn)
     L = np.linalg.cholesky(A - B)
     return np.sqrt(np.linalg.eigvalsh(L.T @ (A + B) @ L))
 
