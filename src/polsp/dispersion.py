@@ -813,7 +813,7 @@ def _roots_for_method(config: CavityConfig, overlaps, method: str, q: float,
         # module attribute lookups at call time, so wrappers rebound on
         # polsp.hopfield see every call
         dyn = hopfield.build_dynamical_matrix(config, overlaps, q)
-        return np.array([mode.Omega for mode in hopfield.diagonalize(dyn)])
+        return hopfield.frequencies(dyn)
     if method == "secular":
         return secular_roots(config, overlaps, q, window)
     if method == "one_exciton":

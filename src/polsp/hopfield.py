@@ -21,12 +21,15 @@ assignment does.  The metric eta = diag(+1, -1) over the (W, Xt | Y, Zt)
 split makes eta M symmetric, which is what guarantees the +-Omega pairing
 and the eta-orthogonality of eigenvectors across distinct eigenvalues.
 
-``diagonalize`` never solves this non-symmetric problem directly.  Flipping
+No solver here works on this non-symmetric problem directly.  Flipping
 the sign of the Zt coordinates brings M to the standard bosonic form
 [[A, -B], [B, -A]] with A and B symmetric (Colpa, Physica A 93, 327
 (1978)), which one Cholesky factorization and one symmetric eigenproblem
 of half the size diagonalize, once per mirror-parity sector of the
-modes; all modes are then ordered together.
+modes.  Both solvers share that reduction and its checks.  ``diagonalize``
+also takes the eigenvectors and returns full, ordered, boson-normalized
+modes; ``frequencies``, behind ``spectrum`` and the dynamical sweep,
+stops at the eigenvalues.
 """
 
 from __future__ import annotations
@@ -111,18 +114,69 @@ def build_dynamical_matrix(config: CavityConfig, overlaps: OverlapSet, q) -> Dyn
         C[:, j * xi:(j + 1) * xi] = (
             0.5 * g_spec[j] * np.sqrt(om_spec[j]) / sqrt_phot[:, None] * overlaps.K)
 
-    P = np.diag(om_phot)
-    R = np.diag(np.repeat(om_spec, xi))
-    Zb = np.zeros((s * xi, s * xi))
-
-    M = np.block([
-        [P + E, C, -E, C],
-        [C.T, R, -C.T, Zb],
-        [E, C, -(P + E), C],
-        [-C.T, Zb, C.T, -R],
-    ])
+    # M filled block by block; each block is the exact expression of the
+    # formula above, signed zeros included
+    h = n + s * xi
+    PE = np.diag(om_phot) + E
+    w, x, y, z = slice(0, n), slice(n, h), slice(h, h + n), slice(h + n, 2 * h)
+    M = np.zeros((2 * h, 2 * h))
+    M[w, w], M[w, x], M[w, y], M[w, z] = PE, C, -E, C
+    M[x, w], M[x, y] = C.T, -C.T
+    M[y, w], M[y, x], M[y, y], M[y, z] = E, C, -PE, C
+    M[z, w], M[z, y] = -C.T, C.T
+    # R = diag(omega_j repeated Xi times) in (Xt, Xt) and -R in (Zt, Zt)
+    matter = np.arange(n, h)
+    M[z, z] = -0.0
+    M[matter, matter] = np.repeat(om_spec, xi)
+    M[h + matter, h + matter] = -M[matter, matter]
     return DynamicalMatrix(matrix=M, photon_mode_count=n, species_count=s,
                            exciton_mode_count=xi, q=qv)
+
+
+def _reduce(dyn: DynamicalMatrix, vectors: bool):
+    """Standard-form reduction shared by diagonalize and frequencies.
+
+    Checks the [[A, -B], [B, -A]] form, splits the parity sectors, factors
+    A - B = L L^T and solves L^T (A + B) L per sector, with eigenvectors z
+    only when vectors is set, and rejects zero and unstable modes over all
+    sectors.  Returns the Zt sign flip, one (indices, A + B, L z or None)
+    per sector, and Omega^2 of all sectors in sector order.
+    """
+    n, half, M = dyn.photon_mode_count, dyn.half_dim, dyn.matrix
+    # views of M with the Zt sign flipped, which must read [[A, -B], [B, -A]]
+    flip = np.r_[np.ones(half + n), -np.ones(half - n)]
+    sign = flip[half:]
+    A, B = M[:half, :half], -M[:half, half:] * sign
+    M21, M22 = sign[:, None] * M[half:, :half], sign[:, None] * M[half:, half:] * sign
+    gaps = (M21 - B, M22 + A, A - A.T, M21.T - B, M22 - M22.T)
+    if max(np.max(np.abs(gap)) for gap in gaps) > _PAIRING_RTOL * np.max(np.abs(M)):
+        raise NormalizationError("matrix is not of the form [[A, -B], [B, -A]] "
+                                 "with A, B symmetric: eigenvalues are not +-Omega paired")
+
+    sectors, omega2 = [], []
+    for mask in _sector_masks(n, dyn.exciton_mode_count, dyn.species_count, (A, B)):
+        block = np.ix_(mask, mask)
+        a_minus_b, a_plus_b = A[block] - B[block], A[block] + B[block]
+        try:
+            L = np.linalg.cholesky(a_minus_b)
+        except np.linalg.LinAlgError as exc:
+            raise NormalizationError(
+                "A - B is not positive definite: the Hamiltonian is unstable") from exc
+        try:
+            if vectors:
+                w2, z = np.linalg.eigh(L.T @ a_plus_b @ L)
+            else:
+                w2 = np.linalg.eigvalsh(L.T @ a_plus_b @ L)
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError(f"eigensolver failed: {exc}") from exc
+        sectors.append((np.flatnonzero(mask), a_plus_b, L @ z if vectors else None))
+        omega2.append(w2)
+    omega2 = np.concatenate(omega2)
+    # a zero mode shows up as Omega^2 at round-off level, an unstable one
+    # as a negative Omega^2
+    if np.min(omega2) <= _ZERO_MODE_RTOL * np.max(omega2):
+        raise NormalizationError("zero-frequency or unstable mode encountered")
+    return flip, sectors, omega2
 
 
 def diagonalize(dyn: DynamicalMatrix) -> list[PolaritonMode]:
@@ -149,42 +203,14 @@ def diagonalize(dyn: DynamicalMatrix) -> list[PolaritonMode]:
     an unstable parameter set or an assembly bug.  ConvergenceError means
     the symmetric eigensolver failed.
     """
-    n, half, M = dyn.photon_mode_count, dyn.half_dim, dyn.matrix
-    # views of M with the Zt sign flipped, which must read [[A, -B], [B, -A]]
-    flip = np.r_[np.ones(half + n), -np.ones(half - n)]
-    sign = flip[half:]
-    A, B = M[:half, :half], -M[:half, half:] * sign
-    M21, M22 = sign[:, None] * M[half:, :half], sign[:, None] * M[half:, half:] * sign
-    gaps = (M21 - B, M22 + A, A - A.T, M21.T - B, M22 - M22.T)
-    if max(np.max(np.abs(gap)) for gap in gaps) > _PAIRING_RTOL * np.max(np.abs(M)):
-        raise NormalizationError("matrix is not of the form [[A, -B], [B, -A]] "
-                                 "with A, B symmetric: eigenvalues are not +-Omega paired")
-
-    solved = []
-    for mask in _sector_masks(n, dyn.exciton_mode_count, dyn.species_count, (A, B)):
-        block = np.ix_(mask, mask)
-        a_minus_b, a_plus_b = A[block] - B[block], A[block] + B[block]
-        try:
-            L = np.linalg.cholesky(a_minus_b)
-        except np.linalg.LinAlgError as exc:
-            raise NormalizationError(
-                "A - B is not positive definite: the Hamiltonian is unstable") from exc
-        try:
-            omega2, z = np.linalg.eigh(L.T @ a_plus_b @ L)
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceError(f"eigensolver failed: {exc}") from exc
-        solved.append((np.flatnonzero(mask), L @ z, a_plus_b, omega2))
-    omega2 = np.concatenate([w2 for _, _, _, w2 in solved])
-    # a zero mode shows up as Omega^2 at round-off level, an unstable one
-    # as a negative Omega^2
-    if np.min(omega2) <= _ZERO_MODE_RTOL * np.max(omega2):
-        raise NormalizationError("zero-frequency or unstable mode encountered")
+    n, half = dyn.photon_mode_count, dyn.half_dim
+    flip, sectors, omega2 = _reduce(dyn, vectors=True)
 
     # columns in sector order, rows in (x, y) coordinates with Zt flipped
     omegas = np.sqrt(omega2)
     V = np.zeros((2 * half, half))
     start = 0
-    for idx, r, a_plus_b, _ in solved:
+    for idx, a_plus_b, r in sectors:
         cols = slice(start, start + len(idx))
         p = a_plus_b @ r / omegas[cols]
         V[idx, cols], V[half + idx, cols] = p + r, p - r
@@ -214,8 +240,19 @@ def diagonalize(dyn: DynamicalMatrix) -> list[PolaritonMode]:
             for k, omega in enumerate(omegas.tolist())]
 
 
+def frequencies(dyn: DynamicalMatrix) -> np.ndarray:
+    """Sorted positive eigenfrequencies Omega of dyn, without mode vectors.
+
+    The same reduction and checks as diagonalize, up to the eigenvalues:
+    each sector's L^T (A + B) L goes to the eigenvalue-only symmetric
+    solver.  With no vectors there is no cluster order, sign rule or norm
+    check.  Raises the same errors as diagonalize for the same matrices.
+    """
+    return np.sqrt(np.sort(_reduce(dyn, vectors=False)[2]))
+
+
 def spectrum(config: CavityConfig, q) -> np.ndarray:
     """Sorted positive eigenfrequencies at q; convenience composition."""
     overlaps = overlap_K(config)
     dyn = build_dynamical_matrix(config, overlaps, q)
-    return np.array([mode.Omega for mode in diagonalize(dyn)])
+    return frequencies(dyn)

@@ -17,6 +17,8 @@ import pytest
 from polsp import (CavityConfig, DimensionError, NormalizationError,
                    SolverSettings, build_dynamical_matrix, diagonalize,
                    overlap_K, photon_frequencies, spectrum, DynamicalMatrix)
+from polsp.hopfield import frequencies
+from polsp.model import transverse_wavenumber
 from polsp.modes import _sector_masks
 from conftest import make_config
 
@@ -228,19 +230,24 @@ def test_parity_split_matches_one_sector_reference():
         assert np.max(np.abs(omegas - reference) / reference) <= 1e-12
 
 
-def test_cross_parity_entry_takes_the_one_sector_path():
+def _cross_parity(cfg: CavityConfig, q: float) -> DynamicalMatrix:
     # one cross-parity pair A[0, 1] = A[1, 0] between the photons m = 1 and
     # m = 2, placed in the (W, W) and (Y, Y) blocks as the pairing demands
-    cfg = make_config(species=((3.0, 0.8), (5.5, 1.1)), photon=6, exciton=3)
-    dyn = build_dynamical_matrix(cfg, overlap_K(cfg), 0.4)
+    dyn = build_dynamical_matrix(cfg, overlap_K(cfg), q)
     M = dyn.matrix.copy()
     half, extra = dyn.half_dim, 0.3 * dyn.matrix[0, 0]
     M[0, 1] = M[1, 0] = extra
     M[half, half + 1] = M[half + 1, half] = -extra
-    coupled = DynamicalMatrix(matrix=M, photon_mode_count=6, species_count=2,
-                              exciton_mode_count=3, q=0.4)
+    return DynamicalMatrix(matrix=M, photon_mode_count=dyn.photon_mode_count,
+                           species_count=dyn.species_count,
+                           exciton_mode_count=dyn.exciton_mode_count, q=dyn.q)
+
+
+def test_cross_parity_entry_takes_the_one_sector_path():
+    cfg = make_config(species=((3.0, 0.8), (5.5, 1.1)), photon=6, exciton=3)
+    dyn, coupled = build_dynamical_matrix(cfg, overlap_K(cfg), 0.4), _cross_parity(cfg, 0.4)
     assert len(_sectors(dyn)) == 2 and len(_sectors(coupled)) == 1
-    modes = diagonalize(coupled)
+    M, modes = coupled.matrix, diagonalize(coupled)
     scale = np.linalg.norm(M, 2)
     for mode, v in zip(modes, _raw_vectors(modes).T):
         assert np.linalg.norm(M @ v - mode.Omega * v) <= 1e-10 * scale
@@ -249,26 +256,79 @@ def test_cross_parity_entry_takes_the_one_sector_path():
     assert np.max(np.abs(omegas - spectrum(cfg, 0.4)) / omegas) > 1e-6
 
 
+def test_frequencies_match_diagonalize():
+    # random species with G = 0 mixed in and l = L in every other draw,
+    # plus one matrix that only the one-sector path can take
+    rng = np.random.default_rng(20261019)
+    matrices = []
+    for k in range(10):
+        L = rng.uniform(0.8, 2.5)
+        species = tuple((rng.uniform(1.0, 9.0), rng.choice([0.0, rng.uniform(0.1, 2.0)]))
+                        for _ in range(rng.integers(1, 4)))
+        cfg = make_config(L=L, l=L if k % 2 else rng.uniform(0.3, 1.0) * L,
+                          species=species, photon=int(rng.integers(1, 30)),
+                          exciton=int(rng.integers(1, 10)))
+        matrices.append(build_dynamical_matrix(cfg, overlap_K(cfg), rng.uniform(0.0, 2.0)))
+    coupled = _cross_parity(make_config(species=((3.0, 0.8), (5.5, 1.1)),
+                                        photon=6, exciton=3), 0.4)
+    assert len(_sectors(coupled)) == 1
+    for dyn in [*matrices, coupled]:
+        omegas = np.array([mode.Omega for mode in diagonalize(dyn)])
+        got = frequencies(dyn)
+        assert got.shape == (dyn.half_dim,)
+        assert np.all(np.diff(got) >= 0.0)
+        assert np.max(np.abs(got - omegas) / omegas) <= 1e-12
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_diagonalize_rejects_complex_spectrum():
+@pytest.mark.parametrize("solve", [diagonalize, frequencies], ids=lambda f: f.__name__)
+def test_diagonalize_rejects_complex_spectrum(solve):
     # a rotation (A + B negative) and an indefinite A - B: both give
     # frequencies +-i Omega
-    for matrix in ([[0.0, 1.0], [-1.0, 0.0]], [[1.0, -2.0], [2.0, -1.0]]):
-        with pytest.raises(NormalizationError):
-            diagonalize(_bare(matrix))
+    with pytest.raises(NormalizationError, match="unstable mode"):
+        solve(_bare([[0.0, 1.0], [-1.0, 0.0]]))
+    with pytest.raises(NormalizationError, match="not positive definite"):
+        solve(_bare([[1.0, -2.0], [2.0, -1.0]]))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_diagonalize_rejects_unpaired_spectrum():
+@pytest.mark.parametrize("solve", [diagonalize, frequencies], ids=lambda f: f.__name__)
+def test_diagonalize_rejects_unpaired_spectrum(solve):
     # diag(1, -2) breaks the +-Omega pairing; the other two are zero
     # modes, with A - B = 0 and with A + B = 0
-    for matrix in (np.diag([1.0, -2.0]), [[1.0, -1.0], [1.0, -1.0]],
-                   [[1.0, 1.0], [-1.0, -1.0]]):
-        with pytest.raises(NormalizationError):
-            diagonalize(_bare(matrix))
+    with pytest.raises(NormalizationError, match="not of the form"):
+        solve(_bare(np.diag([1.0, -2.0])))
+    with pytest.raises(NormalizationError, match="not positive definite"):
+        solve(_bare([[1.0, -1.0], [1.0, -1.0]]))
+    with pytest.raises(NormalizationError, match="zero-frequency"):
+        solve(_bare([[1.0, 1.0], [-1.0, -1.0]]))
     # a 3x3 matrix cannot hold half dimension 1
     with pytest.raises(DimensionError):
         _bare(np.eye(3))
+
+
+def test_assembly_matches_block_formula():
+    # the module docstring's block formula, assembled by np.block; E and C
+    # are evaluated in the order the module evaluates them, so the bytes
+    # agree, signed zeros included
+    cfg = make_config(L=1.3, l=0.9, species=((3.0, 0.8), (5.0, 1.4)), photon=7, exciton=3)
+    overlaps = overlap_K(cfg)
+    om = np.array([sp.omega for sp in cfg.oscillators])
+    g = np.array([sp.G for sp in cfg.oscillators])
+    for q in (0.0, 1.7):
+        photon = photon_frequencies(cfg, transverse_wavenumber(q))
+        P, root = np.diag(photon), np.sqrt(photon)
+        E = 0.5 * np.sum(g ** 2) * overlaps.D / np.outer(root, root)
+        C = np.hstack([0.5 * g[j] * np.sqrt(om[j]) / root[:, None] * overlaps.K
+                       for j in range(2)])
+        R = np.diag(np.repeat(om, 3))
+        zero = np.zeros_like(R)
+        reference = np.block([[P + E, C, -E, C],
+                              [C.T, R, -C.T, zero],
+                              [E, C, -(P + E), C],
+                              [-C.T, zero, C.T, -R]])
+        got = build_dynamical_matrix(cfg, overlaps, q).matrix
+        assert got.tobytes() == reference.tobytes()
 
 
 def test_matrix_is_read_only():
