@@ -279,6 +279,17 @@ def _cmd_converge(config: CavityConfig, snapshot: dict, args):
 COMMANDS = {"sweep": _cmd_sweep, "spectrum": _cmd_spectrum,
             "classical": _cmd_classical, "kk": _cmd_kk, "converge": _cmd_converge}
 
+# the flags each command reads, with the value each takes when not given;
+# a command refuses every other flag, since it would ignore it
+_COMMAND_FLAGS = {
+    "sweep": {"method": None, "threads": 1},
+    "spectrum": {"q": 0.0},
+    "classical": {"q": 0.0},
+    "kk": {"input": None, "direction": "forward"},
+    "converge": {},
+}
+_FLAGS = sorted({flag for reads in _COMMAND_FLAGS.values() for flag in reads})
+
 
 # ---------------------------------------------------------------------------
 # entry point
@@ -291,29 +302,34 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", required=True, help="YAML config path")
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--method", default=None, choices=METHODS,
+    # every per-command flag defaults to None, so main can tell a flag
+    # that was given from one that was not
+    parser.add_argument("--method", choices=METHODS,
                         help="override solver.method from the config (sweep only)")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for q sweeps")
-    parser.add_argument("--q", type=float, default=0.0,
-                        help="in-plane wavenumber for spectrum/classical")
-    parser.add_argument("--input", default=None,
-                        help="two-column sample file for the kk command")
-    parser.add_argument("--direction", default="forward",
-                        choices=("forward", "inverse"),
-                        help="kk transform direction")
+    parser.add_argument("--threads", type=int,
+                        help="worker threads for q sweeps (sweep only; default 1)")
+    parser.add_argument("--q", type=float,
+                        help="in-plane wavenumber (spectrum and classical; default 0)")
+    parser.add_argument("--input",
+                        help="two-column sample file (kk only)")
+    parser.add_argument("--direction", choices=("forward", "inverse"),
+                        help="transform direction (kk only; default forward)")
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.method is not None and args.command != "sweep":
-            raise ParseError(f"only sweep takes --method, not {args.command}", field="--method")
+        reads = _COMMAND_FLAGS[args.command]
+        for flag in _FLAGS:
+            if getattr(args, flag) is None:
+                setattr(args, flag, reads.get(flag))
+            elif flag not in reads:
+                raise ParseError(f"{args.command} does not take --{flag}", field=f"--{flag}")
         config, snapshot = load_config(args.config)
-        if args.threads < 1:
-            raise ParseError("threads must be >= 1")
-        if not 0.0 <= args.q < math.inf:
+        if args.threads is not None and args.threads < 1:
+            raise ParseError("threads must be >= 1", field="--threads")
+        if args.q is not None and not 0.0 <= args.q < math.inf:
             raise ParseError(f"q must be finite and >= 0, got {args.q}", field="--q")
         written = _export(Path(args.out), args.command, snapshot,
                           *COMMANDS[args.command](config, snapshot, args))

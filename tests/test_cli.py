@@ -143,6 +143,59 @@ def test_method_is_refused_where_ignored(tmp_path, capsys, command):
     assert not out.exists()
 
 
+# the flags each command reads; --method is covered above
+READS = {"sweep": ("method", "threads"), "spectrum": ("q",), "classical": ("q",),
+         "kk": ("input", "direction"), "converge": ()}
+FLAG_VALUES = {"threads": "2", "q": "0.5", "input": "samples.txt", "direction": "inverse"}
+REFUSED = [(command, flag) for command, reads in READS.items()
+           for flag in FLAG_VALUES if flag not in reads]
+
+SMALL = """
+geometry: {L: 1.0, l: 0.5}
+oscillators: [{omega: 20.0, G: 3.0}]
+basis: {photon_modes: 8, exciton_modes: 2}
+sweep: {q_min: 0.0, q_max: 1.0, points: 3}
+solver: {omega_max: 12.0, scan_points: 60}
+"""
+
+
+@pytest.mark.parametrize("command,flag", REFUSED,
+                         ids=[f"{command}_{flag}" for command, flag in REFUSED])
+def test_flag_is_refused_where_ignored(tmp_path, capsys, command, flag):
+    # a flag the command would ignore is a configuration error naming the
+    # flag, and writes no output, not even the output directory
+    path = write_config(tmp_path, SMALL)
+    out = tmp_path / "out"
+    argv = [command, "--config", path, f"--{flag}", FLAG_VALUES[flag], "--out", str(out)]
+    assert main(argv) == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "ParseError"
+    assert record["message"].endswith(f"(field: --{flag})")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,label", [
+    (["sweep", "--method", "secular"], "secular"),
+    (["sweep", "--threads", "2"], "dynamical"),
+    (["spectrum", "--q", "0.5"], "dynamical"),
+    (["classical", "--q", "0.5"], "classical"),
+    (["kk", "--input", "{samples}"], "kk_forward"),
+    (["kk", "--input", "{samples}", "--direction", "inverse"], "kk_inverse"),
+], ids=["sweep_method", "sweep_threads", "spectrum_q", "classical_q", "kk_input",
+        "kk_direction"])
+def test_flag_is_accepted_where_read(tmp_path, capsys, argv, label):
+    samples = tmp_path / "samples.txt"
+    grid = np.linspace(0.0, 40.0, 400)
+    imag = 0.4 * grid / ((16.0 - grid ** 2) ** 2 + (0.4 * grid) ** 2)
+    samples.write_text("".join(f"{w:.12e} {v:.12e}\n" for w, v in zip(grid, imag)))
+    path = write_config(tmp_path, SMALL)
+    out = tmp_path / "out"
+    argv = [arg.format(samples=samples) for arg in argv]
+    assert main([*argv, "--config", path, "--out", str(out)]) == 0, capsys.readouterr().err
+    manifest = json.loads(next(out.glob("*_manifest.json")).read_text())
+    assert manifest["method"] == label
+
+
 def test_exit_code_missing_file(tmp_path, capsys):
     code = main(["sweep", "--config", str(tmp_path / "absent.yaml")])
     assert code == 2
