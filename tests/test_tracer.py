@@ -34,10 +34,13 @@ SWEEP_LAYERS = ("dispersion.scan_roots", "dispersion.solve", "model.validate")
     (["sweep", "--method", "secular"], SWEEP_LAYERS),
     (["sweep", "--method", "green"], SWEEP_LAYERS),
     (["sweep", "--method", "classical"], SWEEP_LAYERS),
+    (["sweep", "--method", "dynamical"], ("dispersion.solve", "hopfield.build")),
+    (["spectrum"], ("hopfield.build", "hopfield.diagonalize")),
     (["converge"], ("dispersion.scan_roots", "dispersion.solve",
                     "dispersion.secular_roots", "dispersion.classical_roots",
                     "model.validate")),
-], ids=["sweep_secular", "sweep_green", "sweep_classical", "converge"])
+], ids=["sweep_secular", "sweep_green", "sweep_classical", "sweep_dynamical",
+        "spectrum", "converge"])
 def test_traced_command_counts_its_layers(tmp_path, argv, layers):
     config = tmp_path / "tiny.yaml"
     config.write_text(CONFIG, encoding="utf-8")
