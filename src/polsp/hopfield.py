@@ -125,10 +125,9 @@ def build_dynamical_matrix(config: CavityConfig, overlaps: OverlapSet, q) -> Dyn
     M[y, w], M[y, x], M[y, y], M[y, z] = E, C, -PE, C
     M[z, w], M[z, y] = -C.T, C.T
     # R = diag(omega_j repeated Xi times) in (Xt, Xt) and -R in (Zt, Zt)
-    matter = np.arange(n, h)
+    matter, om_matter = np.arange(n, h), np.repeat(om_spec, xi)
     M[z, z] = -0.0
-    M[matter, matter] = np.repeat(om_spec, xi)
-    M[h + matter, h + matter] = -M[matter, matter]
+    M[matter, matter], M[h + matter, h + matter] = om_matter, -om_matter
     return DynamicalMatrix(matrix=M, photon_mode_count=n, species_count=s,
                            exciton_mode_count=xi, q=qv)
 
@@ -162,14 +161,12 @@ def _reduce(dyn: DynamicalMatrix, vectors: bool):
         except np.linalg.LinAlgError as exc:
             raise NormalizationError(
                 "A - B is not positive definite: the Hamiltonian is unstable") from exc
+        H = L.T @ a_plus_b @ L
         try:
-            if vectors:
-                w2, z = np.linalg.eigh(L.T @ a_plus_b @ L)
-            else:
-                w2 = np.linalg.eigvalsh(L.T @ a_plus_b @ L)
+            w2, z = np.linalg.eigh(H) if vectors else (np.linalg.eigvalsh(H), None)
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError(f"eigensolver failed: {exc}") from exc
-        sectors.append((np.flatnonzero(mask), a_plus_b, L @ z if vectors else None))
+        sectors.append((np.flatnonzero(mask), a_plus_b, None if z is None else L @ z))
         omega2.append(w2)
     omega2 = np.concatenate(omega2)
     # a zero mode shows up as Omega^2 at round-off level, an unstable one
