@@ -21,15 +21,18 @@ is what makes cross-method comparison well defined.
 All root finding is bracketing plus bisection on the sign, never
 derivative-based: the functions have poles and near-vertical branches, and
 a sign is trustworthy where a Newton step is not.  Every scan is repeated
-at doubled density; a changed bracket count raises BracketError instead of
-silently returning a short list.
+at doubled density, and a changed bracket count raises BracketError; two
+roots of one function in one cell of both grids still cancel unseen.  So
+the secular and two-exciton scans take each mirror-parity factor alone,
+while the Green scan, of the whole determinant, can miss two roots of
+opposite parity in one scan cell.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
@@ -226,12 +229,18 @@ def _scan(config: CavityConfig, f, window: tuple[float, float], poles,
                       grid_signs=grid_signs)
 
 
+def _at_one_point(grid):
+    # the scalar evaluator that bisection calls: a grid evaluator on a
+    # one-point array, so grid and bisection share their arithmetic
+    return lambda omega: grid(np.array([omega]))[0]
+
+
 # --------------------------------------------------------------------------
 # secular determinant
 # --------------------------------------------------------------------------
 
 # doubles held by one chunk's stacked arrays: the reduced sector matrices of
-# determinant_signs, and in _green_determinants the matching matrices and
+# sector_signs, and in _green_determinants the matching matrices and
 # kernel stack of one _green_matrices call (bisection builds single rows)
 _SIGN_CHUNK_DOUBLES = 32768
 
@@ -293,10 +302,6 @@ class SecularOperator:
         core = K.T @ (weights[:, None] * K)
         return self._identity - (omega ** 2 * s_val) * core
 
-    def determinant_sign(self, omega: float) -> float:
-        sign, _ = np.linalg.slogdet(self._reduced(omega))
-        return sign
-
     @cached_property
     def _parity_sectors(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
         # The sectors of _sector_masks: odd-m photons with even-xi matter
@@ -329,43 +334,31 @@ class SecularOperator:
             sectors.append((products, self._photon_poles_sq[photons], unpack))
         return tuple(sectors)
 
-    def determinant_signs(self, omegas: np.ndarray) -> np.ndarray:
-        """The sign of det(I - M) at every frequency of an ascending array.
+    def sector_signs(self, sector: int, omegas) -> np.ndarray:
+        """The sign of one parity sector's reduced determinant at every frequency.
 
-        Agrees with np.sign(determinant_sign(omega)) point by point.  Each
-        parity sector takes, per chunk of frequencies, one matrix product
-        of the scaled pole weights with its pair products, unpacks it into
-        stacked symmetric reduced matrices and takes their signs from one
-        batched slogdet; a chunk's arrays hold about _SIGN_CHUNK_DOUBLES
-        doubles whatever the truncation.
-
-        The determinant is the product of the sector determinants, so a
-        root of each sector between the same two adjacent frequencies
-        leaves its sign unchanged there.  That raises BracketError instead
-        of hiding two roots.
+        ``sector`` indexes _parity_sectors; the product over the sectors is
+        the sign of det(I - M).  Per chunk of frequencies the sector takes
+        one matrix product of the scaled pole weights with its pair
+        products, unpacks it into stacked symmetric reduced matrices and
+        takes their signs from one batched slogdet; a chunk's arrays hold
+        about _SIGN_CHUNK_DOUBLES doubles whatever the truncation.
         """
         omegas = np.asarray(omegas, dtype=float)
         omegas_sq = omegas ** 2
         factor = omegas_sq * _coupling_strength_sum(self.config, omegas)
-        signs = np.ones((len(self._parity_sectors), len(omegas)))
-        for sector, (products, poles_sq, unpack) in enumerate(self._parity_sectors):
-            count = len(unpack)
-            step = max(1, _SIGN_CHUNK_DOUBLES
-                       // (len(poles_sq) + products.shape[1] + count * count))
-            for start in range(0, len(omegas), step):
-                part = slice(start, start + step)
-                weights = -factor[part, None] / (poles_sq - omegas_sq[part, None])
-                reduced = (weights @ products)[:, unpack]
-                reduced[:, range(count), range(count)] += 1.0
-                signs[sector, part] = np.linalg.slogdet(reduced)[0]
-        both = np.all(signs[:, :-1] * signs[:, 1:] < 0.0, axis=0)
-        if len(signs) > 1 and both.any():
-            i = int(np.argmax(both))
-            raise BracketError(
-                f"both parity sectors change sign between {omegas[i]:.9g} and "
-                f"{omegas[i + 1]:.9g}, so their roots cancel in the determinant; "
-                "increase scan_points")
-        return np.prod(signs, axis=0)
+        products, poles_sq, unpack = self._parity_sectors[sector]
+        count = len(unpack)
+        signs = np.empty(len(omegas))
+        step = max(1, _SIGN_CHUNK_DOUBLES
+                   // (len(poles_sq) + products.shape[1] + count * count))
+        for start in range(0, len(omegas), step):
+            part = slice(start, start + step)
+            weights = -factor[part, None] / (poles_sq - omegas_sq[part, None])
+            reduced = (weights @ products)[:, unpack]
+            reduced.reshape(len(reduced), count * count)[:, ::count + 1] += 1.0
+            signs[part] = np.linalg.slogdet(reduced)[0]
+        return signs
 
     def determinant(self, omega: float) -> float:
         sign, logdet = np.linalg.slogdet(self._reduced(omega))
@@ -374,21 +367,30 @@ class SecularOperator:
 
 def secular_roots(config: CavityConfig, overlaps: OverlapSet, q,
                   window: tuple[float, float]) -> np.ndarray:
-    """Zeros of the secular determinant in the window, pole-split and bisected."""
+    """Zeros of the secular determinant in the window, pole-split and bisected.
+
+    Each parity sector is scanned on its own, excluding the poles of both,
+    so roots of the two sectors in one scan cell cannot cancel.
+    """
     overlaps.check_shape(config)
     op = SecularOperator(config=config, overlaps=overlaps, q=transverse_wavenumber(q))
-    return _scan(config, op.determinant_sign, window, op.all_poles(),
-                 grid_signs=op.determinant_signs)
+    poles = op.all_poles()
+    sectors = [partial(op.sector_signs, k) for k in range(len(op._parity_sectors))]
+    return np.sort(np.concatenate([
+        _scan(config, _at_one_point(signs), window, poles, grid_signs=signs)
+        for signs in sectors]))
 
 
 # --------------------------------------------------------------------------
 # closed-form few-exciton relations (single species)
 # --------------------------------------------------------------------------
 
-def _closed_form_roots(value, name: str, needed_modes: int, config: CavityConfig,
+def _closed_form_roots(name: str, needed_modes: int, config: CavityConfig,
                        overlaps: OverlapSet, q, window) -> np.ndarray:
-    # the scan shared by both closed forms; value(config, overlaps, freqs,
-    # omega) is the relation itself, given the photon frequencies at q
+    # the scan shared by both closed forms.  Sigma_01 is exactly 0 when no
+    # photon couples to both matter modes, as for every overlap_K, and the
+    # relation is then the product of the factors 1 - Sigma_aa: each is
+    # scanned on its own, so roots of both in one scan cell cannot cancel
     overlaps.check_shape(config)
     if config.species_count() != 1:
         raise ConfigError(f"{name} requires exactly one species")
@@ -396,9 +398,16 @@ def _closed_form_roots(value, name: str, needed_modes: int, config: CavityConfig
         raise ConfigError(
             f"{name} requires exciton_mode_count == {needed_modes}, "
             f"got {config.exciton_mode_count}")
+    K = overlaps.K
+    if np.any(K[:, :1] * K[:, 1:]):
+        relations = [_two_exciton]
+    else:
+        relations = [partial(_one_exciton, column=a) for a in range(needed_modes)]
     freqs = photon_frequencies(config, q)
     poles = np.concatenate([freqs, [config.oscillators[0].omega]])
-    return _scan(config, lambda w: value(config, overlaps, freqs, w), window, poles)
+    return np.sort(np.concatenate([
+        _scan(config, lambda w, value=value: value(config, overlaps, freqs, w),
+              window, poles) for value in relations]))
 
 
 def _weighted_column_sum(overlaps: OverlapSet, photon_freqs: np.ndarray,
@@ -408,12 +417,12 @@ def _weighted_column_sum(overlaps: OverlapSet, photon_freqs: np.ndarray,
 
 
 def _one_exciton(config: CavityConfig, overlaps: OverlapSet,
-                 freqs: np.ndarray, omega: float) -> float:
-    # one_exciton_value at the photon frequencies freqs, which a scan
-    # computes once
+                 freqs: np.ndarray, omega: float, column: int = 0) -> float:
+    # one_exciton_value of matter mode column at the photon frequencies
+    # freqs, which a scan computes once
     sp = config.oscillators[0]
     factor = sp.G ** 2 * omega ** 2 / (sp.omega ** 2 - omega ** 2)
-    return 1.0 - factor * _weighted_column_sum(overlaps, freqs, omega, 0, 0)
+    return 1.0 - factor * _weighted_column_sum(overlaps, freqs, omega, column, column)
 
 
 def one_exciton_value(config: CavityConfig, overlaps: OverlapSet,
@@ -425,8 +434,7 @@ def one_exciton_value(config: CavityConfig, overlaps: OverlapSet,
 def one_exciton_roots(config: CavityConfig, overlaps: OverlapSet, q,
                       window: tuple[float, float]) -> np.ndarray:
     """Roots of the scalar single-matter-mode dispersion relation."""
-    return _closed_form_roots(_one_exciton, "one_exciton_roots", 1,
-                              config, overlaps, q, window)
+    return _closed_form_roots("one_exciton_roots", 1, config, overlaps, q, window)
 
 
 def _two_exciton(config: CavityConfig, overlaps: OverlapSet,
@@ -449,8 +457,7 @@ def two_exciton_value(config: CavityConfig, overlaps: OverlapSet,
 def two_exciton_roots(config: CavityConfig, overlaps: OverlapSet, q,
                       window: tuple[float, float]) -> np.ndarray:
     """Roots of the two-matter-mode product-minus-cross-term relation."""
-    return _closed_form_roots(_two_exciton, "two_exciton_roots", 2,
-                              config, overlaps, q, window)
+    return _closed_form_roots("two_exciton_roots", 2, config, overlaps, q, window)
 
 
 # --------------------------------------------------------------------------
@@ -688,33 +695,18 @@ def green_determinant(config: CavityConfig, omega: float, q) -> float:
     return float(np.linalg.det(green_matching_matrix(config, omega, q)))
 
 
-def _green_evaluators(config: CavityConfig, qv: float):
-    # (det, green_signs) at one q over one set of slab-mode arrays: the
-    # determinant at one frequency for bisection and on an array of them
-    # for a scan grid, both through _green_matrices
-    modes = _SlabModes(config.l, config.exciton_mode_count)
-
-    def det(omega: float) -> float:
-        return float(np.linalg.det(
-            _green_matrices(config, modes, np.full((1, 1), omega, dtype=float), qv)[0]))
-
-    def green_signs(xs: np.ndarray) -> np.ndarray:
-        return _green_determinants(config, modes, xs, qv)
-
-    return det, green_signs
-
-
 def green_roots(config: CavityConfig, q, window: tuple[float, float]) -> np.ndarray:
     """Sign-change roots of the Green-function determinant in the window.
 
     The scan grid is evaluated in batches and bisection one frequency at a
-    time, both on the same matching matrices.
+    time, both through _green_determinants.
     """
     qv = transverse_wavenumber(q)
-    det, green_signs = _green_evaluators(config, qv)
+    dets = partial(_green_determinants, config,
+                   _SlabModes(config.l, config.exciton_mode_count), qv=qv)
     poles = [sp.omega for sp in config.oscillators]
-    return _scan(config, det, _propagating_window(config, qv, window), poles,
-                 grid_signs=green_signs)
+    return _scan(config, _at_one_point(dets), _propagating_window(config, qv, window),
+                 poles, grid_signs=dets)
 
 
 # --------------------------------------------------------------------------

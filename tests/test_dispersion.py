@@ -122,8 +122,8 @@ def test_scan_roots_accepts_two_scan_points_and_numpy_integers():
 
 def secular_with_escalation(cfg, q, window, expected_count, poles):
     # anticrossing gaps in random configs can fall below any fixed scan
-    # resolution, and roots of both parity sectors can share one scan cell
-    # (BracketError); retry with a denser scan until the count stabilizes.
+    # resolution (BracketError, or a pair of roots in one cell of both
+    # grids); retry with a denser scan until the count stabilizes.
     # The root values are never taken from the other method, only the
     # budget is raised.
     from dataclasses import replace
@@ -155,10 +155,10 @@ def test_secular_matches_dynamical_on_random_configs():
             assert np.max(np.abs(dyn_kept - sec_kept) / dyn_kept) < 1e-8
 
 
-def test_opposite_parity_roots_in_one_scan_cell_are_refused():
+def test_opposite_parity_roots_in_one_scan_cell_are_found():
     # the second random draw above holds roots of both parity sectors
-    # within one cell of its 300-point scan: their signs cancel in the
-    # determinant, which must raise instead of returning 5 of the 7 roots
+    # within one cell of its 300-point scan, where the signs of the whole
+    # determinant cancel; each sector's scan sees its own root
     rng = np.random.default_rng(20260819)
     for _ in range(2):
         cfg = random_config(rng)
@@ -168,13 +168,12 @@ def test_opposite_parity_roots_in_one_scan_cell_are_refused():
     poles = all_poles(cfg, q)
     dyn_kept = drop_near_poles(dyn, poles, cfg.solver.pole_exclusion)
     assert len(dyn_kept) == 7
-    with pytest.raises(BracketError, match="both parity sectors"):
-        secular_roots(cfg, overlap_K(cfg), q, window)
-    dense = replace(cfg, solver=replace(cfg.solver, scan_points=3000))
-    sec_kept = drop_near_poles(secular_roots(dense, overlap_K(dense), q, window),
-                               poles, cfg.solver.pole_exclusion)
-    assert len(sec_kept) == 7
-    assert np.max(np.abs(dyn_kept - sec_kept) / dyn_kept) < 1e-8
+    for points in (cfg.solver.scan_points, 3000):
+        dense = replace(cfg, solver=replace(cfg.solver, scan_points=points))
+        sec_kept = drop_near_poles(secular_roots(dense, overlap_K(dense), q, window),
+                                   poles, cfg.solver.pole_exclusion)
+        assert len(sec_kept) == 7
+        assert np.max(np.abs(dyn_kept - sec_kept) / dyn_kept) < 1e-8
 
 
 def test_secular_determinant_has_pole_structure():
@@ -201,9 +200,10 @@ def test_secular_reduction_matches_full_determinant():
 # ---------------------------------------------------------------------------
 
 def assert_grid_signs_match(cfg, overlaps, q):
-    # determinant_signs against the scalar determinant_sign on the full
-    # 2n - 1 scan grid of every pole-free segment; returns the number of
-    # sign changes seen, so a caller can insist the grids are not trivial
+    # the product of the batched sector signs against the sign of the
+    # scalar determinant on the full 2n - 1 scan grid of every pole-free
+    # segment; returns the number of sign changes seen, so a caller can
+    # insist the grids are not trivial
     op = SecularOperator(config=cfg, overlaps=overlaps, q=float(q))
     settings = cfg.solver
     segments = pole_free_segments((0.0, settings.omega_max), op.all_poles(),
@@ -212,8 +212,9 @@ def assert_grid_signs_match(cfg, overlaps, q):
     changes = 0
     for lo, hi in segments:
         xs = np.linspace(lo, hi, 2 * settings.scan_points - 1)
-        expected = np.sign([op.determinant_sign(x) for x in xs])
-        np.testing.assert_array_equal(op.determinant_signs(xs), expected)
+        expected = np.sign([op.determinant(x) for x in xs])
+        signs = [op.sector_signs(k, xs) for k in range(len(op._parity_sectors))]
+        np.testing.assert_array_equal(np.prod(signs, axis=0), expected)
         changes += int(np.sum(expected[:-1] != expected[1:]))
     return changes
 
@@ -285,7 +286,8 @@ def test_overlaps_of_another_geometry_are_refused():
 
 
 def test_secular_roots_equal_the_scalar_scan():
-    # the batched grid signs change how the grid is evaluated, not a root
+    # scanning the sectors one at a time, on batched grids, finds the
+    # roots of the scalar determinant's scan bit for bit
     for cfg, q in [(make_config(species=((4.0, 1.0), (6.0, 0.7)), photon=12,
                                 exciton=5, omega_max=11.0, root_tol=1e-12,
                                 pole_exclusion=1e-2), 0.6),
@@ -294,7 +296,7 @@ def test_secular_roots_equal_the_scalar_scan():
         overlaps = overlap_K(cfg)
         op = SecularOperator(config=cfg, overlaps=overlaps, q=q)
         window = (0.0, cfg.solver.omega_max)
-        scalar = scan_roots(op.determinant_sign, window, op.all_poles(),
+        scalar = scan_roots(op.determinant, window, op.all_poles(),
                             exclusion=cfg.solver.pole_exclusion,
                             scan_points=cfg.solver.scan_points,
                             rel_tol=cfg.solver.root_tol)
@@ -365,6 +367,45 @@ def test_two_exciton_contains_one_exciton_roots():
     assert len(two) >= len(one)
     for root in one:
         assert np.min(np.abs(two - root)) < 1e-9 * max(1.0, root)
+
+
+def test_roots_of_both_parity_factors_in_one_scan_cell_are_found():
+    # 13.0037 (one parity) and 13.0102 (the other) share a cell of this
+    # 34-point scan, where the sign of the whole determinant, and of the
+    # two-mode relation's product of factors, does not change
+    cfg = make_config(L=1.0, l=0.8, species=((13.0, 0.3),), photon=5, exciton=2,
+                      scan_points=34, omega_max=20.0)
+    q, window = 0.25, (0.0, 20.0)
+    dyn = spectrum(cfg, q)
+    dyn = dyn[dyn < window[1]]
+    assert len(dyn) == 7
+    for solve in (secular_roots, two_exciton_roots):
+        roots = solve(cfg, overlap_K(cfg), q, window)
+        assert len(roots) == 7, solve
+        assert np.max(np.abs(roots - dyn) / dyn) < 1e-8, solve
+
+
+def test_two_exciton_roots_match_dynamical_on_random_draws():
+    # single-species Xi = 2 cavities scanned at 30 to 200 points; every
+    # root away from the poles is found, however close the two parity
+    # factors place their roots
+    rng = np.random.default_rng(7)
+    for _ in range(30):
+        L = rng.uniform(0.8, 3.0)
+        cfg = make_config(L=L, l=rng.uniform(0.3, 0.95) * L,
+                          species=((rng.uniform(2.0, 12.0), rng.uniform(0.1, 1.0)),),
+                          photon=int(rng.integers(2, 13)), exciton=2,
+                          scan_points=int(rng.integers(30, 201)), omega_max=15.0,
+                          pole_exclusion=5e-3, root_tol=1e-12)
+        q = rng.uniform(0.0, 2.0)
+        poles, excl = all_poles(cfg, q), cfg.solver.pole_exclusion
+        dyn = spectrum(cfg, q)
+        dyn = drop_near_poles(dyn[dyn < 15.0], poles, excl)
+        two = drop_near_poles(two_exciton_roots(cfg, overlap_K(cfg), q, (0.0, 15.0)),
+                              poles, excl)
+        assert len(two) == len(dyn), (cfg, q)
+        if len(dyn):
+            assert np.max(np.abs(two - dyn) / dyn) < 1e-8
 
 
 def test_one_exciton_value_sign_structure():

@@ -21,7 +21,7 @@ from polsp import (EvanescentError, PoleError, QuadratureError, cosine_solution,
                    scan_roots, sine_solution)
 from polsp.cli import parse_config, sweep_grid
 from polsp.dispersion import (_SIGN_CHUNK_DOUBLES, _SlabModes,
-                              _boundary_kernel_values, _green_evaluators,
+                              _boundary_kernel_values, _green_determinants,
                               _kernel_double_integrals, _propagating_window,
                               _slab_moments, cosine_solutions, sine_solutions)
 from conftest import make_config
@@ -213,7 +213,7 @@ def test_pole_within_the_square_tolerance_is_refused_where_beta_stays_finite():
     omega = 1.0000001e-150
     with pytest.raises(PoleError, match="species pole 1e-150"):
         green_determinant(cfg, omega, 0.0)
-    _, green_signs = _green_evaluators(cfg, 0.0)
+    green_signs = green_grid(cfg, 0.0)
     with pytest.raises(PoleError, match="species pole 1e-150"):
         green_signs(np.array([0.5, omega, 2.0]))
 
@@ -269,15 +269,21 @@ def test_array_fundamental_pair_matches_the_scalar_one():
                                                   abs=1e-300)
 
 
-def scalar_grid_signs(det, xs):
-    return np.sign([det(x) for x in xs])
+def green_grid(cfg, q):
+    # the batched determinants that green_roots scans, on an array of frequencies
+    modes = _SlabModes(cfg.l, cfg.exciton_mode_count)
+    return lambda xs: _green_determinants(cfg, modes, xs, q)
+
+
+def scalar_grid_signs(cfg, q, xs):
+    return np.sign([green_determinant(cfg, x, q) for x in xs])
 
 
 def assert_green_grid_signs_match(cfg, q):
     # the batched grid against np.sign of the scalar determinant on the
     # full 2n - 1 grid of every pole-free segment of the green scan; returns
     # the number of sign changes seen
-    det, green_signs = _green_evaluators(cfg, float(q))
+    green_signs = green_grid(cfg, float(q))
     settings = cfg.solver
     window = _propagating_window(cfg, float(q), (0.0, settings.omega_max))
     segments = pole_free_segments(window, [sp.omega for sp in cfg.oscillators],
@@ -286,7 +292,7 @@ def assert_green_grid_signs_match(cfg, q):
     changes = 0
     for lo, hi in segments:
         xs = np.linspace(lo, hi, 2 * settings.scan_points - 1)
-        expected = scalar_grid_signs(det, xs)
+        expected = scalar_grid_signs(cfg, q, xs)
         np.testing.assert_array_equal(np.sign(green_signs(xs)), expected)
         changes += int(np.sum(expected[:-1] != expected[1:]))
     return changes
@@ -353,9 +359,8 @@ def test_green_grid_signs_match_scalar_on_random_cases():
     points = 0
     for _ in range(60):
         cfg, q, omegas = random_green_case(rng)
-        det, green_signs = _green_evaluators(cfg, q)
-        np.testing.assert_array_equal(np.sign(green_signs(omegas)),
-                                      scalar_grid_signs(det, omegas))
+        np.testing.assert_array_equal(np.sign(green_grid(cfg, q)(omegas)),
+                                      scalar_grid_signs(cfg, q, omegas))
         points += len(omegas)
     assert points > 8000
 
@@ -401,10 +406,11 @@ def test_green_grid_raises_the_scalar_loops_first_error(pole_at, light_at):
     xs = np.linspace(2.5, 12.0, 3 * chunk)
     xs[int(pole_at * chunk) + 5] = 5.0
     xs[int(light_at * chunk) + 5] = 1.5
-    det, green_signs = _green_evaluators(cfg, q)
-    expected = raised(lambda: scalar_grid_signs(det, xs))
+    green_signs = green_grid(cfg, q)
+    expected = raised(lambda: scalar_grid_signs(cfg, q, xs))
     assert expected[0] is (PoleError if pole_at < light_at else EvanescentError)
     assert raised(lambda: green_signs(xs)) == expected
-    assert raised(lambda: scan_roots(det, (xs[0], xs[-1]), [], exclusion=1e-6,
+    assert raised(lambda: scan_roots(lambda w: green_determinant(cfg, w, q),
+                                     (xs[0], xs[-1]), [], exclusion=1e-6,
                                      scan_points=2, rel_tol=1e-10,
                                      grid_signs=lambda _: green_signs(xs))) == expected
