@@ -23,9 +23,8 @@ derivative-based: the functions have poles and near-vertical branches, and
 a sign is trustworthy where a Newton step is not.  Every scan is repeated
 at doubled density, and a changed bracket count raises BracketError; two
 roots of one function in one cell of both grids still cancel unseen.  So
-the secular and two-exciton scans take each mirror-parity factor alone,
-while the Green scan, of the whole determinant, can miss two roots of
-opposite parity in one scan cell.
+the secular, two-exciton and Green scans take each mirror-parity factor
+alone.
 """
 
 from __future__ import annotations
@@ -229,10 +228,15 @@ def _scan(config: CavityConfig, f, window: tuple[float, float], poles,
                       grid_signs=grid_signs)
 
 
-def _at_one_point(grid):
-    # the scalar evaluator that bisection calls: a grid evaluator on a
-    # one-point array, so grid and bisection share their arithmetic
-    return lambda omega: grid(np.array([omega]))[0]
+def _scan_sectors(config: CavityConfig, sectors, window, poles) -> np.ndarray:
+    # the merged roots of the parity sectors' array evaluators signs(xs),
+    # each scanned on its own so roots of two sectors in one scan cell
+    # cannot cancel; bisection calls signs on one-point arrays, so grid and
+    # bisection share their arithmetic
+    return np.sort(np.concatenate([
+        _scan(config, lambda omega, signs=signs: signs(np.array([omega]))[0],
+              window, poles, grid_signs=signs)
+        for signs in sectors]))
 
 
 # --------------------------------------------------------------------------
@@ -376,9 +380,7 @@ def secular_roots(config: CavityConfig, overlaps: OverlapSet, q,
     op = SecularOperator(config=config, overlaps=overlaps, q=transverse_wavenumber(q))
     poles = op.all_poles()
     sectors = [partial(op.sector_signs, k) for k in range(len(op._parity_sectors))]
-    return np.sort(np.concatenate([
-        _scan(config, _at_one_point(signs), window, poles, grid_signs=signs)
-        for signs in sectors]))
+    return _scan_sectors(config, sectors, window, poles)
 
 
 # --------------------------------------------------------------------------
@@ -466,33 +468,38 @@ def two_exciton_roots(config: CavityConfig, overlaps: OverlapSet, q,
 # The field inside the slab solves an integral equation with the outgoing
 # kernel g(z, z') = -sine_solution(|z - z'|, s)/2, which obeys
 # (d^2/dz^2 + s) g = -delta(z - z').  The matching system couples the
-# matter-projection coefficients c_xi to the two interior fundamental
-# solutions and one exterior solution per vacuum gap; its determinant
-# vanishes exactly at the polariton frequencies with no photon truncation.
+# matter-projection coefficients c_xi to the interior fundamental solutions
+# and one exterior solution per vacuum gap; its determinant vanishes
+# exactly at the polariton frequencies with no photon truncation.  The
+# centred slab splits it into two mirror-parity sectors: the even slab
+# modes couple only to the interior C and the odd ones only to S, and the
+# sum and difference of the two gaps' solutions match at z = +h alone.
 
 _RESONANT_RTOL = 1e-4  # switch to quadrature when |b^2 - s| is this small
 
 
 class _SlabModes:
-    """The Omega-independent arrays of the Xi slab modes chi_xi.
+    """The Omega-independent arrays of one parity sector's slab modes chi_xi.
 
-    chi_xi(z) = sqrt(2/l) sin(b_xi (z + l/2)) with b_xi = (xi + 1) pi / l.
-    A scan builds one and every evaluation of the matching matrix reads it,
-    so none of these arrays is rebuilt per frequency.
+    chi_xi(z) = sqrt(2/l) sin(b_xi (z + l/2)), b_xi = (xi + 1) pi / l, for
+    xi = parity, parity + 2, ... below count, even about z = 0 for parity 0.
+    A scan builds one per sector, so no array is rebuilt per frequency.
     """
 
-    def __init__(self, l: float, count: int):
-        self.h, self.norm = l / 2.0, math.sqrt(2.0 / l)
-        idx = np.arange(count)
+    def __init__(self, l: float, count: int, parity: int):
+        # the odd sector of count 1 holds no mode; its matching matrix is
+        # the vacuum block alone, which carries the odd cavity lines
+        self.h, self.norm, self.parity = l / 2.0, math.sqrt(2.0 / l), parity
+        self.idx = idx = np.arange(parity, count, 2)
         self.b = (idx + 1) * np.pi / l
         self.b_sq = self.b ** 2
         bh = (idx + 1) * np.pi / 2.0
         self.norm_sinbh, self.norm_cosbh = self.norm * np.sin(bh), self.norm * np.cos(bh)
         self.sgn = (-1.0) ** (idx + 1)
-        self.eye = np.eye(count)
+        self.eye = np.eye(len(idx))
         self.grad_pf = self.norm * self.b * self.sgn  # chi_xi'(h)
         # b + qz and b - qz as one row, b_pm + qz pm
-        self.b_pm, self.pm = np.concatenate((self.b, self.b)), np.repeat([1.0, -1.0], count)
+        self.b_pm, self.pm = np.concatenate((self.b, self.b)), np.repeat([1.0, -1.0], len(idx))
         # s below which qz h < 0.5, where the moments take the b^2 - s form
         self.near_s = (0.5 / self.h) ** 2
 
@@ -521,15 +528,13 @@ def _slab_moments(modes: _SlabModes, s) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _boundary_kernel_values(uc: np.ndarray, us: np.ndarray, s, ch, sh):
-    # particular solution y_xi(z) = int g(z, z') chi_xi(z') dz' and its
-    # derivative, evaluated at the slab faces z = +-h, from the fundamental
-    # pair ch, sh at z = h; s, ch, sh are (n, 1) columns for (n, Xi) moments.
-    # The factor -1/2 of the kernel is taken into the columns, which rounds
-    # no differently because it is a power of two
+    # value and derivative at z = +h of the particular solution
+    # y_xi(z) = int g(z, z') chi_xi(z') dz', from the fundamental pair ch, sh
+    # at z = h; s, ch, sh are (n, 1) columns for (n, P) moments.  The factor
+    # -1/2 of the kernel is taken into the columns, which rounds no
+    # differently because it is a power of two
     half_sh, half_ch = -0.5 * sh, -0.5 * ch
-    sh_uc, ch_us = half_sh * uc, half_ch * us
-    ch_uc, s_sh_us = half_ch * uc, s * half_sh * us
-    return sh_uc - ch_us, sh_uc + ch_us, ch_uc + s_sh_us, s_sh_us - ch_uc
+    return half_sh * uc - half_ch * us, half_ch * uc + s * half_sh * us
 
 
 @lru_cache(maxsize=32)
@@ -538,11 +543,12 @@ def _gauss_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _double_integral_quadrature(modes: _SlabModes, eta: int, s: float) -> np.ndarray:
-    # column eta of the kernel double integral by nested Gauss-Legendre,
-    # splitting the inner integral at the |z - z'| kink; used only near
-    # the removable resonance of the closed form
+    # column eta of the sector's kernel double integrals by nested
+    # Gauss-Legendre, splitting the inner integral at the |z - z'| kink and
+    # sizing the rule from the mode's xi; used only near the removable
+    # resonance of the closed form
     h, norm, b_eta = modes.h, modes.norm, modes.b[eta]
-    x, w = _gauss_nodes(min(160, 48 + 8 * (eta + 1)))
+    x, w = _gauss_nodes(min(160, 48 + 8 * (int(modes.idx[eta]) + 1)))
     z = h * x
     wz = h * w
 
@@ -573,9 +579,9 @@ def _kernel_double_integrals(modes: _SlabModes, s, uc: np.ndarray, us: np.ndarra
     value and derivative at z = +h and the fundamental pair ``ch, sh`` at
     z = h, which the caller has already computed.  Every argument holds one
     row per frequency (s, ch and sh as (n, 1) columns) and the result is
-    the (n, Xi, Xi) stack.  Near b_eta^2 = s the subtraction cancels
-    catastrophically and that single column falls back to nested
-    Gauss-Legendre quadrature, which is exact there.
+    the (n, P, P) stack over the sector's modes.  Near b_eta^2 = s the
+    subtraction cancels catastrophically and that single column falls back
+    to nested Gauss-Legendre quadrature, which is exact there.
     """
     b = modes.b
     den = modes.b_sq - s
@@ -595,23 +601,9 @@ def _kernel_double_integrals(modes: _SlabModes, s, uc: np.ndarray, us: np.ndarra
     return out
 
 
-# The last four rows and columns of a matching matrix: value and derivative
-# continuity at z = -h, then at z = +h, of the interior fundamental pair
-# against the exterior one.  Each nonzero entry is a sign times one of
-# (ch, cg, sh, sg, s sh), at a row and column counted from the end:
-#     row -4:    ch   -sh   -sg     0
-#     row -3:  s sh    ch   -cg     0
-#     row -2:    ch    sh     0    sg
-#     row -1: -s sh    ch     0   -cg
-_FACE_ROWS = np.repeat([-4, -3, -2, -1], 3)
-_FACE_COLS = np.array([-4, -3, -2] * 2 + [-4, -3, -1] * 2)
-_FACE_ENTRIES = np.array([0, 2, 3, 4, 0, 1, 0, 2, 3, 4, 0, 1])
-_FACE_SIGNS = np.array([1.0, -1.0, -1.0, 1.0, 1.0, -1.0, 1.0, 1.0, 1.0, -1.0, 1.0, -1.0])
-
-
 def _green_matrices(config: CavityConfig, modes: _SlabModes, omegas: np.ndarray,
                     qv: float) -> np.ndarray:
-    """The (n, Xi+4, Xi+4) matching matrices at an (n, 1) column of frequencies.
+    """One sector's (n, P+2, P+2) matching matrices at an (n, 1) column of frequencies.
 
     Every matching matrix is built here: the scan grid in chunks, bisection
     and the public entry points one row at a time.  The first row, in
@@ -621,6 +613,11 @@ def _green_matrices(config: CavityConfig, modes: _SlabModes, omegas: np.ndarray,
     one at a time would.  A hyperbolic function that overflows makes its
     matrix not finite.
     """
+    # Unknowns: the sector's P matter-projection coefficients, the amplitude
+    # of its interior fundamental solution Y (C in the even sector, S in the
+    # odd one) and that of the gap solution S(L/2 - |z|), times sign(z) in
+    # the odd sector.  Rows: P self-consistency rows, then value and
+    # derivative continuity at z = +h; z = -h repeats them by symmetry
     count = len(modes.b)
     s = (omegas / config.c) ** 2 - qv ** 2
     omegas_sq = omegas ** 2
@@ -631,17 +628,18 @@ def _green_matrices(config: CavityConfig, modes: _SlabModes, omegas: np.ndarray,
         # the fundamental pair at the slab half-width and at the gap width
         cos, sin = _fundamental_pairs(widths, s)
         ch, sh = cos[:, :1], sin[:, :1]
-        vp, vm, dp, dm = _boundary_kernel_values(uc, us, s, ch, sh)
+        vp, dp = _boundary_kernel_values(uc, us, s, ch, sh)
         kernel_m = _kernel_double_integrals(modes, s, uc, us, vp, dp, ch, sh)
-        mats = np.zeros((len(s), count + 4, count + 4))
-        # self-consistency: c_xi = beta (sum_eta M[xi,eta] c_eta + A uc + B us)
+        # Y's moments against the slab modes and its value and slope at h
+        moments, value, slope = (us, sh, ch) if modes.parity else (uc, ch, -s * sh)
+        mats = np.zeros((len(s), count + 2, count + 2))
+        # self-consistency: c_xi = beta (sum_eta M[xi,eta] c_eta + Y amplitude u_xi)
         neg_beta = -beta
         mats[:, :count, :count] = modes.eye + neg_beta[:, :, None] * kernel_m
-        mats[:, :count, count] = neg_beta * uc
-        mats[:, :count, count + 1] = neg_beta * us
-        mats[:, count:, :count] = np.concatenate((vm, dm, vp, dp), axis=1).reshape(-1, 4, count)
-        entries = np.concatenate((cos, sin, s * sh), axis=1)
-        mats[:, _FACE_ROWS, _FACE_COLS] = entries[:, _FACE_ENTRIES] * _FACE_SIGNS
+        mats[:, :count, count] = neg_beta * moments
+        # continuity at z = +h: [vp, Y(h), S(d)] and [dp, Y'(h), -C(d)]
+        mats[:, count:] = np.concatenate((vp, value, sin[:, 1:], dp, slope, -cos[:, 1:]),
+                                         axis=1).reshape(-1, 2, count + 2)
         # cheap supersets of the refused rows, which the loop below then
         # finds exactly: a non-finite entry makes the sum non-finite, and a
         # squared frequency within 1e-300 of a species pole's is either
@@ -662,7 +660,7 @@ def _green_matrices(config: CavityConfig, modes: _SlabModes, omegas: np.ndarray,
 
 def _green_determinants(config: CavityConfig, modes: _SlabModes, omegas: np.ndarray,
                         qv: float) -> np.ndarray:
-    """det of the matching matrix at every frequency of an array, in batches.
+    """det of one sector's matching matrix at every frequency of an array.
 
     A chunk's stacked matrices hold about _SIGN_CHUNK_DOUBLES doubles
     whatever the truncation and share one np.linalg.det.  Chunks run in
@@ -670,24 +668,32 @@ def _green_determinants(config: CavityConfig, modes: _SlabModes, omegas: np.ndar
     """
     omegas = np.asarray(omegas, dtype=float)
     dets = np.empty(len(omegas))
-    step = max(1, _SIGN_CHUNK_DOUBLES // (2 * (len(modes.b) + 4) ** 2))
+    step = max(1, _SIGN_CHUNK_DOUBLES // (2 * (len(modes.b) + 2) ** 2))
     for start in range(0, len(omegas), step):
         part = slice(start, start + step)
         dets[part] = np.linalg.det(_green_matrices(config, modes, omegas[part, None], qv))
     return dets
 
 
+def _green_sectors(config: CavityConfig) -> tuple[_SlabModes, _SlabModes]:
+    # the even and the odd sector's slab modes, in that order
+    return tuple(_SlabModes(config.l, config.exciton_mode_count, parity)
+                 for parity in (0, 1))
+
+
 def green_matching_matrix(config: CavityConfig, omega: float, q) -> np.ndarray:
     """The (Xi+4) homogeneous system whose determinant zeroes are eigenmodes.
 
-    Unknowns: the Xi matter-projection coefficients, the two interior
-    fundamental-solution amplitudes, and the two exterior amplitudes that
-    already satisfy the mirror conditions.  Rows: Xi self-consistency rows,
-    then value and derivative continuity at each slab face.
+    Block diagonal, even parity sector first, each block that sector's
+    matrix of _green_matrices: the two-face system after sums and
+    differences of the faces' rows and of the two gaps' amplitudes.
     """
-    modes = _SlabModes(config.l, config.exciton_mode_count)
-    return _green_matrices(config, modes, np.full((1, 1), omega, dtype=float),
-                           transverse_wavenumber(q))[0]
+    qv, omegas = transverse_wavenumber(q), np.full((1, 1), omega, dtype=float)
+    even, odd = (_green_matrices(config, modes, omegas, qv)[0]
+                 for modes in _green_sectors(config))
+    mat = np.zeros((config.exciton_mode_count + 4,) * 2)
+    mat[:len(even), :len(even)], mat[len(even):, len(even):] = even, odd
+    return mat
 
 
 def green_determinant(config: CavityConfig, omega: float, q) -> float:
@@ -698,15 +704,15 @@ def green_determinant(config: CavityConfig, omega: float, q) -> float:
 def green_roots(config: CavityConfig, q, window: tuple[float, float]) -> np.ndarray:
     """Sign-change roots of the Green-function determinant in the window.
 
-    The scan grid is evaluated in batches and bisection one frequency at a
-    time, both through _green_determinants.
+    Each parity sector's determinant is scanned on its own through
+    _green_determinants, the grid in batches and bisection one frequency
+    at a time, so roots of the two sectors in one scan cell cannot cancel.
     """
     qv = transverse_wavenumber(q)
-    dets = partial(_green_determinants, config,
-                   _SlabModes(config.l, config.exciton_mode_count), qv=qv)
-    poles = [sp.omega for sp in config.oscillators]
-    return _scan(config, _at_one_point(dets), _propagating_window(config, qv, window),
-                 poles, grid_signs=dets)
+    sectors = [partial(_green_determinants, config, modes, qv=qv)
+               for modes in _green_sectors(config)]
+    return _scan_sectors(config, sectors, _propagating_window(config, qv, window),
+                         [sp.omega for sp in config.oscillators])
 
 
 # --------------------------------------------------------------------------

@@ -10,6 +10,7 @@ by the mode-sum route at large photon truncation.
 from __future__ import annotations
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,25 +19,50 @@ from scipy.integrate import quad
 from polsp import (EvanescentError, PoleError, QuadratureError, cosine_solution,
                    green_determinant, green_matching_matrix, green_roots,
                    one_exciton_roots, overlap_K, pole_free_segments,
-                   scan_roots, sine_solution)
+                   scan_roots, secular_roots, sine_solution)
+from polsp import dispersion
 from polsp.cli import parse_config, sweep_grid
 from polsp.dispersion import (_SIGN_CHUNK_DOUBLES, _SlabModes,
                               _boundary_kernel_values, _green_determinants,
+                              _green_matrices, _green_sectors,
                               _kernel_double_integrals, _propagating_window,
                               _slab_moments, cosine_solutions, sine_solutions)
 from conftest import make_config
 from test_golden import CONFIGS as GOLDEN_CONFIGS
 
 
+def sector_arrays(l: float, count: int, s) -> list:
+    # per parity sector: its modes, the slab moments, the boundary values
+    # and the closed-form kernel at the (n, 1) column s, each computed
+    # exactly as the sector's matching matrix computes them
+    h = l / 2.0
+    ch, sh = cosine_solutions(h, s), sine_solutions(h, s)
+    out = []
+    for parity in (0, 1):
+        modes = _SlabModes(l, count, parity)
+        uc, us = _slab_moments(modes, s)
+        vp, dp = _boundary_kernel_values(uc, us, s, ch, sh)
+        out.append((modes, uc, us, _kernel_double_integrals(modes, s, uc, us, vp, dp,
+                                                             ch, sh)))
+    return out
+
+
+def full_moments(l: float, count: int, s: float) -> tuple[np.ndarray, np.ndarray]:
+    # both sectors' moments scattered over every xi; a moment of the other
+    # sector's parity is zero
+    uc, us = np.zeros(count), np.zeros(count)
+    for modes, sector_uc, sector_us, _ in sector_arrays(l, count, np.full((1, 1), s)):
+        uc[modes.idx], us[modes.idx] = sector_uc[0], sector_us[0]
+    return uc, us
+
+
 def closed_form_kernel(l: float, count: int, s: float) -> np.ndarray:
-    # the closed form fed the slab moments and boundary values exactly as
-    # the matching matrix computes them once per evaluation
-    modes = _SlabModes(l, count)
-    uc, us = _slab_moments(modes, np.full((1, 1), s))
-    col = np.full((1, 1), s)
-    ch, sh = cosine_solutions(modes.h, col), sine_solutions(modes.h, col)
-    vp, _, dp, _ = _boundary_kernel_values(uc, us, col, ch, sh)
-    return _kernel_double_integrals(modes, col, uc, us, vp, dp, ch, sh)[0]
+    # both sectors' closed-form kernels scattered into the full matrix; an
+    # entry between the sectors is zero
+    out = np.zeros((count, count))
+    for modes, _, _, kernel in sector_arrays(l, count, np.full((1, 1), s)):
+        out[np.ix_(modes.idx, modes.idx)] = kernel[0]
+    return out
 
 
 def oracle_double_integral(l: float, xi: int, eta: int, s: float) -> float:
@@ -106,20 +132,20 @@ MOMENT_S = [37.0, 3.0, (np.pi / 0.9) ** 2, (0.5001 / 0.45) ** 2, (0.4999 / 0.45)
 @pytest.mark.parametrize("s", MOMENT_S)
 def test_slab_moments_match_quadrature(s):
     l, count = 0.9, 5
-    uc, us = _slab_moments(_SlabModes(l, count), np.full((1, 1), s))
-    for got, expected in zip((uc[0], us[0]), oracle_moments(l, count, s)):
+    for got, expected in zip(full_moments(l, count, s), oracle_moments(l, count, s)):
         scale = np.max(np.abs(expected))
         assert np.max(np.abs(got - expected)) <= 1e-12 * scale
 
 
 def test_slab_moments_rows_are_independent():
     # every regime in one column gives each row the moments it has alone
-    modes = _SlabModes(0.9, 5)
-    column = _slab_moments(modes, np.array(MOMENT_S)[:, None])
-    for row, s in enumerate(MOMENT_S):
-        for got, alone in zip(column, _slab_moments(modes, np.full((1, 1), s))):
-            np.testing.assert_allclose(got[row], alone[0], rtol=1e-14,
-                                       atol=1e-14 * np.max(np.abs(alone)))
+    for parity in (0, 1):
+        modes = _SlabModes(0.9, 5, parity)
+        column = _slab_moments(modes, np.array(MOMENT_S)[:, None])
+        for row, s in enumerate(MOMENT_S):
+            for got, alone in zip(column, _slab_moments(modes, np.full((1, 1), s))):
+                np.testing.assert_allclose(got[row], alone[0], rtol=1e-14,
+                                           atol=1e-14 * np.max(np.abs(alone)))
 
 
 @pytest.mark.parametrize("s", [37.0, 3.0, 0.0, -11.0])
@@ -151,6 +177,19 @@ def test_kernel_double_integrals_resonant_fallback():
         for side in (1.0 - 2e-4, 1.0 + 2e-4):
             near = closed_form_kernel(l, 3, s * side)
             assert near[eta, eta] == pytest.approx(M[eta, eta], rel=1e-3)
+
+
+def test_resonant_fallback_sizes_its_rule_from_xi(monkeypatch):
+    # the odd sector's third mode is xi = 5, so its rule has 48 + 8 * 6
+    # nodes, as it had when one basis held every xi; the column's place in
+    # the sector would give 72 and round differently
+    sizes = []
+    real = dispersion._gauss_nodes
+    monkeypatch.setattr(dispersion, "_gauss_nodes",
+                        lambda n: sizes.append(n) or real(n))
+    l = 0.9
+    closed_form_kernel(l, 6, (6 * np.pi / l) ** 2)
+    assert sizes == [96]
 
 
 def test_matching_matrix_shape_and_finiteness():
@@ -270,19 +309,66 @@ def test_array_fundamental_pair_matches_the_scalar_one():
 
 
 def green_grid(cfg, q):
-    # the batched determinants that green_roots scans, on an array of frequencies
-    modes = _SlabModes(cfg.l, cfg.exciton_mode_count)
-    return lambda xs: _green_determinants(cfg, modes, xs, q)
+    # the product of the batched sector determinants that green_roots
+    # scans, on an array of frequencies; the even sector is evaluated first
+    sectors = _green_sectors(cfg)
+    return lambda xs: np.prod([_green_determinants(cfg, modes, xs, q)
+                               for modes in sectors], axis=0)
 
 
 def scalar_grid_signs(cfg, q, xs):
     return np.sign([green_determinant(cfg, x, q) for x in xs])
 
 
+def two_face_determinants(cfg, q, xs) -> np.ndarray:
+    # det of the (Xi+4) matching system before the parity split, matched at
+    # both slab faces.  Unknowns: every c_xi, the amplitudes of C and S
+    # inside the slab, and those of the left and right gap solutions
+    # -S(z + L/2) and S(L/2 - z).  Rows: the Xi self-consistency rows, then
+    # value and derivative continuity at z = -h and at z = +h.  Only the
+    # slab moments and the kernel come from the sector code, scattered
+    omegas = np.asarray(xs, dtype=float)[:, None]
+    s = (omegas / cfg.c) ** 2 - q ** 2
+    count, n = cfg.exciton_mode_count, len(omegas)
+    ch, sh = cosine_solutions(cfg.l / 2.0, s), sine_solutions(cfg.l / 2.0, s)
+    gap = (cfg.L - cfg.l) / 2.0
+    cg, sg = cosine_solutions(gap, s), sine_solutions(gap, s)
+    beta = sum(sp.G ** 2 / (sp.omega ** 2 - omegas ** 2)
+               for sp in cfg.oscillators) * omegas ** 2 / cfg.c ** 2
+    uc, us, kernel = np.zeros((n, count)), np.zeros((n, count)), np.zeros((n, count, count))
+    for modes, sector_uc, sector_us, sector_kernel in sector_arrays(cfg.l, count, s):
+        uc[:, modes.idx], us[:, modes.idx] = sector_uc, sector_us
+        kernel[:, modes.idx[:, None], modes.idx] = sector_kernel
+    # the kernel solution's value and derivative at z = -h and z = +h
+    half_sh, half_ch = -0.5 * sh, -0.5 * ch
+    vm, vp = half_sh * uc + half_ch * us, half_sh * uc - half_ch * us
+    dm, dp = s * half_sh * us - half_ch * uc, half_ch * uc + s * half_sh * us
+    zero = np.zeros_like(ch)
+    mats = np.zeros((n, count + 4, count + 4))
+    mats[:, :count, :count] = np.eye(count) - beta[:, :, None] * kernel
+    mats[:, :count, count], mats[:, :count, count + 1] = -beta * uc, -beta * us
+    mats[:, count:, :count] = np.stack((vm, dm, vp, dp), axis=1)
+    mats[:, count:, count:] = np.concatenate(
+        (ch, -sh, -sg, zero,             # value at -h
+         s * sh, ch, -cg, zero,          # derivative at -h
+         ch, sh, zero, sg,               # value at +h
+         -s * sh, ch, zero, -cg),        # derivative at +h
+        axis=1).reshape(n, 4, 4)
+    return np.linalg.det(mats)
+
+
+def assert_split_keeps_the_two_face_sign(cfg, q, xs):
+    # sign(two-face det) * sign(product of the sector dets) is one constant
+    # at every frequency of a case: the split changes no sign change
+    ratio = np.sign(two_face_determinants(cfg, q, xs)) * np.sign(green_grid(cfg, q)(xs))
+    assert ratio[0] != 0.0
+    np.testing.assert_array_equal(ratio, ratio[0])
+
+
 def assert_green_grid_signs_match(cfg, q):
-    # the batched grid against np.sign of the scalar determinant on the
-    # full 2n - 1 grid of every pole-free segment of the green scan; returns
-    # the number of sign changes seen
+    # the batched grid against np.sign of the scalar determinant and of the
+    # two-face determinant on the full 2n - 1 grid of every pole-free
+    # segment of the green scan; returns the number of sign changes seen
     green_signs = green_grid(cfg, float(q))
     settings = cfg.solver
     window = _propagating_window(cfg, float(q), (0.0, settings.omega_max))
@@ -290,11 +376,14 @@ def assert_green_grid_signs_match(cfg, q):
                                   settings.pole_exclusion)
     assert segments
     changes = 0
+    grid = []
     for lo, hi in segments:
         xs = np.linspace(lo, hi, 2 * settings.scan_points - 1)
         expected = scalar_grid_signs(cfg, q, xs)
         np.testing.assert_array_equal(np.sign(green_signs(xs)), expected)
         changes += int(np.sum(expected[:-1] != expected[1:]))
+        grid.append(xs)
+    assert_split_keeps_the_two_face_sign(cfg, float(q), np.concatenate(grid))
     return changes
 
 
@@ -361,29 +450,93 @@ def test_green_grid_signs_match_scalar_on_random_cases():
         cfg, q, omegas = random_green_case(rng)
         np.testing.assert_array_equal(np.sign(green_grid(cfg, q)(omegas)),
                                       scalar_grid_signs(cfg, q, omegas))
+        assert_split_keeps_the_two_face_sign(cfg, q, omegas)
         points += len(omegas)
     assert points > 8000
+
+
+def scan_green(cfg, q, scans, scan_points=None):
+    # scan_roots of every (scalar f, grid_signs) pair over the green scan's
+    # window and poles, merged
+    settings = cfg.solver
+    return np.sort(np.concatenate([
+        scan_roots(f, _propagating_window(cfg, q, (0.0, settings.omega_max)),
+                   [sp.omega for sp in cfg.oscillators],
+                   exclusion=settings.pole_exclusion,
+                   scan_points=scan_points or settings.scan_points,
+                   rel_tol=settings.root_tol, grid_signs=grid_signs)
+        for f, grid_signs in scans]))
+
+
+def scalar_sector_scans(cfg, q):
+    # each parity sector's determinant, one frequency at a time on the grid
+    # as in bisection
+    return [(lambda w, modes=modes: np.linalg.det(
+        _green_matrices(cfg, modes, np.full((1, 1), w), q)[0]), None)
+        for modes in _green_sectors(cfg)]
+
+
+# a second config whose whole-determinant scan at 400 points lost the two
+# opposite-parity roots near 6.0887 and 6.0895; 20000 points find them
+CROWDED_CASE = (make_config(L=1.4, l=0.9, c=0.8,
+                            species=((6.0, 1.2), (9.0, 0.0), (13.0, 0.7)),
+                            photon=8, exciton=7, omega_max=16.0,
+                            root_tol=1e-12, pole_exclusion=5e-2), 0.7)
 
 
 def test_green_roots_equal_the_scalar_scan():
     # the batched grid changes how the grid is evaluated, not a root
     for cfg, q in [(make_config(L=1.0, l=0.5, species=((20.0, 3.0),), photon=24,
                                 exciton=4, omega_max=12.0, scan_points=200), 2.0),
-                   (make_config(L=1.4, l=0.9, c=0.8, species=((6.0, 1.2), (9.0, 0.0),
-                                                               (13.0, 0.7)),
-                                photon=8, exciton=7, omega_max=16.0,
-                                root_tol=1e-12, pole_exclusion=5e-2), 0.7),
+                   CROWDED_CASE,
                    (make_config(**README_CAVITY), 1.5)]:
-        window = (0.0, cfg.solver.omega_max)
-        scalar = scan_roots(lambda w: green_determinant(cfg, w, q),
-                            _propagating_window(cfg, q, window),
-                            [sp.omega for sp in cfg.oscillators],
-                            exclusion=cfg.solver.pole_exclusion,
-                            scan_points=cfg.solver.scan_points,
-                            rel_tol=cfg.solver.root_tol)
-        batched = green_roots(cfg, q, window)
+        batched = green_roots(cfg, q, (0.0, cfg.solver.omega_max))
         assert len(batched) > 0
-        assert np.array_equal(batched, scalar)
+        assert np.array_equal(batched, scan_green(cfg, q, scalar_sector_scans(cfg, q)))
+
+
+def test_sector_scan_finds_what_a_dense_whole_scan_finds():
+    cfg, q = CROWDED_CASE
+    roots = green_roots(cfg, q, (0.0, cfg.solver.omega_max))
+    # one scan of the whole determinant, its grid batched
+    dense = scan_green(cfg, q, [(lambda w: green_determinant(cfg, w, q), green_grid(cfg, q))],
+                       scan_points=20000)
+    assert len(roots) == len(dense) == 13
+    assert np.max(np.abs(roots - dense) / dense) <= cfg.solver.root_tol
+    assert np.min(np.abs(roots - 6.0887018342)) < 1e-9
+    assert np.min(np.abs(roots - 6.0894888954)) < 1e-9
+
+
+@pytest.mark.parametrize("scan_points", [34, 60, 100, 200])
+def test_opposite_parity_roots_in_one_scan_cell_are_both_found(scan_points):
+    # 13.0037 (even sector) and 13.0101 (odd sector) are 0.0064 apart: a
+    # scan of the whole determinant at each of these densities saw their
+    # sign changes cancel and returned 6 roots.  The secular route at 400
+    # photons agrees
+    def cavity(photon, points):
+        return make_config(L=1.0, l=0.8, species=((13.0, 0.3),), photon=photon,
+                           exciton=2, omega_max=20.0, root_tol=1e-12,
+                           scan_points=points)
+    roots = green_roots(cavity(5, scan_points), 0.25, (0.0, 20.0))
+    reference = cavity(400, 400)
+    secular = secular_roots(reference, overlap_K(reference), 0.25, (0.0, 20.0))
+    assert len(roots) == len(secular) == 8
+    assert np.max(np.abs(roots - secular)) < 5e-11
+    for root in (13.003742, 13.010113):
+        assert np.min(np.abs(roots - root)) < 1e-6
+
+
+def test_two_species_golden_config_scans_without_bracket_error():
+    # c10_two_species at q = 0: the whole-determinant scan raised
+    # BracketError at 400 points; the sector scans agree with 4000 points
+    cfg, _ = parse_config(GOLDEN_CONFIGS["c10_two_species"])
+    window = (0.0, cfg.solver.omega_max)
+    roots = green_roots(cfg, 0.0, window)
+    dense = green_roots(
+        replace(cfg, solver=replace(cfg.solver, scan_points=4000)), 0.0, window)
+    assert cfg.solver.scan_points == 400
+    assert len(roots) == len(dense) == 21
+    assert np.max(np.abs(roots - dense) / dense) <= cfg.solver.root_tol
 
 
 def raised(fn):
@@ -402,7 +555,8 @@ def test_green_grid_raises_the_scalar_loops_first_error(pole_at, light_at):
     # scalar loop does
     cfg = make_config(L=1.0, l=0.5, species=((5.0, 1.0),), photon=4, exciton=3)
     q = 2.0
-    chunk = _SIGN_CHUNK_DOUBLES // (2 * (cfg.exciton_mode_count + 4) ** 2)
+    # the chunk of the even sector, which green_grid evaluates first
+    chunk = _SIGN_CHUNK_DOUBLES // (2 * ((cfg.exciton_mode_count + 1) // 2 + 2) ** 2)
     xs = np.linspace(2.5, 12.0, 3 * chunk)
     xs[int(pole_at * chunk) + 5] = 5.0
     xs[int(light_at * chunk) + 5] = 1.5
