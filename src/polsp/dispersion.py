@@ -3,8 +3,9 @@
 Four independent routes to the same eigenfrequencies live here:
 
 * ``secular_roots``: zeros of det(I - M(Omega)) for the N-photon secular
-  operator, evaluated through the equivalent (Xi x Xi) determinant so the
-  cost scales with the matter truncation, not the photon one.
+  operator, evaluated through the equivalent (Xi x Xi) reduced matrix so
+  the cost scales with the matter truncation, not the photon one, and
+  found by bisecting an exact inertia count of its roots.
 * ``one_exciton_roots`` / ``two_exciton_roots``: the scalar and 2x2
   closed-form factorizations available at Xi = 1, 2 with one species.
 * ``green_roots``: sign changes of the determinant of the Green-function
@@ -18,13 +19,16 @@ closed-form functions.  They are reported by the dynamical method only;
 the scanners here never search inside pole_exclusion neighborhoods, which
 is what makes cross-method comparison well defined.
 
-All root finding is bracketing plus bisection on the sign, never
-derivative-based: the functions have poles and near-vertical branches, and
-a sign is trustworthy where a Newton step is not.  Every scan is repeated
-at doubled density, and a changed bracket count raises BracketError; two
-roots of one function in one cell of both grids still cancel unseen.  So
-the secular, two-exciton and Green scans take each mirror-parity factor
-alone.
+All root finding is bracketing plus bisection, never derivative-based:
+the functions have poles and near-vertical branches, and a sign or a count
+is trustworthy where a Newton step is not.  The secular route bisects a
+count of its roots below each frequency (the inertia of the reduced matrix,
+after Wittrick and Williams), which sees every root however close two lie.
+The other routes bisect sign changes of a scan.  Every sign scan is
+repeated at doubled density, and a changed bracket count raises
+BracketError; two roots of one function in one cell of both grids still
+cancel unseen.  So the two-exciton and Green scans take each mirror-parity
+factor alone.
 """
 
 from __future__ import annotations
@@ -228,24 +232,56 @@ def _scan(config: CavityConfig, f, window: tuple[float, float], poles,
                       grid_signs=grid_signs)
 
 
-def _scan_sectors(config: CavityConfig, sectors, window, poles) -> np.ndarray:
-    # the merged roots of the parity sectors' array evaluators signs(xs),
-    # each scanned on its own so roots of two sectors in one scan cell
-    # cannot cancel; bisection calls signs on one-point arrays, so grid and
-    # bisection share their arithmetic
-    return np.sort(np.concatenate([
-        _scan(config, lambda omega, signs=signs: signs(np.array([omega]))[0],
-              window, poles, grid_signs=signs)
-        for signs in sectors]))
+_COUNT_SECTIONS = 8  # equal parts an interval is cut into per counting step
+
+
+def _multisect_counts(counts, segments, rel_tol: float) -> np.ndarray:
+    """Roots on the segments from a count that rises by one at each root.
+
+    ``counts(xs)`` must return an integer per frequency of the array xs
+    that, within one segment, rises by one at each root and changes
+    nowhere else.  Every interval whose count rises is cut into
+    _COUNT_SECTIONS equal parts in lockstep, one counts call per step on
+    the interior points of all of them; the counts are clamped to be
+    nondecreasing across each interval, so a near-zero eigenvalue that
+    rounds the wrong way cannot add or lose a root.  An interval that meets
+    _bisect_sign's stopping rule, hi - lo <= rel_tol max(1, |mid|),
+    reports its midpoint once for every unit its count rises.
+    """
+    ladder = np.arange(1, _COUNT_SECTIONS) / _COUNT_SECTIONS
+    grid = np.array(segments, dtype=float).reshape(-1, 2)
+    levels = counts(grid.ravel()).reshape(grid.shape)
+    roots = []
+    for _ in range(200):
+        keep = levels[:, 1:] > levels[:, :-1]
+        lo, hi = grid[:, :-1][keep], grid[:, 1:][keep]
+        c_lo, c_hi = levels[:, :-1][keep], levels[:, 1:][keep]
+        mid = 0.5 * (lo + hi)
+        done = hi - lo <= rel_tol * np.maximum(1.0, np.abs(mid))
+        if done.any():
+            roots.append(np.repeat(mid[done], (c_hi - c_lo)[done]))
+            active = ~done
+            lo, hi, c_lo, c_hi = lo[active], hi[active], c_lo[active], c_hi[active]
+        if not len(lo):
+            break
+        inner = lo[:, None] + (hi - lo)[:, None] * ladder
+        grid = np.column_stack((lo, inner, hi))
+        inner_levels = np.minimum(counts(inner.ravel()).reshape(inner.shape), c_hi[:, None])
+        levels = np.maximum.accumulate(np.column_stack((c_lo, inner_levels, c_hi)), axis=1)
+    else:
+        roots.append(np.repeat(0.5 * (grid[:, :-1] + grid[:, 1:]).ravel(),
+                               np.diff(levels, axis=1).ravel()))
+    return np.concatenate(roots) if roots else np.empty(0)
 
 
 # --------------------------------------------------------------------------
 # secular determinant
 # --------------------------------------------------------------------------
 
-# doubles held by one chunk's stacked arrays: the reduced sector matrices of
-# sector_signs, and in _green_determinants the matching matrices and
-# kernel stack of one _green_matrices call (bisection builds single rows)
+# doubles held by one chunk's stacked arrays: the pole weights, pair sums
+# and reduced sector matrices of sector_counts, and in _green_determinants
+# the matching matrices and kernel stack of one _green_matrices call
+# (green bisection builds single rows)
 _SIGN_CHUNK_DOUBLES = 32768
 
 
@@ -338,31 +374,39 @@ class SecularOperator:
             sectors.append((products, self._photon_poles_sq[photons], unpack))
         return tuple(sectors)
 
-    def sector_signs(self, sector: int, omegas) -> np.ndarray:
-        """The sign of one parity sector's reduced determinant at every frequency.
+    def sector_counts(self, sector: int, omegas) -> np.ndarray:
+        """A count of one parity sector's roots below every frequency.
 
-        ``sector`` indexes _parity_sectors; the product over the sectors is
-        the sign of det(I - M).  Per chunk of frequencies the sector takes
-        one matrix product of the scaled pole weights with its pair
-        products, unpacks it into stacked symmetric reduced matrices and
-        takes their signs from one batched slogdet; a chunk's arrays hold
-        about _SIGN_CHUNK_DOUBLES doubles whatever the truncation.
+        ``sector`` indexes _parity_sectors.  With R the sector's reduced
+        matrix I - Omega^2 S K^T W K, the count is the number of negative
+        eigenvalues of R plus the sector's matter-mode count where S > 0,
+        and the number of positive ones where S < 0.  It is taken as the
+        negative count of sgn(S) R = |S| (I/S - Omega^2 K^T W K), plus the
+        mode count where sgn(S) = 1, with no division by S.  By Wittrick and Williams, inside one pole-free
+        segment it differs from the number of the sector's polariton
+        frequencies below Omega by a constant, so it rises by one at every
+        root, however close two roots lie.  Per chunk of frequencies the
+        sector takes one matrix product of the scaled pole weights with its
+        pair products, unpacks it into stacked symmetric matrices sgn(S) R
+        and counts their negative eigenvalues from one batched eigvalsh.
         """
         omegas = np.asarray(omegas, dtype=float)
         omegas_sq = omegas ** 2
-        factor = omegas_sq * _coupling_strength_sum(self.config, omegas)
+        strength = _coupling_strength_sum(self.config, omegas)
+        flip = np.copysign(1.0, strength)
+        factor = omegas_sq * np.abs(strength)
         products, poles_sq, unpack = self._parity_sectors[sector]
         count = len(unpack)
-        signs = np.empty(len(omegas))
+        counts = count * (flip > 0.0)
         step = max(1, _SIGN_CHUNK_DOUBLES
                    // (len(poles_sq) + products.shape[1] + count * count))
         for start in range(0, len(omegas), step):
             part = slice(start, start + step)
             weights = -factor[part, None] / (poles_sq - omegas_sq[part, None])
-            reduced = (weights @ products)[:, unpack]
-            reduced.reshape(len(reduced), count * count)[:, ::count + 1] += 1.0
-            signs[part] = np.linalg.slogdet(reduced)[0]
-        return signs
+            flipped = (weights @ products)[:, unpack]
+            flipped.reshape(len(flipped), count * count)[:, ::count + 1] += flip[part, None]
+            counts[part] += (np.linalg.eigvalsh(flipped) < 0.0).sum(axis=1)
+        return counts
 
     def determinant(self, omega: float) -> float:
         sign, logdet = np.linalg.slogdet(self._reduced(omega))
@@ -371,16 +415,21 @@ class SecularOperator:
 
 def secular_roots(config: CavityConfig, overlaps: OverlapSet, q,
                   window: tuple[float, float]) -> np.ndarray:
-    """Zeros of the secular determinant in the window, pole-split and bisected.
+    """Zeros of the secular determinant in the window, found by counting.
 
-    Each parity sector is scanned on its own, excluding the poles of both,
-    so roots of the two sectors in one scan cell cannot cancel.
+    Each parity sector's roots are multisected from its sector_counts over
+    the pole-free segments of the window, excluding the poles of both
+    sectors.
+    A count sees every root, however close two lie, so no scan grid is
+    built and ``scan_points`` is not read.
     """
     overlaps.check_shape(config)
     op = SecularOperator(config=config, overlaps=overlaps, q=transverse_wavenumber(q))
-    poles = op.all_poles()
-    sectors = [partial(op.sector_signs, k) for k in range(len(op._parity_sectors))]
-    return _scan_sectors(config, sectors, window, poles)
+    settings = config.solver
+    segments = pole_free_segments(window, op.all_poles(), settings.pole_exclusion)
+    return np.sort(np.concatenate([
+        _multisect_counts(partial(op.sector_counts, k), segments, settings.root_tol)
+        for k in range(len(op._parity_sectors))]))
 
 
 # --------------------------------------------------------------------------
@@ -709,10 +758,14 @@ def green_roots(config: CavityConfig, q, window: tuple[float, float]) -> np.ndar
     at a time, so roots of the two sectors in one scan cell cannot cancel.
     """
     qv = transverse_wavenumber(q)
-    sectors = [partial(_green_determinants, config, modes, qv=qv)
-               for modes in _green_sectors(config)]
-    return _scan_sectors(config, sectors, _propagating_window(config, qv, window),
-                         [sp.omega for sp in config.oscillators])
+    window = _propagating_window(config, qv, window)
+    poles = [sp.omega for sp in config.oscillators]
+    roots = []
+    for modes in _green_sectors(config):
+        signs = partial(_green_determinants, config, modes, qv=qv)
+        roots.append(_scan(config, lambda omega, signs=signs: signs(np.array([omega]))[0],
+                           window, poles, grid_signs=signs))
+    return np.sort(np.concatenate(roots))
 
 
 # --------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import replace
 
 import numpy as np
 from scipy.integrate import quad_vec
@@ -43,18 +42,6 @@ def drop_near_poles(values, poles, exclusion):
         return values
     dist = np.min(np.abs(values[:, None] - np.asarray(poles)[None, :]), axis=1)
     return values[dist > exclusion]
-
-
-def secular_with_escalation(cfg, q, window, expected_count, poles):
-    # densify the scan until the root count stabilizes; root values are
-    # never taken from the other method, only the budget is raised
-    for points in (cfg.solver.scan_points, 3000, 30000):
-        dense = replace(cfg, solver=replace(cfg.solver, scan_points=points))
-        sec = secular_roots(dense, overlap_K(dense), q, window)
-        kept = drop_near_poles(sec, poles, cfg.solver.pole_exclusion)
-        if len(kept) == expected_count:
-            return kept
-    return kept
 
 
 def random_config(rng):
@@ -170,7 +157,8 @@ def test_criterion_03_method_cross_agreement():
         excl = cfg.solver.pole_exclusion
         poles = all_poles(cfg, q)
         dyn_kept = drop_near_poles(dyn, poles, excl)
-        sec_kept = secular_with_escalation(cfg, q, window, len(dyn_kept), poles)
+        sec_kept = drop_near_poles(secular_roots(cfg, overlap_K(cfg), q, window),
+                                   poles, excl)
         assert len(dyn_kept) == len(sec_kept), cfg
         if len(dyn_kept):
             worst_pair = max(worst_pair, float(

@@ -109,6 +109,27 @@ def test_scan_roots_refuses_bad_scan_points(points):
                        rel_tol=1e-10)
 
 
+def test_count_multisection_reports_each_root_by_its_multiplicity():
+    # a count rising by two at 1.25 is a double root; three segments, one
+    # of them holding no root
+    roots = np.array([0.4, 1.25, 1.25, 2.0, 3.5])
+    found = dispersion._multisect_counts(
+        lambda xs: np.searchsorted(roots, xs), [(0.0, 1.0), (1.1, 2.5), (2.6, 3.0)],
+        1e-12)
+    assert np.sort(found) == pytest.approx([0.4, 1.25, 1.25, 2.0], rel=1e-12)
+
+
+def test_count_multisection_clamps_a_count_that_overshoots():
+    # rounding at a near-zero eigenvalue can read one root too many just
+    # above it; clamped between the interval's end counts, the overshoot
+    # adds no root
+    def counts(xs):
+        xs = np.asarray(xs)
+        return (xs > 1.3).astype(int) + ((xs > 1.3) & (xs < 1.31))
+    found = dispersion._multisect_counts(counts, [(0.0, 2.0)], 1e-12)
+    assert found == pytest.approx([1.3], rel=1e-12)
+
+
 def test_scan_roots_accepts_two_scan_points_and_numpy_integers():
     for points in (2, np.int64(200)):
         roots = scan_roots(np.sin, (3.0, 3.3), [], exclusion=1e-6,
@@ -120,26 +141,10 @@ def test_scan_roots_accepts_two_scan_points_and_numpy_integers():
 # secular vs dynamical
 # ---------------------------------------------------------------------------
 
-def secular_with_escalation(cfg, q, window, expected_count, poles):
-    # anticrossing gaps in random configs can fall below any fixed scan
-    # resolution (BracketError, or a pair of roots in one cell of both
-    # grids); retry with a denser scan until the count stabilizes.
-    # The root values are never taken from the other method, only the
-    # budget is raised.
-    from dataclasses import replace
-    for points in (cfg.solver.scan_points, 3000, 30000):
-        dense = replace(cfg, solver=replace(cfg.solver, scan_points=points))
-        try:
-            sec = secular_roots(dense, overlap_K(dense), q, window)
-        except BracketError:
-            continue
-        kept = drop_near_poles(sec, poles, cfg.solver.pole_exclusion)
-        if len(kept) == expected_count:
-            return kept
-    return kept
-
-
 def test_secular_matches_dynamical_on_random_configs():
+    # the secular route counts its roots, so one call finds every root of
+    # the dynamical spectrum outside the pole exclusions; scan_points is
+    # not read
     rng = np.random.default_rng(20260819)
     for _ in range(8):
         cfg = random_config(rng)
@@ -149,7 +154,8 @@ def test_secular_matches_dynamical_on_random_configs():
         excl = cfg.solver.pole_exclusion
         poles = all_poles(cfg, q)
         dyn_kept = drop_near_poles(dyn, poles, excl)
-        sec_kept = secular_with_escalation(cfg, q, window, len(dyn_kept), poles)
+        sec_kept = drop_near_poles(secular_roots(cfg, overlap_K(cfg), q, window),
+                                   poles, excl)
         assert len(dyn_kept) == len(sec_kept), (cfg, q)
         if len(dyn_kept):
             assert np.max(np.abs(dyn_kept - sec_kept) / dyn_kept) < 1e-8
@@ -158,7 +164,7 @@ def test_secular_matches_dynamical_on_random_configs():
 def test_opposite_parity_roots_in_one_scan_cell_are_found():
     # the second random draw above holds roots of both parity sectors
     # within one cell of its 300-point scan, where the signs of the whole
-    # determinant cancel; each sector's scan sees its own root
+    # determinant cancel; each sector's count sees its own root
     rng = np.random.default_rng(20260819)
     for _ in range(2):
         cfg = random_config(rng)
@@ -168,12 +174,10 @@ def test_opposite_parity_roots_in_one_scan_cell_are_found():
     poles = all_poles(cfg, q)
     dyn_kept = drop_near_poles(dyn, poles, cfg.solver.pole_exclusion)
     assert len(dyn_kept) == 7
-    for points in (cfg.solver.scan_points, 3000):
-        dense = replace(cfg, solver=replace(cfg.solver, scan_points=points))
-        sec_kept = drop_near_poles(secular_roots(dense, overlap_K(dense), q, window),
-                                   poles, cfg.solver.pole_exclusion)
-        assert len(sec_kept) == 7
-        assert np.max(np.abs(dyn_kept - sec_kept) / dyn_kept) < 1e-8
+    sec_kept = drop_near_poles(secular_roots(cfg, overlap_K(cfg), q, window),
+                               poles, cfg.solver.pole_exclusion)
+    assert len(sec_kept) == 7
+    assert np.max(np.abs(dyn_kept - sec_kept) / dyn_kept) < 1e-8
 
 
 def test_secular_determinant_has_pole_structure():
@@ -196,14 +200,22 @@ def test_secular_reduction_matches_full_determinant():
 
 
 # ---------------------------------------------------------------------------
-# batched, parity-split determinant signs
+# batched, parity-split root counts
 # ---------------------------------------------------------------------------
 
-def assert_grid_signs_match(cfg, overlaps, q):
-    # the product of the batched sector signs against the sign of the
-    # scalar determinant on the full 2n - 1 scan grid of every pole-free
-    # segment; returns the number of sign changes seen, so a caller can
-    # insist the grids are not trivial
+def sector_sizes(op):
+    # the matter-mode count of every parity sector of op, in sector order
+    return [len(unpack) for _, _, unpack in op._parity_sectors]
+
+
+def assert_count_parity_matches(cfg, overlaps, q):
+    # a sector's count minus its matter-mode count has the parity of
+    # nu(R), the number of negative eigenvalues of its reduced matrix, on
+    # either side of the zero of S; so the product over the sectors of
+    # (-1)^(count - size) must be the sign of the scalar determinant, here
+    # on the full 2n - 1 scan grid of every pole-free segment.  Returns the
+    # number of sign changes seen, so a caller can insist the grids are not
+    # trivial
     op = SecularOperator(config=cfg, overlaps=overlaps, q=float(q))
     settings = cfg.solver
     segments = pole_free_segments((0.0, settings.omega_max), op.all_poles(),
@@ -213,8 +225,9 @@ def assert_grid_signs_match(cfg, overlaps, q):
     for lo, hi in segments:
         xs = np.linspace(lo, hi, 2 * settings.scan_points - 1)
         expected = np.sign([op.determinant(x) for x in xs])
-        signs = [op.sector_signs(k, xs) for k in range(len(op._parity_sectors))]
-        np.testing.assert_array_equal(np.prod(signs, axis=0), expected)
+        parities = [(-1.0) ** (op.sector_counts(k, xs) - size)
+                    for k, size in enumerate(sector_sizes(op))]
+        np.testing.assert_array_equal(np.prod(parities, axis=0), expected)
         changes += int(np.sum(expected[:-1] != expected[1:]))
     return changes
 
@@ -237,7 +250,7 @@ def golden_cases():
 def test_determinant_signs_match_scalar_on_golden_configs(cfg, q):
     # c10_weak (G = 0.001) has its roots inside the pole exclusions, so
     # its grids may show no sign change at all
-    assert_grid_signs_match(cfg, overlap_K(cfg), q)
+    assert_count_parity_matches(cfg, overlap_K(cfg), q)
 
 
 @pytest.mark.parametrize("kwargs,q", [
@@ -249,17 +262,18 @@ def test_determinant_signs_match_scalar_on_golden_configs(cfg, q):
     (dict(L=1.0, l=1.0, photon=10, exciton=6), 0.0),  # l = L
     (dict(L=1.3, l=0.7, c=0.9, photon=14, exciton=4), 1.7),  # q > 0
     # many points per chunk; the exclusion keeps out the cluster of 26
-    # roots of both sectors against the resonance, where the scan raises
+    # roots of both sectors against the resonance
     (dict(photon=128, exciton=32, pole_exclusion=1e-2), 0.0),
 ], ids=["odd_xi", "xi_1", "n_1", "mixed_g0", "l_eq_L", "q_positive", "n_128_xi_32"])
 def test_determinant_signs_match_scalar(kwargs, q):
     cfg = make_config(**{"omega_max": 12.0, "scan_points": 300, **kwargs})
-    assert assert_grid_signs_match(cfg, overlap_K(cfg), q) > 0
+    assert assert_count_parity_matches(cfg, overlap_K(cfg), q) > 0
 
 
 def test_determinant_signs_with_cross_parity_overlaps():
     # a hand-built K coupling opposite parities: det(I - M) no longer
-    # factors, and the batched signs must still follow the full determinant
+    # factors, and the count of the one sector must still follow the full
+    # determinant
     cfg = make_config(L=1.2, l=0.7, photon=9, exciton=4, omega_max=12.0,
                       scan_points=300)
     K = overlap_K(cfg).K.copy()
@@ -267,7 +281,7 @@ def test_determinant_signs_with_cross_parity_overlaps():
     K[4, 3] = -0.2
     hand = OverlapSet(K=K, D=K @ K.T, L=cfg.L, l=cfg.l)
     for q in (0.0, 0.8):
-        assert assert_grid_signs_match(cfg, hand, q) > 0
+        assert assert_count_parity_matches(cfg, hand, q) > 0
 
 
 def test_overlaps_of_another_geometry_are_refused():
@@ -286,8 +300,9 @@ def test_overlaps_of_another_geometry_are_refused():
 
 
 def test_secular_roots_equal_the_scalar_scan():
-    # scanning the sectors one at a time, on batched grids, finds the
-    # roots of the scalar determinant's scan bit for bit
+    # bisecting the sectors' counts finds the roots of the scalar
+    # determinant's sign scan, each within root_tol: both stop once their
+    # bracket is that narrow
     for cfg, q in [(make_config(species=((4.0, 1.0), (6.0, 0.7)), photon=12,
                                 exciton=5, omega_max=11.0, root_tol=1e-12,
                                 pole_exclusion=1e-2), 0.6),
@@ -300,9 +315,132 @@ def test_secular_roots_equal_the_scalar_scan():
                             exclusion=cfg.solver.pole_exclusion,
                             scan_points=cfg.solver.scan_points,
                             rel_tol=cfg.solver.root_tol)
-        batched = secular_roots(cfg, overlaps, q, window)
-        assert len(batched) > 0
-        assert np.array_equal(batched, scalar)
+        counted = secular_roots(cfg, overlaps, q, window)
+        assert len(counted) == len(scalar) > 0
+        assert np.all(np.abs(counted - scalar)
+                      <= cfg.solver.root_tol * np.maximum(1.0, scalar))
+
+
+def dynamical_count_from_sectors(op, omega):
+    # the number of polariton frequencies below omega from the sectors'
+    # counts: sum_s count_s + #{photon poles below} + Xi #{species poles
+    # below} - sum_s size_s.  A sector without photons, which
+    # _parity_sectors leaves out, would add its size to both sums
+    cfg = op.config
+    return (sum(int(op.sector_counts(k, [omega])[0]) - size
+                for k, size in enumerate(sector_sizes(op)))
+            + int(np.sum(op.photon_poles < omega))
+            + cfg.exciton_mode_count * int(np.sum(op.species_poles < omega)))
+
+
+def count_case(rng):
+    # 1-3 species, some uncoupled; l = L in one draw of four
+    L = rng.uniform(0.8, 2.5)
+    omegas = []
+    while len(omegas) < rng.integers(1, 4):
+        w = rng.uniform(1.0, 8.0)
+        if all(abs(w - o) > 0.3 for o in omegas):
+            omegas.append(w)
+    species = tuple((w, 0.0 if rng.uniform() < 0.3 else rng.uniform(0.1, 1.5))
+                    for w in omegas)
+    return make_config(
+        L=L, l=L if rng.uniform() < 0.25 else rng.uniform(0.3, 0.95) * L,
+        c=rng.uniform(0.7, 1.5), species=species,
+        photon=int(rng.integers(1, 17)), exciton=int(rng.integers(1, 6)),
+        pole_exclusion=1e-3)
+
+
+def assert_counts_match_dynamical(cfg, q, rng, overlaps=None, points=12):
+    overlaps = overlap_K(cfg) if overlaps is None else overlaps
+    op = SecularOperator(config=cfg, overlaps=overlaps, q=q)
+    dyn = hopfield.frequencies(build_dynamical_matrix(cfg, overlaps, q))
+    window = (0.0, float(dyn[-1]) * 1.05)
+    checked = 0
+    for lo, hi in pole_free_segments(window, op.all_poles(), cfg.solver.pole_exclusion):
+        for omega in rng.uniform(lo, hi, points):
+            if np.min(np.abs(dyn - omega)) <= 1e-9 * omega:
+                continue
+            assert dynamical_count_from_sectors(op, omega) == np.sum(dyn < omega), \
+                (cfg, q, omega)
+            checked += 1
+    return checked
+
+
+def test_counts_match_the_dynamical_count_on_random_configs():
+    # the count is exact at every frequency inside a pole-free segment,
+    # on both sides of the zeros of S, with uncoupled species, l = L and
+    # single-photon cavities among the draws
+    rng = np.random.default_rng(11)
+    checked = sum(assert_counts_match_dynamical(count_case(rng), rng.uniform(0.0, 2.0), rng)
+                  for _ in range(40))
+    assert checked > 1000
+
+
+def test_counts_match_the_dynamical_count_on_the_secular_draws():
+    # the eight draws of test_secular_matches_dynamical_on_random_configs
+    rng = np.random.default_rng(20260819)
+    points = np.random.default_rng(5)
+    for _ in range(8):
+        cfg = random_config(rng)
+        assert assert_counts_match_dynamical(cfg, rng.uniform(0.0, 2.0), points) > 0
+
+
+def test_counts_and_roots_with_cross_parity_overlaps():
+    # the hand-built K of the parity test above makes one sector of every
+    # row and column; its count still matches the dynamical count of the
+    # same K, and so do its roots
+    cfg = make_config(L=1.2, l=0.7, photon=9, exciton=4, omega_max=12.0,
+                      pole_exclusion=1e-3)
+    K = overlap_K(cfg).K.copy()
+    K[0, 1] = K[1, 0] = 0.35
+    K[4, 3] = -0.2
+    hand = OverlapSet(K=K, D=K @ K.T, L=cfg.L, l=cfg.l)
+    rng = np.random.default_rng(3)
+    for q in (0.0, 0.8):
+        assert len(SecularOperator(config=cfg, overlaps=hand, q=q)._parity_sectors) == 1
+        assert assert_counts_match_dynamical(cfg, q, rng, overlaps=hand) > 0
+        window = (0.0, cfg.solver.omega_max)
+        poles = all_poles(cfg, q)
+        dyn = hopfield.frequencies(build_dynamical_matrix(cfg, hand, q))
+        dyn = drop_near_poles(dyn[dyn < window[1]], poles, cfg.solver.pole_exclusion)
+        roots = drop_near_poles(secular_roots(cfg, hand, q, window), poles,
+                                cfg.solver.pole_exclusion)
+        assert len(roots) == len(dyn) > 0
+        assert np.max(np.abs(roots - dyn) / dyn) < 1e-8
+
+
+@pytest.mark.parametrize("q", [6.0, 0.5])
+def test_roots_crowding_under_a_resonance_are_all_found(q):
+    # 16 guided, matter-like modes crowd under the resonance at 4; the
+    # sign scan at 400 points returned 4 of them at q = 6 without an error
+    # and raised BracketError at q = 0.5
+    cfg = make_config(L=1.0, l=0.5, species=((4.0, 1.0),), photon=400,
+                      exciton=16, omega_max=4.0, scan_points=400)
+    dyn = spectrum(cfg, q)
+    dyn = dyn[dyn < 4.0 - cfg.solver.pole_exclusion]
+    roots = secular_roots(cfg, overlap_K(cfg), q, (0.0, 4.0))
+    assert len(dyn) == len(roots) == 16
+    assert np.max(np.abs(roots - dyn)) < 1e-8
+
+
+def test_two_roots_of_one_sector_in_one_scan_cell_are_found():
+    # the last cell of the 2n - 1 sign grid holds two roots of the even
+    # sector, where its determinant has one sign at both ends, and three of
+    # the odd one; the sign scan returned 4 of the 8 roots without an
+    # error, and bisecting the counts finds them all
+    cfg = make_config(L=1.0, l=0.5, species=((4.0, 1.0),), photon=40,
+                      exciton=8, omega_max=4.0, scan_points=400)
+    q = 6.0
+    op = SecularOperator(config=cfg, overlaps=overlap_K(cfg), q=q)
+    (lo, hi), = pole_free_segments((0.0, 4.0), op.all_poles(), cfg.solver.pole_exclusion)
+    xs = np.linspace(lo, hi, 2 * cfg.solver.scan_points - 1)
+    rises = [np.diff(op.sector_counts(k, xs))[-1] for k in range(len(op._parity_sectors))]
+    assert rises == [2, 3]
+    dyn = spectrum(cfg, q)
+    dyn = dyn[dyn < hi]
+    roots = secular_roots(cfg, overlap_K(cfg), q, (0.0, 4.0))
+    assert len(dyn) == len(roots) == 8
+    assert np.max(np.abs(roots - dyn) / dyn) < 1e-8
 
 
 # ---------------------------------------------------------------------------

@@ -28,10 +28,12 @@ solver: {omega_max: 12.0, scan_points: 60}
 """
 
 SWEEP_LAYERS = ("dispersion.scan_roots", "dispersion.solve", "model.validate")
+# the secular route bisects root counts and never calls scan_roots
+SECULAR_LAYERS = ("dispersion.secular_roots", "dispersion.solve", "model.validate")
 
 
 @pytest.mark.parametrize("argv,layers", [
-    (["sweep", "--method", "secular"], SWEEP_LAYERS),
+    (["sweep", "--method", "secular"], SECULAR_LAYERS),
     (["sweep", "--method", "green"], SWEEP_LAYERS),
     (["sweep", "--method", "classical"], SWEEP_LAYERS),
     (["sweep", "--method", "dynamical"], ("dispersion.solve", "hopfield.build")),
