@@ -5,7 +5,7 @@ Four independent routes to the same eigenfrequencies live here:
 * ``secular_roots``: zeros of det(I - M(Omega)) for the N-photon secular
   operator, evaluated through the equivalent (Xi x Xi) reduced matrix so
   the cost scales with the matter truncation, not the photon one, and
-  found by bisecting an exact inertia count of its roots.
+  found by multisecting an exact inertia count of its roots.
 * ``one_exciton_roots`` / ``two_exciton_roots``: the scalar and 2x2
   closed-form factorizations available at Xi = 1, 2 with one species.
 * ``green_roots``: sign changes of the determinant of the Green-function
@@ -21,7 +21,7 @@ is what makes cross-method comparison well defined.
 
 All root finding is bracketing plus bisection, never derivative-based:
 the functions have poles and near-vertical branches, and a sign or a count
-is trustworthy where a Newton step is not.  The secular route bisects a
+is trustworthy where a Newton step is not.  The secular route multisects a
 count of its roots below each frequency (the inertia of the reduced matrix,
 after Wittrick and Williams), which sees every root however close two lie.
 The other routes bisect sign changes of a scan.  Every sign scan is
@@ -251,7 +251,7 @@ def _multisect_counts(counts, segments, rel_tol: float) -> np.ndarray:
     ladder = np.arange(1, _COUNT_SECTIONS) / _COUNT_SECTIONS
     grid = np.array(segments, dtype=float).reshape(-1, 2)
     levels = counts(grid.ravel()).reshape(grid.shape)
-    roots = []
+    roots = [np.empty(0)]
     for _ in range(200):
         keep = levels[:, 1:] > levels[:, :-1]
         lo, hi = grid[:, :-1][keep], grid[:, 1:][keep]
@@ -271,7 +271,7 @@ def _multisect_counts(counts, segments, rel_tol: float) -> np.ndarray:
     else:
         roots.append(np.repeat(0.5 * (grid[:, :-1] + grid[:, 1:]).ravel(),
                                np.diff(levels, axis=1).ravel()))
-    return np.concatenate(roots) if roots else np.empty(0)
+    return np.concatenate(roots)
 
 
 # --------------------------------------------------------------------------
@@ -382,13 +382,14 @@ class SecularOperator:
         eigenvalues of R plus the sector's matter-mode count where S > 0,
         and the number of positive ones where S < 0.  It is taken as the
         negative count of sgn(S) R = |S| (I/S - Omega^2 K^T W K), plus the
-        mode count where sgn(S) = 1, with no division by S.  By Wittrick and Williams, inside one pole-free
-        segment it differs from the number of the sector's polariton
-        frequencies below Omega by a constant, so it rises by one at every
-        root, however close two roots lie.  Per chunk of frequencies the
-        sector takes one matrix product of the scaled pole weights with its
-        pair products, unpacks it into stacked symmetric matrices sgn(S) R
-        and counts their negative eigenvalues from one batched eigvalsh.
+        mode count where sgn(S) = 1, with no division by S.  By Wittrick
+        and Williams, inside one pole-free segment it differs from the
+        number of the sector's polariton frequencies below Omega by a
+        constant, so it rises by one at every root, however close two
+        roots lie.  Per chunk of frequencies the sector takes one matrix
+        product of the scaled pole weights with its pair products, unpacks
+        it into stacked symmetric matrices sgn(S) R and counts their
+        negative eigenvalues from one batched eigvalsh.
         """
         omegas = np.asarray(omegas, dtype=float)
         omegas_sq = omegas ** 2
@@ -419,9 +420,8 @@ def secular_roots(config: CavityConfig, overlaps: OverlapSet, q,
 
     Each parity sector's roots are multisected from its sector_counts over
     the pole-free segments of the window, excluding the poles of both
-    sectors.
-    A count sees every root, however close two lie, so no scan grid is
-    built and ``scan_points`` is not read.
+    sectors.  A count sees every root, however close two lie, so no scan
+    grid is built and ``scan_points`` is not read.
     """
     overlaps.check_shape(config)
     op = SecularOperator(config=config, overlaps=overlaps, q=transverse_wavenumber(q))

@@ -300,7 +300,7 @@ def test_overlaps_of_another_geometry_are_refused():
 
 
 def test_secular_roots_equal_the_scalar_scan():
-    # bisecting the sectors' counts finds the roots of the scalar
+    # multisecting the sectors' counts finds the roots of the scalar
     # determinant's sign scan, each within root_tol: both stop once their
     # bracket is that narrow
     for cfg, q in [(make_config(species=((4.0, 1.0), (6.0, 0.7)), photon=12,
@@ -427,7 +427,7 @@ def test_two_roots_of_one_sector_in_one_scan_cell_are_found():
     # the last cell of the 2n - 1 sign grid holds two roots of the even
     # sector, where its determinant has one sign at both ends, and three of
     # the odd one; the sign scan returned 4 of the 8 roots without an
-    # error, and bisecting the counts finds them all
+    # error, and counting finds them all
     cfg = make_config(L=1.0, l=0.5, species=((4.0, 1.0),), photon=40,
                       exciton=8, omega_max=4.0, scan_points=400)
     q = 6.0

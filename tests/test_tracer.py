@@ -28,7 +28,7 @@ solver: {omega_max: 12.0, scan_points: 60}
 """
 
 SWEEP_LAYERS = ("dispersion.scan_roots", "dispersion.solve", "model.validate")
-# the secular route bisects root counts and never calls scan_roots
+# the secular route counts its roots and never calls scan_roots
 SECULAR_LAYERS = ("dispersion.secular_roots", "dispersion.solve", "model.validate")
 
 
