@@ -531,8 +531,9 @@ class _SlabModes:
     """The Omega-independent arrays of one parity sector's slab modes chi_xi.
 
     chi_xi(z) = sqrt(2/l) sin(b_xi (z + l/2)), b_xi = (xi + 1) pi / l, for
-    xi = parity, parity + 2, ... below count, even about z = 0 for parity 0.
-    A scan builds one per sector, so no array is rebuilt per frequency.
+    xi = parity, parity + 2, ... below count, even about z = 0 for parity 0,
+    with sigma = +1 (even) or -1 (odd).  A scan builds one per sector, so no
+    array is rebuilt per frequency.
     """
 
     def __init__(self, l: float, count: int, parity: int):
@@ -543,47 +544,33 @@ class _SlabModes:
         self.b = (idx + 1) * np.pi / l
         self.b_sq = self.b ** 2
         bh = (idx + 1) * np.pi / 2.0
-        self.norm_sinbh, self.norm_cosbh = self.norm * np.sin(bh), self.norm * np.cos(bh)
-        self.sgn = (-1.0) ** (idx + 1)
+        # the factor of the b +- qz sine integrals in the moments of Y
+        self.moment = self.norm * (np.cos(bh) if parity else np.sin(bh))
         self.eye = np.eye(len(idx))
-        self.grad_pf = self.norm * self.b * self.sgn  # chi_xi'(h)
+        self.sigma = -1.0 if parity else 1.0
+        self.grad_pf = -self.sigma * self.norm * self.b  # chi_xi'(h)
         # b + qz and b - qz as one row, b_pm + qz pm
         self.b_pm, self.pm = np.concatenate((self.b, self.b)), np.repeat([1.0, -1.0], len(idx))
-        # s below which qz h < 0.5, where the moments take the b^2 - s form
+        # s below which qz h < 0.5, where the moments take Green's identity
         self.near_s = (0.5 / self.h) ** 2
 
 
-def _slab_moments(modes: _SlabModes, s) -> tuple[np.ndarray, np.ndarray]:
-    # moments uC[xi] = int chi_xi C(z, s) dz and uS[xi] = int chi_xi S(z, s) dz
-    # of the fundamental pair, one row per entry of the (n, 1) column s.
-    # Rows with qz h >= 0.5 integrate cos(qz z) against the sines of b +- qz.
-    # Every other row (small qz, s = 0 and s < 0) takes the closed form
-    # norm b (C(h) or S(h))/(b^2 - s), the parity of chi_xi picking C or S;
-    # its denominator stays away from zero there because qz h < 0.5 < b h
+def _slab_moments(modes: _SlabModes, s, y_h) -> np.ndarray:
+    # moments u[xi] = int chi_xi Y(z, s) dz of the sector's interior solution
+    # Y (C even, S odd), one row per entry of the (n, 1) column s; y_h is the
+    # (n, 1) column Y(h).  Rows with qz h >= 0.5 integrate cos(qz z) or
+    # sin(qz z)/qz against the sines of b +- qz.  Every other row (small qz,
+    # s = 0 and s < 0) takes Green's identity u = -2 Y(h) chi'(h)/(b^2 - s),
+    # whose denominator stays away from zero there because qz h < 0.5 < b h
     count = len(modes.b)
     qz = np.sqrt(np.maximum(s, modes.near_s))
     ints = sine_half_integral(modes.b_pm + qz * modes.pm, modes.h)
     plus, minus = ints[:, :count], ints[:, count:]
-    uc = modes.norm_sinbh * (plus + minus)
-    us = modes.norm_cosbh * (minus - plus) / qz
+    u = modes.moment * (minus + modes.sigma * plus) / (qz if modes.parity else 1.0)
     if s.min() < modes.near_s:
         near = s[:, 0] < modes.near_s
-        s_near = s[near]
-        ch, sh = _fundamental_pairs(modes.h, s_near)
-        scale = modes.norm * modes.b / (modes.b_sq - s_near)
-        uc[near] = scale * (1.0 - modes.sgn) * ch
-        us[near] = -scale * (1.0 + modes.sgn) * sh
-    return uc, us
-
-
-def _boundary_kernel_values(uc: np.ndarray, us: np.ndarray, s, ch, sh):
-    # value and derivative at z = +h of the particular solution
-    # y_xi(z) = int g(z, z') chi_xi(z') dz', from the fundamental pair ch, sh
-    # at z = h; s, ch, sh are (n, 1) columns for (n, P) moments.  The factor
-    # -1/2 of the kernel is taken into the columns, which rounds no
-    # differently because it is a power of two
-    half_sh, half_ch = -0.5 * sh, -0.5 * ch
-    return half_sh * uc - half_ch * us, half_ch * uc + s * half_sh * us
+        u[near] = -2.0 * (modes.grad_pf / (modes.b_sq - s[near])) * y_h[near]
+    return u
 
 
 @lru_cache(maxsize=32)
@@ -616,35 +603,28 @@ def _double_integral_quadrature(modes: _SlabModes, eta: int, s: float) -> np.nda
     return chi_all @ (wz * inner)
 
 
-def _kernel_double_integrals(modes: _SlabModes, s, uc: np.ndarray, us: np.ndarray,
-                             value_plus: np.ndarray, deriv_plus: np.ndarray,
-                             ch, sh) -> np.ndarray:
+def _kernel_double_integrals(modes: _SlabModes, s, u: np.ndarray, z_h) -> np.ndarray:
     """Matrices of int int chi_xi(z) g(z, z') chi_eta(z') dz dz', closed form.
 
     Solving (d^2/dz^2 + s) y = -chi_eta with the kernel gives
-    y = chi_eta/(b_eta^2 - s) plus a homogeneous correction fixed by the
-    known boundary values of the kernel solution; projecting back onto
-    chi_xi needs only the slab moments ``uc, us``, the kernel solution's
-    value and derivative at z = +h and the fundamental pair ``ch, sh`` at
-    z = h, which the caller has already computed.  Every argument holds one
-    row per frequency (s, ch and sh as (n, 1) columns) and the result is
-    the (n, P, P) stack over the sector's modes.  Near b_eta^2 = s the
-    subtraction cancels catastrophically and that single column falls back
-    to nested Gauss-Legendre quadrature, which is exact there.
+    y = chi_eta/den, den = b_eta^2 - s, plus a homogeneous correction fixed
+    by y's value and slope at z = +h, -(sigma Z(h), sigma Z'(h)) u_eta/2 with
+    Z the fundamental solution other than the sector's Y.  C and S have
+    Wronskian 1, so the correction projects onto chi_xi as the single term
+    sigma Z(h) u_xi chi_eta'(h)/den: nothing exponentially large cancels
+    below the light line.  s and ``z_h`` = sigma Z(h) are (n, 1) columns,
+    ``u`` the (n, P) moments, and the result the (n, P, P) stack.  Near
+    b_eta^2 = s the diagonal entry cancels catastrophically and that column
+    falls back to nested Gauss-Legendre quadrature, exact there.
     """
-    b = modes.b
     den = modes.b_sq - s
     # where b_eta^2 - s is too small for the closed form; s <= 0 never is
     rows, cols = np.nonzero(np.abs(den) <= _RESONANT_RTOL * np.maximum(modes.b_sq, s))
     if len(rows):
         den = den.copy()
         den[rows, cols] = 1.0
-    # the partial-fraction term's derivative at z = +h is grad_pf/(b^2 - s)
-    delta_deriv = deriv_plus - modes.grad_pf / den
-    coeff_cos = ch * value_plus - sh * delta_deriv
-    coeff_sin = s * sh * value_plus + ch * delta_deriv
-    out = uc[..., None] * coeff_cos[:, None] + us[..., None] * coeff_sin[:, None]
-    out.reshape(len(out), len(b) ** 2)[:, ::len(b) + 1] += 1.0 / den
+    out = (z_h * u)[..., None] * (modes.grad_pf / den)[:, None]
+    out.reshape(len(out), len(modes.b) ** 2)[:, ::len(modes.b) + 1] += 1.0 / den
     for row, eta in zip(rows.tolist(), cols.tolist()):
         out[row, :, eta] = _double_integral_quadrature(modes, eta, float(s[row, 0]))
     return out
@@ -673,14 +653,16 @@ def _green_matrices(config: CavityConfig, modes: _SlabModes, omegas: np.ndarray,
     widths = np.array([modes.h, (config.L - config.l) / 2.0])
     with np.errstate(all="ignore"):
         beta = _coupling_strength_sum(config, omegas) * omegas_sq / config.c ** 2
-        uc, us = _slab_moments(modes, s)
         # the fundamental pair at the slab half-width and at the gap width
         cos, sin = _fundamental_pairs(widths, s)
         ch, sh = cos[:, :1], sin[:, :1]
-        vp, dp = _boundary_kernel_values(uc, us, s, ch, sh)
-        kernel_m = _kernel_double_integrals(modes, s, uc, us, vp, dp, ch, sh)
-        # Y's moments against the slab modes and its value and slope at h
-        moments, value, slope = (us, sh, ch) if modes.parity else (uc, ch, -s * sh)
+        # Y's value and slope at h, then sigma Z(h) and sigma Z'(h)
+        value, slope, z_h, z_slope = ((sh, ch, -ch, s * sh) if modes.parity
+                                      else (ch, -s * sh, sh, ch))
+        moments = _slab_moments(modes, s, value)
+        # the kernel solution's value and derivative at z = +h
+        vp, dp = -0.5 * z_h * moments, -0.5 * z_slope * moments
+        kernel_m = _kernel_double_integrals(modes, s, moments, z_h)
         mats = np.zeros((len(s), count + 2, count + 2))
         # self-consistency: c_xi = beta (sum_eta M[xi,eta] c_eta + Y amplitude u_xi)
         neg_beta = -beta

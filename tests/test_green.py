@@ -23,7 +23,7 @@ from polsp import (EvanescentError, PoleError, QuadratureError, cosine_solution,
 from polsp import dispersion
 from polsp.cli import parse_config, sweep_grid
 from polsp.dispersion import (_SIGN_CHUNK_DOUBLES, _SlabModes,
-                              _boundary_kernel_values, _green_determinants,
+                              _double_integral_quadrature, _green_determinants,
                               _green_matrices, _green_sectors,
                               _kernel_double_integrals, _propagating_window,
                               _slab_moments, cosine_solutions, sine_solutions)
@@ -32,18 +32,19 @@ from test_golden import CONFIGS as GOLDEN_CONFIGS
 
 
 def sector_arrays(l: float, count: int, s) -> list:
-    # per parity sector: its modes, the slab moments, the boundary values
-    # and the closed-form kernel at the (n, 1) column s, each computed
-    # exactly as the sector's matching matrix computes them
+    # per parity sector: its modes, the slab moments of C and of S and the
+    # closed-form kernel at the (n, 1) column s, each computed exactly as
+    # the sector's matching matrix computes them; a sector takes only the
+    # moment of its own interior solution, so the other one is an exact 0
     h = l / 2.0
     ch, sh = cosine_solutions(h, s), sine_solutions(h, s)
     out = []
-    for parity in (0, 1):
+    for parity, y_h, z_h in ((0, ch, sh), (1, sh, -ch)):
         modes = _SlabModes(l, count, parity)
-        uc, us = _slab_moments(modes, s)
-        vp, dp = _boundary_kernel_values(uc, us, s, ch, sh)
-        out.append((modes, uc, us, _kernel_double_integrals(modes, s, uc, us, vp, dp,
-                                                             ch, sh)))
+        u = _slab_moments(modes, s, y_h)
+        other = np.zeros_like(u)
+        uc, us = (other, u) if parity else (u, other)
+        out.append((modes, uc, us, _kernel_double_integrals(modes, s, u, z_h)))
     return out
 
 
@@ -139,13 +140,16 @@ def test_slab_moments_match_quadrature(s):
 
 def test_slab_moments_rows_are_independent():
     # every regime in one column gives each row the moments it has alone
-    for parity in (0, 1):
+    def moments(modes, y, s):
+        return _slab_moments(modes, s, y(0.45, s))
+
+    for parity, y in ((0, cosine_solutions), (1, sine_solutions)):
         modes = _SlabModes(0.9, 5, parity)
-        column = _slab_moments(modes, np.array(MOMENT_S)[:, None])
+        column = moments(modes, y, np.array(MOMENT_S)[:, None])
         for row, s in enumerate(MOMENT_S):
-            for got, alone in zip(column, _slab_moments(modes, np.full((1, 1), s))):
-                np.testing.assert_allclose(got[row], alone[0], rtol=1e-14,
-                                           atol=1e-14 * np.max(np.abs(alone)))
+            alone = moments(modes, y, np.full((1, 1), s))
+            np.testing.assert_allclose(column[row], alone[0], rtol=1e-14,
+                                       atol=1e-14 * np.max(np.abs(alone)))
 
 
 @pytest.mark.parametrize("s", [37.0, 3.0, 0.0, -11.0])
@@ -177,6 +181,18 @@ def test_kernel_double_integrals_resonant_fallback():
         for side in (1.0 - 2e-4, 1.0 + 2e-4):
             near = closed_form_kernel(l, 3, s * side)
             assert near[eta, eta] == pytest.approx(M[eta, eta], rel=1e-3)
+
+
+@pytest.mark.parametrize("s", [-400.0, -2500.0, -10000.0])
+def test_kernel_double_integrals_stay_exact_far_below_the_light_line(s):
+    # kappa h = 9, 22.5 and 45 at h = 0.45: each sector's closed form has
+    # one term, so no two e^(3 kappa h)-sized terms cancel; every column
+    # agrees with nested Gauss-Legendre relative to its largest entry
+    for modes, _, _, kernel in sector_arrays(0.9, 5, np.full((1, 1), s)):
+        for eta in range(len(modes.b)):
+            expected = _double_integral_quadrature(modes, eta, s)
+            scale = np.max(np.abs(expected))
+            assert np.max(np.abs(kernel[0, :, eta] - expected)) <= 1e-12 * scale
 
 
 def test_resonant_fallback_sizes_its_rule_from_xi(monkeypatch):
@@ -231,6 +247,35 @@ def test_evanescent_region_opt_in():
     assert np.all(np.isfinite(mat))
     # the window clamp disappears too: roots below q c are now reachable
     assert np.isfinite(green_determinant(cfg, 1.0, 2.0))
+
+
+def guided_cavity(exciton):
+    # one species below the light line at q = 40 and 60, where the guided
+    # modes crowd just under its resonance
+    return make_config(species=((4.0, 1.0),), exciton=exciton, allow_evanescent=True,
+                       photon=400, root_tol=1e-12)
+
+
+def test_green_finds_the_guided_modes_at_kappa_h_15():
+    # q = 60: the Green sign was rounding noise here (167 sign changes at
+    # 400 points, 321 at double density, BracketError); the one-term
+    # kernel leaves the two guided modes the secular route counts
+    cfg = guided_cavity(2)
+    roots = green_roots(cfg, 60.0, (0.0, 4.0))
+    secular = secular_roots(cfg, overlap_K(cfg), 60.0, (0.0, 4.0))
+    assert len(roots) == len(secular) == 2
+    assert np.max(np.abs(roots - secular) / secular) <= 1e-8
+
+
+def test_green_roots_below_the_light_line_are_secular_roots():
+    # q = 40, Xi = 6: every Green root is a counted secular root; the
+    # two-term kernel put both 1.6e-5 away from any.  Green still finds
+    # only 2 of the 6, crowded two to a scan cell
+    cfg = guided_cavity(6)
+    roots = green_roots(cfg, 40.0, (0.0, 4.0))
+    secular = secular_roots(cfg, overlap_K(cfg), 40.0, (0.0, 4.0))
+    assert len(roots) > 0
+    assert np.max(np.min(np.abs(roots[:, None] - secular), axis=1)) <= 1e-8
 
 
 def test_overflowing_evanescent_matrix_is_a_quadrature_error():
