@@ -257,9 +257,9 @@ def guided_cavity(exciton):
 
 
 def test_green_finds_the_guided_modes_at_kappa_h_15():
-    # q = 60: the Green sign was rounding noise here (167 sign changes at
-    # 400 points, 321 at double density, BracketError); the one-term
-    # kernel leaves the two guided modes the secular route counts
+    # q = 60, kappa h = 15: the sector signs bracket exactly the two guided
+    # modes the secular route counts only while the kernel stays exact
+    # this far below the light line
     cfg = guided_cavity(2)
     roots = green_roots(cfg, 60.0, (0.0, 4.0))
     secular = secular_roots(cfg, overlap_K(cfg), 60.0, (0.0, 4.0))
@@ -268,9 +268,8 @@ def test_green_finds_the_guided_modes_at_kappa_h_15():
 
 
 def test_green_roots_below_the_light_line_are_secular_roots():
-    # q = 40, Xi = 6: every Green root is a counted secular root; the
-    # two-term kernel put both 1.6e-5 away from any.  Green still finds
-    # only 2 of the 6, crowded two to a scan cell
+    # q = 40, Xi = 6: every Green root is a counted secular root, though
+    # Green finds only some of the 6, which crowd two to a scan cell
     cfg = guided_cavity(6)
     roots = green_roots(cfg, 40.0, (0.0, 4.0))
     secular = secular_roots(cfg, overlap_K(cfg), 40.0, (0.0, 4.0))
