@@ -152,19 +152,19 @@ def pole_free_segments(window: tuple[float, float], poles, exclusion: float):
     return segments
 
 
-def _bisect_sign(f, lo: float, hi: float, sign_lo: float, rel_tol: float) -> float:
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= rel_tol * max(1.0, abs(mid)):
-            return mid
-        sign_mid = np.sign(f(mid))
-        if sign_mid == 0.0:
-            return mid
-        if sign_mid == sign_lo:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def _bisect_sign(signs, brackets, rel_tol: float) -> np.ndarray:
+    # the roots of ascending sign brackets (lo, hi, sign at lo), halved in
+    # lockstep by _multisect_counts: a point of bracket k has level 2k, plus
+    # 1 where the sign of signs(xs) differs from the sign at its lo.  The
+    # end levels are given, not evaluated, since two brackets can share an
+    # endpoint; a bracket of width zero (an exact-zero sample) is done at once
+    lo, hi, sign_lo = np.array(brackets, dtype=float).reshape(-1, 3).T
+
+    def levels(xs):
+        k = np.searchsorted(lo, xs, side="right") - 1
+        return 2 * k + (np.sign(signs(xs)) != sign_lo[k])
+    return _multisect_counts(levels, np.column_stack((lo, hi)), rel_tol,
+                             np.arange(2 * len(lo)).reshape(-1, 2), sections=2)
 
 
 def _sign_changes(xs: np.ndarray, signs: np.ndarray):
@@ -177,20 +177,16 @@ def _sign_changes(xs: np.ndarray, signs: np.ndarray):
             for i in np.flatnonzero(zero | crossing)]
 
 
-def _brackets(f, lo: float, hi: float, n: int, grid_signs=None):
-    """Sign-change brackets of f on n and on 2n - 1 equispaced points.
+def _brackets(signs, lo: float, hi: float, n: int):
+    """Sign-change brackets of signs(xs) on n and on 2n - 1 equispaced points.
 
     linspace(lo, hi, n) equals linspace(lo, hi, 2n - 1)[::2] bit for bit,
-    so f is evaluated once on the fine grid and the coarse brackets reuse
-    every other sample.  ``grid_signs``, when given, evaluates the sign of
-    f on the whole grid array in one call instead.
+    so the fine grid is evaluated in one call and the coarse brackets reuse
+    every other sample.
     """
     xs = np.linspace(lo, hi, 2 * n - 1)
-    if grid_signs is None:
-        signs = np.sign(np.array([f(x) for x in xs]))
-    else:
-        signs = np.sign(grid_signs(xs))
-    return _sign_changes(xs[::2], signs[::2]), _sign_changes(xs, signs)
+    fine = np.sign(signs(xs))
+    return _sign_changes(xs[::2], fine[::2]), _sign_changes(xs, fine)
 
 
 def scan_roots(f, window: tuple[float, float], poles, *, exclusion: float,
@@ -199,28 +195,25 @@ def scan_roots(f, window: tuple[float, float], poles, *, exclusion: float,
 
     Each pole-free segment is bracketed twice, at scan_points and at double
     density; a differing bracket count means the grid cannot be trusted and
-    raises BracketError rather than guessing.  ``grid_signs(xs)``, if
-    given, must return the sign of f at every point of the array xs; it
-    replaces the per-point calls on the scan grid only, and bisection
-    always calls the scalar f.  ``scan_points`` must be an integer >= 2.
+    raises BracketError rather than guessing.  Every bracket is then halved
+    in lockstep down to rel_tol.  ``grid_signs(xs)``, if given, must return
+    the sign of f at every point of the array xs; it then evaluates the
+    grids and the halving, and f is never called (it may be None).
+    ``scan_points`` must be an integer >= 2.
     """
     check_scan_points(scan_points)
-    roots = []
-    for seg in pole_free_segments(window, poles, exclusion):
-        lo, hi = seg
-        coarse, fine = _brackets(f, lo, hi, scan_points, grid_signs)
+    signs = grid_signs or (lambda xs: np.array([f(x) for x in xs]))
+    brackets = []
+    for lo, hi in pole_free_segments(window, poles, exclusion):
+        coarse, fine = _brackets(signs, lo, hi, scan_points)
         if len(coarse) != len(fine):
             raise BracketError(
                 f"scan with {scan_points} points found {len(coarse)} sign changes "
                 f"on ({lo:.6g}, {hi:.6g}) but {len(fine)} at doubled density; "
                 "increase scan_points, or widen pole_exclusion if roots "
                 "accumulate against a resonance")
-        for a, b, sign_a in fine:
-            if a == b:
-                roots.append(a)
-            else:
-                roots.append(_bisect_sign(f, a, b, sign_a, rel_tol))
-    return np.array(sorted(roots))
+        brackets += fine
+    return np.sort(_bisect_sign(signs, brackets, rel_tol))
 
 
 def _scan(config: CavityConfig, f, window: tuple[float, float], poles,
@@ -235,22 +228,24 @@ def _scan(config: CavityConfig, f, window: tuple[float, float], poles,
 _COUNT_SECTIONS = 8  # equal parts an interval is cut into per counting step
 
 
-def _multisect_counts(counts, segments, rel_tol: float) -> np.ndarray:
+def _multisect_counts(counts, segments, rel_tol: float, levels=None,
+                      sections: int = _COUNT_SECTIONS) -> np.ndarray:
     """Roots on the segments from a count that rises by one at each root.
 
     ``counts(xs)`` must return an integer per frequency of the array xs
     that, within one segment, rises by one at each root and changes
-    nowhere else.  Every interval whose count rises is cut into
-    _COUNT_SECTIONS equal parts in lockstep, one counts call per step on
-    the interior points of all of them; the counts are clamped to be
-    nondecreasing across each interval, so a near-zero eigenvalue that
-    rounds the wrong way cannot add or lose a root.  An interval that meets
-    _bisect_sign's stopping rule, hi - lo <= rel_tol max(1, |mid|),
+    nowhere else; ``levels``, if given, holds its values at the segments'
+    ends.  Every interval whose count rises is cut into ``sections`` equal
+    parts in lockstep, one counts call per step on the interior points of
+    all of them; the counts are clamped to be nondecreasing across each
+    interval, so a near-zero eigenvalue that rounds the wrong way cannot
+    add or lose a root.  An interval with hi - lo <= rel_tol max(1, |mid|)
     reports its midpoint once for every unit its count rises.
     """
-    ladder = np.arange(1, _COUNT_SECTIONS) / _COUNT_SECTIONS
+    ladder = np.arange(1, sections) / sections
     grid = np.array(segments, dtype=float).reshape(-1, 2)
-    levels = counts(grid.ravel()).reshape(grid.shape)
+    if levels is None:
+        levels = counts(grid.ravel()).reshape(grid.shape)
     roots = [np.empty(0)]
     for _ in range(200):
         keep = levels[:, 1:] > levels[:, :-1]
@@ -281,7 +276,6 @@ def _multisect_counts(counts, segments, rel_tol: float) -> np.ndarray:
 # doubles held by one chunk's stacked arrays: the pole weights, pair sums
 # and reduced sector matrices of sector_counts, and in _green_determinants
 # the matching matrices and kernel stack of one _green_matrices call
-# (green bisection builds single rows)
 _SIGN_CHUNK_DOUBLES = 32768
 
 
@@ -457,20 +451,20 @@ def _closed_form_roots(name: str, needed_modes: int, config: CavityConfig,
     freqs = photon_frequencies(config, q)
     poles = np.concatenate([freqs, [config.oscillators[0].omega]])
     return np.sort(np.concatenate([
-        _scan(config, lambda w, value=value: value(config, overlaps, freqs, w),
-              window, poles) for value in relations]))
+        _scan(config, None, window, poles, grid_signs=partial(value, config, overlaps, freqs))
+        for value in relations]))
 
 
 def _weighted_column_sum(overlaps: OverlapSet, photon_freqs: np.ndarray,
-                         omega: float, a: int, b: int) -> float:
-    weights = 1.0 / (photon_freqs ** 2 - omega ** 2)
-    return float(np.sum(overlaps.K[:, a] * overlaps.K[:, b] * weights))
+                         omega, a: int, b: int) -> np.ndarray:
+    weights = 1.0 / (photon_freqs ** 2 - np.asarray(omega)[..., None] ** 2)
+    return np.sum(overlaps.K[:, a] * overlaps.K[:, b] * weights, axis=-1)
 
 
 def _one_exciton(config: CavityConfig, overlaps: OverlapSet,
-                 freqs: np.ndarray, omega: float, column: int = 0) -> float:
+                 freqs: np.ndarray, omega, column: int = 0) -> np.ndarray:
     # one_exciton_value of matter mode column at the photon frequencies
-    # freqs, which a scan computes once
+    # freqs, which a scan computes once, for a frequency or an array
     sp = config.oscillators[0]
     factor = sp.G ** 2 * omega ** 2 / (sp.omega ** 2 - omega ** 2)
     return 1.0 - factor * _weighted_column_sum(overlaps, freqs, omega, column, column)
@@ -479,7 +473,7 @@ def _one_exciton(config: CavityConfig, overlaps: OverlapSet,
 def one_exciton_value(config: CavityConfig, overlaps: OverlapSet,
                       omega: float, q) -> float:
     """1 - G^2 Omega^2/(w0^2 - Omega^2) sum_m K[m,0]^2/(Omega_m^2 - Omega^2)."""
-    return _one_exciton(config, overlaps, photon_frequencies(config, q), omega)
+    return float(_one_exciton(config, overlaps, photon_frequencies(config, q), omega))
 
 
 def one_exciton_roots(config: CavityConfig, overlaps: OverlapSet, q,
@@ -489,8 +483,8 @@ def one_exciton_roots(config: CavityConfig, overlaps: OverlapSet, q,
 
 
 def _two_exciton(config: CavityConfig, overlaps: OverlapSet,
-                 freqs: np.ndarray, omega: float) -> float:
-    # two_exciton_value at the photon frequencies freqs
+                 freqs: np.ndarray, omega) -> np.ndarray:
+    # two_exciton_value at the photon frequencies freqs, elementwise
     sp = config.oscillators[0]
     factor = sp.G ** 2 * omega ** 2 / (sp.omega ** 2 - omega ** 2)
     s00 = factor * _weighted_column_sum(overlaps, freqs, omega, 0, 0)
@@ -502,7 +496,7 @@ def _two_exciton(config: CavityConfig, overlaps: OverlapSet,
 def two_exciton_value(config: CavityConfig, overlaps: OverlapSet,
                       omega: float, q) -> float:
     """(1 - Sigma_00)(1 - Sigma_11) - Sigma_01^2 for the two-mode relation."""
-    return _two_exciton(config, overlaps, photon_frequencies(config, q), omega)
+    return float(_two_exciton(config, overlaps, photon_frequencies(config, q), omega))
 
 
 def two_exciton_roots(config: CavityConfig, overlaps: OverlapSet, q,
@@ -634,8 +628,8 @@ def _green_matrices(config: CavityConfig, modes: _SlabModes, omegas: np.ndarray,
                     qv: float) -> np.ndarray:
     """One sector's (n, P+2, P+2) matching matrices at an (n, 1) column of frequencies.
 
-    Every matching matrix is built here: the scan grid in chunks, bisection
-    and the public entry points one row at a time.  The first row, in
+    Every matching matrix is built here: the scan grid and its halving in
+    chunks, the public entry points one row at a time.  The first row, in
     order, that lies below the light line without allow_evanescent, sits on
     a species pole or gives a matrix that is not finite raises
     EvanescentError, PoleError or QuadratureError, as evaluating the rows
@@ -736,18 +730,16 @@ def green_roots(config: CavityConfig, q, window: tuple[float, float]) -> np.ndar
     """Sign-change roots of the Green-function determinant in the window.
 
     Each parity sector's determinant is scanned on its own through
-    _green_determinants, the grid in batches and bisection one frequency
-    at a time, so roots of the two sectors in one scan cell cannot cancel.
+    _green_determinants, the grid in batches and every bracket halved in
+    lockstep, so roots of the two sectors in one scan cell cannot cancel.
     """
     qv = transverse_wavenumber(q)
     window = _propagating_window(config, qv, window)
     poles = [sp.omega for sp in config.oscillators]
-    roots = []
-    for modes in _green_sectors(config):
-        signs = partial(_green_determinants, config, modes, qv=qv)
-        roots.append(_scan(config, lambda omega, signs=signs: signs(np.array([omega]))[0],
-                           window, poles, grid_signs=signs))
-    return np.sort(np.concatenate(roots))
+    return np.sort(np.concatenate([
+        _scan(config, None, window, poles,
+              grid_signs=partial(_green_determinants, config, modes, qv=qv))
+        for modes in _green_sectors(config)]))
 
 
 # --------------------------------------------------------------------------
