@@ -43,7 +43,8 @@ from . import hopfield
 from .errors import (BracketError, BranchMatchError, ConfigError,
                      EvanescentError, PoleError, QuadratureError)
 from .kk import LorentzSet
-from .model import CavityConfig, check_scan_points, transverse_wavenumber
+from .model import (CavityConfig, check_positive, check_scan_points,
+                    transverse_wavenumber)
 from .modes import (OverlapSet, _sector_masks, overlap_K, photon_frequencies,
                     sine_half_integral)
 
@@ -139,7 +140,8 @@ def _damped_pair(x: float, s: float) -> tuple[float, float]:
 # --------------------------------------------------------------------------
 
 def pole_free_segments(window: tuple[float, float], poles, exclusion: float):
-    """Split the window at the given poles, removing exclusion half-widths."""
+    """Split the window at the given poles, removing exclusion half-widths > 0."""
+    check_positive("exclusion", exclusion)
     lo, hi = window
     segments = []
     prev = lo
@@ -199,9 +201,11 @@ def scan_roots(f, window: tuple[float, float], poles, *, exclusion: float,
     in lockstep down to rel_tol.  ``grid_signs(xs)``, if given, must return
     the sign of f at every point of the array xs; it then evaluates the
     grids and the halving, and f is never called (it may be None).
-    ``scan_points`` must be an integer >= 2.
+    ``scan_points`` must be an integer >= 2, and ``exclusion`` and
+    ``rel_tol`` real numbers in (0, inf).
     """
     check_scan_points(scan_points)
+    check_positive("rel_tol", rel_tol)
     signs = grid_signs or (lambda xs: np.array([f(x) for x in xs]))
     brackets = []
     for lo, hi in pole_free_segments(window, poles, exclusion):

@@ -144,6 +144,12 @@ def check_scan_points(value) -> None:
         raise ConfigError(f"scan_points must be an integer >= 2, got {value!r}")
 
 
+def check_positive(name: str, value) -> None:
+    """ConfigError unless value is a real number in (0, inf)."""
+    if not (_real(value) and 0.0 < value < math.inf):
+        raise ConfigError(f"{name} must be > 0 and finite, got {value!r}")
+
+
 def validate(config: CavityConfig) -> CavityConfig:
     """Check every type invariant; return the config unchanged if all hold.
 
@@ -193,9 +199,7 @@ def validate(config: CavityConfig) -> CavityConfig:
     if s.method not in METHODS:
         raise ConfigError(f"unknown solver method {s.method!r}; expected one of {METHODS}")
     for name in ("root_tol", "pole_exclusion", "omega_max"):
-        value = getattr(s, name)
-        if not (_real(value) and 0.0 < value < math.inf):
-            raise ConfigError(f"{name} must be > 0 and finite, got {value!r}")
+        check_positive(name, getattr(s, name))
     check_scan_points(s.scan_points)
     if not isinstance(s.allow_evanescent, bool):
         raise ConfigError(f"allow_evanescent must be a bool, got {s.allow_evanescent!r}")

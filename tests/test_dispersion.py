@@ -99,14 +99,26 @@ def test_scan_roots_empty_window():
                           scan_points=50, rel_tol=1e-10)) == 0
 
 
-@pytest.mark.parametrize("points", [1, 0, 2.5, True, "400"])
-def test_scan_roots_refuses_bad_scan_points(points):
-    # the rule SolverSettings enforces, an integer >= 2, also for a direct
-    # call and for a window with no roots
+@pytest.mark.parametrize("setting,value", [
+    *[pytest.param("scan_points", v, id=str(v)) for v in (1, 0, 2.5, True, "400")],
+    *[pytest.param("exclusion", v, id=f"exclusion={v}")
+      for v in (float("nan"), -0.5, 0.0, float("inf"))],
+    *[pytest.param("rel_tol", v, id=f"rel_tol={v}") for v in (float("nan"), -1.0, 0.0)],
+])
+def test_scan_roots_refuses_bad_scan_points(setting, value):
+    # the rules SolverSettings enforces, scan_points an integer >= 2 and
+    # exclusion and rel_tol reals in (0, inf), also for a direct call and
+    # for a window with no roots.  A NaN or negative exclusion returned the
+    # pole of tan as a root
+    message = ("scan_points must be an integer >= 2" if setting == "scan_points"
+               else f"{setting} must be > 0 and finite")
+    settings = {"exclusion": 1e-6, "scan_points": 50, "rel_tol": 1e-10, setting: value}
     for window in ((0.5, 10.0), (0.5, 1.0)):
-        with pytest.raises(ConfigError, match="scan_points must be an integer >= 2"):
-            scan_roots(np.sin, window, [], exclusion=1e-6, scan_points=points,
-                       rel_tol=1e-10)
+        with pytest.raises(ConfigError, match=message):
+            scan_roots(np.tan, window, [np.pi / 2], **settings)
+    if setting == "exclusion":
+        with pytest.raises(ConfigError, match=message):
+            pole_free_segments((0.5, 4.0), [np.pi / 2], value)
 
 
 def test_count_multisection_reports_each_root_by_its_multiplicity():
