@@ -3,8 +3,9 @@
 Config files are YAML with a strict schema; unknown keys are rejected by
 name because a silently ignored typo in a physics config is worse than an
 error.  Every output file embeds a manifest digest computed over the
-run-defining inputs only (config snapshot, method, q grid, tool version),
-never over timestamps, so re-running a manifest byte-reproduces the CSV.
+run-defining inputs only (config snapshot, method, q grid, tool version,
+and for kk a sha256 of the loaded samples), never over timestamps, so
+re-running a manifest byte-reproduces the CSV.
 
 Exit codes: 0 success, 2 configuration error, 3 solver error.
 """
@@ -158,33 +159,34 @@ def sweep_grid(snapshot: dict) -> np.ndarray:
 # manifest and export
 # ---------------------------------------------------------------------------
 
-def _run_fields(snapshot: dict, method: str, q_grid) -> dict:
-    # the run-defining inputs: digested, and repeated in every manifest
-    return {"config": snapshot, "method": method,
+def _run_fields(snapshot: dict, method: str, q_grid, inputs=None) -> dict:
+    # the run-defining inputs, plus a command's own (such as the kk samples'
+    # sha256): digested, and repeated in every manifest
+    return {"config": snapshot, "method": method, **(inputs or {}),
             "q_grid": [float(q) for q in q_grid], "tool_version": __version__}
 
 
-def manifest_digest(snapshot: dict, method: str, q_grid) -> str:
+def manifest_digest(snapshot: dict, method: str, q_grid, inputs=None) -> str:
     """Digest over the run-defining fields only; timestamps never enter."""
-    blob = json.dumps(_run_fields(snapshot, method, q_grid),
+    blob = json.dumps(_run_fields(snapshot, method, q_grid, inputs),
                       sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 def _export(out_dir: Path, name: str, snapshot: dict, method: str, q_grid,
-            lines: list[str]) -> list[Path]:
+            lines: list[str], inputs=None) -> list[Path]:
     """Write <name>.csv under its manifest line, then <name>_manifest.json.
 
     out_dir is created here, once the command has succeeded, so a failed
     command leaves no output directory behind.
     """
-    digest = manifest_digest(snapshot, method, q_grid)
+    digest = manifest_digest(snapshot, method, q_grid, inputs)
     text = "".join(f"{line}\n" for line in [f"# manifest: {digest}", *lines])
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"{name}.csv"
     csv_path.write_text(text, encoding="utf-8")
     record = {
-        **_run_fields(snapshot, method, q_grid),
+        **_run_fields(snapshot, method, q_grid, inputs),
         "digest": digest,
         "created_utc": datetime.now(timezone.utc).isoformat(),
         "truncation": {
@@ -206,6 +208,7 @@ def _fmt(x: float) -> str:
 
 # ---------------------------------------------------------------------------
 # commands: each returns (method label, q grid, CSV lines below the manifest)
+# and, for kk, the digested fields of its input file
 # ---------------------------------------------------------------------------
 
 def _cmd_sweep(config: CavityConfig, snapshot: dict, args):
@@ -249,7 +252,8 @@ def _cmd_kk(config: CavityConfig, snapshot: dict, args):
     lines = [f"# direction: {args.direction}",
              f"# tail_estimate: {result.tail_estimate:.3e}"]
     lines += [f"{_fmt(w)} {_fmt(v)}" for w, v in zip(result.grid, result.values)]
-    return f"kk_{args.direction}", grid, lines
+    samples = hashlib.sha256(np.stack((grid, values)).tobytes()).hexdigest()
+    return f"kk_{args.direction}", grid, lines, {"samples_sha256": samples}
 
 
 def _cmd_converge(config: CavityConfig, snapshot: dict, args):

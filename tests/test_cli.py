@@ -306,6 +306,38 @@ def test_method_override_changes_digest(tmp_path, capsys):
     assert ma["digest"] != mb["digest"]
 
 
+def test_kk_digest_covers_the_input_samples(tmp_path, capsys):
+    # two sample files on one 50-point grid that differ in one value got
+    # equal digests and different CSVs; the digest now covers the values
+    path = write_config(tmp_path, SMALL)
+    grid = np.linspace(0.0, 40.0, 50)
+    values = 0.4 * grid / ((16.0 - grid ** 2) ** 2 + (0.4 * grid) ** 2)
+    changed = values.copy()
+    changed[20] *= 1.5
+    digests = {}
+    for name, data, run in (("a", values, 1), ("a", values, 2), ("b", changed, 1)):
+        samples = tmp_path / f"{name}.txt"
+        samples.write_text("".join(f"{w:.17e} {v:.17e}\n" for w, v in zip(grid, data)))
+        out = tmp_path / f"{name}{run}"
+        assert main(["kk", "--input", str(samples), "--config", path,
+                     "--out", str(out)]) == 0
+        manifest = json.loads((out / "kk_manifest.json").read_text())
+        assert (out / "kk.csv").read_text().splitlines()[0].split()[-1] == manifest["digest"]
+        digests[name, run] = manifest["digest"], (out / "kk.csv").read_text()
+    capsys.readouterr()
+    assert digests["a", 1] == digests["a", 2]
+    assert digests["a", 1][0] != digests["b", 1][0]
+    assert digests["a", 1][1] != digests["b", 1][1]
+
+
+def test_only_kk_digests_samples(tmp_path, capsys):
+    path = write_config(tmp_path, SMALL)
+    assert main(["spectrum", "--config", path, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert "samples_sha256" not in json.loads(
+        (tmp_path / "spectrum_manifest.json").read_text())
+
+
 def test_spectrum_norms_sum_to_one(tmp_path, capsys):
     path = write_config(tmp_path, FULL)
     assert main(["spectrum", "--config", path, "--out", str(tmp_path),
