@@ -121,6 +121,59 @@ def test_scan_roots_refuses_bad_scan_points(setting, value):
             pole_free_segments((0.5, 4.0), [np.pi / 2], value)
 
 
+def scalar_bisect(f, lo, hi, sign_lo, rel_tol):
+    # the one-bracket, one-frequency bisection that lockstep halving
+    # replaced, kept as the reference for its midpoints
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if hi - lo <= rel_tol * max(1.0, abs(mid)):
+            return mid
+        sign_mid = np.sign(f(mid))
+        if sign_mid == 0.0:
+            return mid
+        if sign_mid == sign_lo:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def scalar_scan(f, window, poles, *, exclusion, scan_points, rel_tol):
+    # scan_roots with each bracket bisected on its own by scalar_bisect
+    roots = []
+    for lo, hi in pole_free_segments(window, poles, exclusion):
+        xs = np.linspace(lo, hi, 2 * scan_points - 1)
+        for a, b, sign_a in dispersion._sign_changes(xs, np.sign([f(x) for x in xs])):
+            roots.append(a if a == b else scalar_bisect(f, a, b, sign_a, rel_tol))
+    return np.array(sorted(roots))
+
+
+def refuse_calls(_):
+    raise AssertionError("f called although grid_signs was given")
+
+
+@pytest.mark.parametrize("f,window,poles,scan_points,count", [
+    # +, -, + at 1.5, 2.0, 2.5: two fine-grid brackets share the endpoint 2.0
+    (lambda x: (x - 1.8) * (x - 2.3), (0.0, 4.0), [], 5, 2),
+    # the grid sample 2.0 is an exact zero, a bracket of width zero
+    (lambda x: (x - 2.0) * (x - 3.3), (0.0, 4.0), [], 5, 2),
+    # brackets in the three pole-free segments around 1.0 and 2.0
+    (lambda x: np.sin(5.0 * x), (0.2, 3.0), [1.0, 2.0], 40, 4),
+    # no root in the window, and a window that the exclusion swallows
+    (np.sin, (0.5, 1.0), [], 50, 0),
+    (np.sin, (1.9, 2.1), [2.0], 50, 0),
+], ids=["shared_endpoint", "exact_zero_sample", "three_segments", "empty_window",
+        "swallowed_window"])
+def test_lockstep_halving_equals_scalar_bisection(f, window, poles, scan_points, count):
+    settings = dict(exclusion=0.1, scan_points=scan_points, rel_tol=1e-12)
+    expected = scalar_scan(f, window, poles, **settings)
+    assert len(expected) == count
+    assert np.array_equal(scan_roots(f, window, poles, **settings), expected)
+    # the array evaluator alone, with f never called
+    assert np.array_equal(scan_roots(refuse_calls, window, poles, **settings,
+                                     grid_signs=lambda xs: f(np.asarray(xs))), expected)
+
+
 def test_count_multisection_reports_each_root_by_its_multiplicity():
     # a count rising by two at 1.25 is a double root; three segments, one
     # of them holding no root

@@ -539,6 +539,28 @@ def test_green_roots_equal_the_scalar_scan():
         assert np.array_equal(batched, scan_green(cfg, q, scalar_sector_scans(cfg, q)))
 
 
+def test_green_halving_builds_one_stack_per_step_per_sector(monkeypatch):
+    # 11 roots in each sector.  Halving every bracket of a sector in
+    # lockstep builds one stack of matching matrices per step; bisecting
+    # one root at a time built one per step per root (561 calls here)
+    cfg = make_config(L=1.0, l=0.5, species=((100.0, 3.0),), photon=8, exciton=4,
+                      omega_max=70.0, scan_points=400)
+    calls = []
+    monkeypatch.setattr(dispersion, "_green_matrices",
+                        lambda *args: calls.append(1) or _green_matrices(*args))
+    roots = green_roots(cfg, 0.0, (0.0, cfg.solver.omega_max))
+    settings = cfg.solver
+    grid_points = 2 * settings.scan_points - 1
+    cell = settings.omega_max / (grid_points - 1)
+    steps = int(np.ceil(np.log2(cell / settings.root_tol)))
+    allowed = 0
+    for modes in _green_sectors(cfg):
+        chunk = _SIGN_CHUNK_DOUBLES // (2 * (len(modes.b) + 2) ** 2)
+        allowed += -(-grid_points // chunk) + steps
+    assert len(roots) == 22
+    assert 0 < len(calls) <= allowed
+
+
 def test_sector_scan_finds_what_a_dense_whole_scan_finds():
     cfg, q = CROWDED_CASE
     roots = green_roots(cfg, q, (0.0, cfg.solver.omega_max))
