@@ -24,7 +24,8 @@ the functions have poles and near-vertical branches, and a sign or a count
 is trustworthy where a Newton step is not.  The secular route multisects a
 count of its roots below each frequency (the inertia of the reduced matrix,
 after Wittrick and Williams), which sees every root however close two lie.
-The other routes bisect sign changes of a scan.  Every sign scan is
+The other routes halve the sign brackets of a scan, all in lockstep through
+the same refiner, a sign standing in for the count.  Every sign scan is
 repeated at doubled density, and a changed bracket count raises
 BracketError; two roots of one function in one cell of both grids still
 cancel unseen.  So the two-exciton and Green scans take each mirror-parity
