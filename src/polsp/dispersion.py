@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -46,8 +46,7 @@ from .errors import (BracketError, BranchMatchError, ConfigError,
 from .kk import LorentzSet
 from .model import (CavityConfig, check_positive, check_scan_points,
                     transverse_wavenumber)
-from .modes import (OverlapSet, _sector_masks, overlap_K, photon_frequencies,
-                    sine_half_integral)
+from .modes import OverlapSet, _sector_masks, overlap_K, photon_frequencies
 
 # --------------------------------------------------------------------------
 # branch-free fundamental solutions
@@ -78,8 +77,9 @@ def sine_solution(x: float, s: float) -> float:
 
 
 def _fundamental_pairs(x, s) -> tuple[np.ndarray, np.ndarray]:
-    # (cosine_solutions, sine_solutions) of the broadcast arrays x and s;
-    # the masks for s = 0 and s < 0 are built only where such an s occurs
+    # (cosine_solution, sine_solution) elementwise over the broadcast arrays
+    # x and s; the masks for s = 0 and s < 0 are built only where such an s
+    # occurs
     x, s = np.asarray(x, dtype=float), np.asarray(s, dtype=float)
     positive = s.min() > 0.0
     r = np.sqrt(s if positive else np.abs(s))
@@ -93,16 +93,6 @@ def _fundamental_pairs(x, s) -> tuple[np.ndarray, np.ndarray]:
     neg = s < 0.0
     cos[neg] = np.cosh(rx[neg])
     return cos, sin
-
-
-def cosine_solutions(x, s) -> np.ndarray:
-    """cosine_solution elementwise over the broadcast arrays x and s."""
-    return _fundamental_pairs(x, s)[0]
-
-
-def sine_solutions(x, s) -> np.ndarray:
-    """sine_solution elementwise over the broadcast arrays x and s."""
-    return _fundamental_pairs(x, s)[1]
 
 
 def _longitudinal_sq(config: CavityConfig, omega: float, qv: float) -> float:
@@ -141,9 +131,13 @@ def _damped_pair(x: float, s: float) -> tuple[float, float]:
 # --------------------------------------------------------------------------
 
 def pole_free_segments(window: tuple[float, float], poles, exclusion: float):
-    """Split the window at the given poles, removing exclusion half-widths > 0."""
+    """Split a finite window at the poles, removing exclusion half-widths > 0."""
     check_positive("exclusion", exclusion)
     lo, hi = window
+    # a reversed window is left empty, since clamping to the light line can
+    # empty a window; a NaN or infinite edge is refused
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ConfigError(f"window edges must be finite, got ({lo}, {hi})")
     segments = []
     prev = lo
     for p in sorted(p for p in poles if lo - exclusion < p < hi + exclusion):
@@ -284,13 +278,21 @@ def _multisect_counts(counts, segments, rel_tol: float, levels=None,
 _SIGN_CHUNK_DOUBLES = 32768
 
 
+def _refuse_poles(config: CavityConfig, photon_freqs: np.ndarray, omega: float,
+                  name: str) -> None:
+    # PoleError where omega_j^2 - Omega^2 or Omega_m^2 - Omega^2 is exactly 0,
+    # for the evaluators of one frequency; a scan never samples a pole
+    species = np.array([sp.omega for sp in config.oscillators])
+    for kind, poles in (("species", species), ("photon", photon_freqs)):
+        hit = poles[poles ** 2 - omega ** 2 == 0.0]
+        if len(hit):
+            raise PoleError(f"{name} evaluated at {kind} pole {hit[0]}")
+
+
 def _coupling_strength_sum(config: CavityConfig, omega):
     # S(Omega) = sum_j G_j^2 / (omega_j^2 - Omega^2); the lossless
     # susceptibility of the configured species set, for a float or an array
-    total = 0.0
-    for sp in config.oscillators:
-        total += sp.G ** 2 / (sp.omega ** 2 - omega ** 2)
-    return total
+    return sum((sp.G ** 2 / (sp.omega ** 2 - omega ** 2) for sp in config.oscillators), 0.0)
 
 
 @dataclass(frozen=True)
@@ -321,8 +323,8 @@ class SecularOperator:
 
     def matrix(self, omega: float) -> np.ndarray:
         """The literal N x N operator; prefer determinant() for root scans."""
-        om2 = self.photon_poles ** 2
-        weights = 1.0 / (om2 - omega ** 2)
+        _refuse_poles(self.config, self.photon_poles, omega, "secular operator")
+        weights = 1.0 / (self._photon_poles_sq - omega ** 2)
         s_val = _coupling_strength_sum(self.config, omega)
         return (omega ** 2 * s_val) * weights[:, None] * self.overlaps.D
 
@@ -409,6 +411,7 @@ class SecularOperator:
         return counts
 
     def determinant(self, omega: float) -> float:
+        _refuse_poles(self.config, self.photon_poles, omega, "secular determinant")
         sign, logdet = np.linalg.slogdet(self._reduced(omega))
         return sign * math.exp(min(logdet, 700.0))
 
@@ -478,7 +481,9 @@ def _one_exciton(config: CavityConfig, overlaps: OverlapSet,
 def one_exciton_value(config: CavityConfig, overlaps: OverlapSet,
                       omega: float, q) -> float:
     """1 - G^2 Omega^2/(w0^2 - Omega^2) sum_m K[m,0]^2/(Omega_m^2 - Omega^2)."""
-    return float(_one_exciton(config, overlaps, photon_frequencies(config, q), omega))
+    freqs = photon_frequencies(config, q)
+    _refuse_poles(config, freqs, omega, "one_exciton_value")
+    return float(_one_exciton(config, overlaps, freqs, omega))
 
 
 def one_exciton_roots(config: CavityConfig, overlaps: OverlapSet, q,
@@ -492,16 +497,17 @@ def _two_exciton(config: CavityConfig, overlaps: OverlapSet,
     # two_exciton_value at the photon frequencies freqs, elementwise
     sp = config.oscillators[0]
     factor = sp.G ** 2 * omega ** 2 / (sp.omega ** 2 - omega ** 2)
-    s00 = factor * _weighted_column_sum(overlaps, freqs, omega, 0, 0)
-    s11 = factor * _weighted_column_sum(overlaps, freqs, omega, 1, 1)
-    s01 = factor * _weighted_column_sum(overlaps, freqs, omega, 0, 1)
+    s00, s11, s01 = (factor * _weighted_column_sum(overlaps, freqs, omega, a, b)
+                     for a, b in ((0, 0), (1, 1), (0, 1)))
     return (1.0 - s00) * (1.0 - s11) - s01 ** 2
 
 
 def two_exciton_value(config: CavityConfig, overlaps: OverlapSet,
                       omega: float, q) -> float:
     """(1 - Sigma_00)(1 - Sigma_11) - Sigma_01^2 for the two-mode relation."""
-    return float(_two_exciton(config, overlaps, photon_frequencies(config, q), omega))
+    freqs = photon_frequencies(config, q)
+    _refuse_poles(config, freqs, omega, "two_exciton_value")
+    return float(_two_exciton(config, overlaps, freqs, omega))
 
 
 def two_exciton_roots(config: CavityConfig, overlaps: OverlapSet, q,
@@ -522,8 +528,29 @@ def two_exciton_roots(config: CavityConfig, overlaps: OverlapSet, q,
 # centred slab splits it into two mirror-parity sectors: the even slab
 # modes couple only to the interior C and the odd ones only to S, and the
 # sum and difference of the two gaps' solutions match at z = +h alone.
+#
+# Every slab quantity follows from Green's identity.  With Y the sector's
+# interior fundamental solution (C even, S odd), Z the other one,
+# chi' = chi_xi'(h), den = b_xi^2 - s and phi = Y(h)/den, the moments are
+# int chi_xi Y dz = -2 chi' phi.  Solving (d^2/dz^2 + s) y = -chi_eta with
+# g gives y = chi_eta/den_eta plus a homogeneous correction fixed at z = +h;
+# C and S have Wronskian 1, so the kernel int int chi_xi g chi_eta is
+#     K[xi, eta] = -2 sigma Z(h) (phi_xi - phi_eta) chi'_xi chi'_eta
+#                  / (b_eta^2 - b_xi^2)                      (xi != eta)
+#     K[eta, eta] = (1 - 2 sigma Z(h) chi'^2 phi)/den,
+# and nothing exponentially large cancels below the light line.  The one
+# removable zero, Y(h) = 0 at b^2 = s, is carried exactly: with
+# r = sqrt(s), Delta = (r - b) h and p = sin(b h) (even) or cos(b h) (odd),
+# where |Delta| < 1/4, at most one mode per sector and row and r > 0.84 b,
+#     phi = sigma h p sinc(Delta)/((r + b) r^parity)
+#     K[eta, eta] = -(2b + r + 4 b^2 h q(2 Delta))/(r (r + b)^2),
+# q(x) = (x - sin x)/x^2 summed from its Taylor series.
 
-_RESONANT_RTOL = 1e-4  # switch to quadrature when |b^2 - s| is this small
+_RESONANT_DELTA = 0.25  # |Delta| below which phi and the diagonal take their limits
+
+# (-1)^k/(2k + 3)!, k = 0..5: (x - sin x)/x^3 as a polynomial in x^2, through
+# the x^11/13! term of (x - sin x)/x^2; exact to rounding for |x| < 1/2
+_SIN_TAIL = [(-1) ** k / math.factorial(2 * k + 3) for k in range(6)]
 
 
 class _SlabModes:
@@ -538,95 +565,47 @@ class _SlabModes:
     def __init__(self, l: float, count: int, parity: int):
         # the odd sector of count 1 holds no mode; its matching matrix is
         # the vacuum block alone, which carries the odd cavity lines
-        self.h, self.norm, self.parity = l / 2.0, math.sqrt(2.0 / l), parity
+        self.h, self.parity = l / 2.0, parity
         self.idx = idx = np.arange(parity, count, 2)
         self.b = (idx + 1) * np.pi / l
         self.b_sq = self.b ** 2
-        bh = (idx + 1) * np.pi / 2.0
-        # the factor of the b +- qz sine integrals in the moments of Y
-        self.moment = self.norm * (np.cos(bh) if parity else np.sin(bh))
+        # sin(b h) in the even sector, cos(b h) in the odd one, exactly +-1
+        self.p = np.where((idx + 1) // 2 % 2, -1.0, 1.0)
         self.eye = np.eye(len(idx))
         self.sigma = -1.0 if parity else 1.0
-        self.grad_pf = -self.sigma * self.norm * self.b  # chi_xi'(h)
-        # b + qz and b - qz as one row, b_pm + qz pm
-        self.b_pm, self.pm = np.concatenate((self.b, self.b)), np.repeat([1.0, -1.0], len(idx))
-        # s below which qz h < 0.5, where the moments take Green's identity
-        self.near_s = (0.5 / self.h) ** 2
+        self.grad_pf = -self.sigma * math.sqrt(2.0 / l) * self.b  # chi_xi'(h)
+        # chi_xi'(h) chi_eta'(h)/(b_eta^2 - b_xi^2), the Omega-independent
+        # factor of the off-diagonal kernel; its diagonal is never read
+        self.weight = (np.outer(self.grad_pf, self.grad_pf)
+                       / (self.b_sq - self.b_sq[:, None] + self.eye))
 
 
-def _slab_moments(modes: _SlabModes, s, y_h) -> np.ndarray:
-    # moments u[xi] = int chi_xi Y(z, s) dz of the sector's interior solution
-    # Y (C even, S odd), one row per entry of the (n, 1) column s; y_h is the
-    # (n, 1) column Y(h).  Rows with qz h >= 0.5 integrate cos(qz z) or
-    # sin(qz z)/qz against the sines of b +- qz.  Every other row (small qz,
-    # s = 0 and s < 0) takes Green's identity u = -2 Y(h) chi'(h)/(b^2 - s),
-    # whose denominator stays away from zero there because qz h < 0.5 < b h
-    count = len(modes.b)
-    qz = np.sqrt(np.maximum(s, modes.near_s))
-    ints = sine_half_integral(modes.b_pm + qz * modes.pm, modes.h)
-    plus, minus = ints[:, :count], ints[:, count:]
-    u = modes.moment * (minus + modes.sigma * plus) / (qz if modes.parity else 1.0)
-    if s.min() < modes.near_s:
-        near = s[:, 0] < modes.near_s
-        u[near] = -2.0 * (modes.grad_pf / (modes.b_sq - s[near])) * y_h[near]
-    return u
+def _green_kernel(modes: _SlabModes, s, y_h, z_h) -> tuple[np.ndarray, np.ndarray]:
+    """phi = Y(h)/(b^2 - s), (n, P), and the (n, P, P) kernel stack.
 
-
-@lru_cache(maxsize=32)
-def _gauss_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(n)
-
-
-def _double_integral_quadrature(modes: _SlabModes, eta: int, s: float) -> np.ndarray:
-    # column eta of the sector's kernel double integrals by nested
-    # Gauss-Legendre, splitting the inner integral at the |z - z'| kink and
-    # sizing the rule from the mode's xi; used only near the removable
-    # resonance of the closed form
-    h, norm, b_eta = modes.h, modes.norm, modes.b[eta]
-    x, w = _gauss_nodes(min(160, 48 + 8 * (int(modes.idx[eta]) + 1)))
-    z = h * x
-    wz = h * w
-
-    def chi_eta(zz):
-        return norm * np.sin(b_eta * (zz + h))
-
-    # inner integral at every outer node z_i, over (-h, z_i) and (z_i, h)
-    lo = np.stack([np.full_like(z, -h), z], axis=1)[:, :, None]
-    hi = np.stack([z, np.full_like(z, h)], axis=1)[:, :, None]
-    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-    zp = mid + half * x
-    kernel = -0.5 * sine_solutions(np.abs(z[:, None, None] - zp), s)
-    parts = half[:, :, 0] * np.sum(w * kernel * chi_eta(zp), axis=2)
-    inner = parts[:, 0] + parts[:, 1]
-    chi_all = norm * np.sin(np.outer(modes.b, z + h))
-    return chi_all @ (wz * inner)
-
-
-def _kernel_double_integrals(modes: _SlabModes, s, u: np.ndarray, z_h) -> np.ndarray:
-    """Matrices of int int chi_xi(z) g(z, z') chi_eta(z') dz dz', closed form.
-
-    Solving (d^2/dz^2 + s) y = -chi_eta with the kernel gives
-    y = chi_eta/den, den = b_eta^2 - s, plus a homogeneous correction fixed
-    by y's value and slope at z = +h, -(sigma Z(h), sigma Z'(h)) u_eta/2 with
-    Z the fundamental solution other than the sector's Y.  C and S have
-    Wronskian 1, so the correction projects onto chi_xi as the single term
-    sigma Z(h) u_xi chi_eta'(h)/den: nothing exponentially large cancels
-    below the light line.  s and ``z_h`` = sigma Z(h) are (n, 1) columns,
-    ``u`` the (n, P) moments, and the result the (n, P, P) stack.  Near
-    b_eta^2 = s the diagonal entry cancels catastrophically and that column
-    falls back to nested Gauss-Legendre quadrature, exact there.
+    s, ``y_h`` = Y(h) and ``z_h`` = sigma Z(h) are (n, 1) columns.  Both
+    results are closed forms at every s: where |Delta| < 1/4 phi and the
+    diagonal take their limits in Delta, and den is set to 1 there before
+    dividing, so no division by zero occurs.
     """
     den = modes.b_sq - s
-    # where b_eta^2 - s is too small for the closed form; s <= 0 never is
-    rows, cols = np.nonzero(np.abs(den) <= _RESONANT_RTOL * np.maximum(modes.b_sq, s))
+    r = np.sqrt(np.maximum(s, 0.0))
+    delta = (r - modes.b) * modes.h
+    rows, cols = np.nonzero(np.abs(delta) < _RESONANT_DELTA)
+    den[rows, cols] = 1.0
+    phi = y_h / den
+    diag = (1.0 - 2.0 * z_h * phi * modes.grad_pf ** 2) / den
     if len(rows):
-        den = den.copy()
-        den[rows, cols] = 1.0
-    out = (z_h * u)[..., None] * (modes.grad_pf / den)[:, None]
-    out.reshape(len(out), len(modes.b) ** 2)[:, ::len(modes.b) + 1] += 1.0 / den
-    for row, eta in zip(rows.tolist(), cols.tolist()):
-        out[row, :, eta] = _double_integral_quadrature(modes, eta, float(s[row, 0]))
-    return out
+        r, b, delta = r[rows, 0], modes.b[cols], delta[rows, cols]
+        # Y(h) = -sigma p sin(Delta)/r^parity, den = -(r + b) Delta/h, r > 0.84 b
+        phi[rows, cols] = (modes.sigma * modes.h * modes.p[cols] * np.sinc(delta / np.pi)
+                           / ((r + b) * (r if modes.parity else 1.0)))
+        tail = 2.0 * delta * np.polynomial.polynomial.polyval((2.0 * delta) ** 2, _SIN_TAIL)
+        diag[rows, cols] = -(2.0 * b + r + 4.0 * b * b * modes.h * tail) / (r * (r + b) ** 2)
+    twice_zh_phi = 2.0 * z_h * phi
+    out = (twice_zh_phi[:, None, :] - twice_zh_phi[:, :, None]) * modes.weight
+    out.reshape(len(out), -1)[:, ::len(modes.b) + 1] = diag
+    return phi, out
 
 
 def _green_matrices(config: CavityConfig, modes: _SlabModes, omegas: np.ndarray,
@@ -658,18 +637,18 @@ def _green_matrices(config: CavityConfig, modes: _SlabModes, omegas: np.ndarray,
         # Y's value and slope at h, then sigma Z(h) and sigma Z'(h)
         value, slope, z_h, z_slope = ((sh, ch, -ch, s * sh) if modes.parity
                                       else (ch, -s * sh, sh, ch))
-        moments = _slab_moments(modes, s, value)
-        # the kernel solution's value and derivative at z = +h
-        vp, dp = -0.5 * z_h * moments, -0.5 * z_slope * moments
-        kernel_m = _kernel_double_integrals(modes, s, moments, z_h)
+        phi, kernel_m = _green_kernel(modes, s, value, z_h)
+        # chi'(h) phi = -u/2 for the moments u; the kernel solution's value
+        # and derivative at z = +h are sigma Z(h) and sigma Z'(h) times it
+        chi_phi = modes.grad_pf * phi
         mats = np.zeros((len(s), count + 2, count + 2))
         # self-consistency: c_xi = beta (sum_eta M[xi,eta] c_eta + Y amplitude u_xi)
-        neg_beta = -beta
-        mats[:, :count, :count] = modes.eye + neg_beta[:, :, None] * kernel_m
-        mats[:, :count, count] = neg_beta * moments
-        # continuity at z = +h: [vp, Y(h), S(d)] and [dp, Y'(h), -C(d)]
-        mats[:, count:] = np.concatenate((vp, value, sin[:, 1:], dp, slope, -cos[:, 1:]),
-                                         axis=1).reshape(-1, 2, count + 2)
+        mats[:, :count, :count] = modes.eye - beta[:, :, None] * kernel_m
+        mats[:, :count, count] = 2.0 * beta * chi_phi
+        # continuity at z = +h: [value, Y(h), S(d)] and [derivative, Y'(h), -C(d)]
+        mats[:, count:] = np.concatenate(
+            (z_h * chi_phi, value, sin[:, 1:], z_slope * chi_phi, slope, -cos[:, 1:]),
+            axis=1).reshape(-1, 2, count + 2)
         # cheap supersets of the refused rows, which the loop below then
         # finds exactly: a non-finite entry makes the sum non-finite, and a
         # squared frequency within 1e-300 of a species pole's is either

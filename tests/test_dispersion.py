@@ -7,12 +7,13 @@ agree on every root that is not hidden inside a pole exclusion window.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from polsp import (BracketError, ConfigError, OverlapSet, SecularOperator,
+from polsp import (BracketError, ConfigError, OverlapSet, PoleError, SecularOperator,
                    build_dynamical_matrix, classical_branch_values,
                    classical_roots, cli, dispersion, green_determinant,
                    green_matching_matrix, green_roots, hopfield, model, modes,
@@ -99,26 +100,61 @@ def test_scan_roots_empty_window():
                           scan_points=50, rel_tol=1e-10)) == 0
 
 
+# a NaN edge at either end and an infinite upper edge
+BAD_WINDOWS = ((float("nan"), 10.0), (0.5, float("nan")), (0.5, float("inf")))
+
+
 @pytest.mark.parametrize("setting,value", [
     *[pytest.param("scan_points", v, id=str(v)) for v in (1, 0, 2.5, True, "400")],
     *[pytest.param("exclusion", v, id=f"exclusion={v}")
       for v in (float("nan"), -0.5, 0.0, float("inf"))],
     *[pytest.param("rel_tol", v, id=f"rel_tol={v}") for v in (float("nan"), -1.0, 0.0)],
+    *[pytest.param("window", v, id=f"window={v}") for v in BAD_WINDOWS],
 ])
 def test_scan_roots_refuses_bad_scan_points(setting, value):
     # the rules SolverSettings enforces, scan_points an integer >= 2 and
     # exclusion and rel_tol reals in (0, inf), also for a direct call and
     # for a window with no roots.  A NaN or negative exclusion returned the
-    # pole of tan as a root
-    message = ("scan_points must be an integer >= 2" if setting == "scan_points"
-               else f"{setting} must be > 0 and finite")
-    settings = {"exclusion": 1e-6, "scan_points": 50, "rel_tol": 1e-10, setting: value}
-    for window in ((0.5, 10.0), (0.5, 1.0)):
+    # pole of tan as a root.  A NaN window edge returned no roots and an
+    # infinite one failed inside the scan
+    message = {"scan_points": "scan_points must be an integer >= 2",
+               "window": "window edges must be finite"}.get(
+                   setting, f"{setting} must be > 0 and finite")
+    settings = {"exclusion": 1e-6, "scan_points": 50, "rel_tol": 1e-10}
+    windows = ((0.5, 10.0), (0.5, 1.0))
+    if setting == "window":
+        windows = (value,)
+    else:
+        settings[setting] = value
+    for window in windows:
         with pytest.raises(ConfigError, match=message):
             scan_roots(np.tan, window, [np.pi / 2], **settings)
-    if setting == "exclusion":
+    if setting in ("exclusion", "window"):
+        window, exclusion = {"exclusion": ((0.5, 4.0), value),
+                             "window": (value, 1e-6)}[setting]
         with pytest.raises(ConfigError, match=message):
-            pole_free_segments((0.5, 4.0), [np.pi / 2], value)
+            pole_free_segments(window, [np.pi / 2], exclusion)
+
+
+def test_pole_free_segments_keep_a_reversed_window_empty():
+    # clamping to the light line can leave lo > hi: no segment, no error
+    assert pole_free_segments((5.0, 4.0), [4.5], 0.1) == []
+
+
+def test_every_route_refuses_a_non_finite_window():
+    cfg = make_config(L=1.0, l=0.5, species=((20.0, 3.0),), photon=6,
+                      exciton=2, omega_max=12.0)
+    one = cfg.with_truncation(exciton_mode_count=1)
+    ov, ov1 = overlap_K(cfg), overlap_K(one)
+    routes = [lambda w: secular_roots(cfg, ov, 0.5, w),
+              lambda w: one_exciton_roots(one, ov1, 0.5, w),
+              lambda w: two_exciton_roots(cfg, ov, 0.5, w),
+              lambda w: green_roots(cfg, 0.5, w),
+              lambda w: classical_roots(cfg, None, 0.5, w)]
+    for route in routes:
+        for window in BAD_WINDOWS:
+            with pytest.raises(ConfigError, match="window edges must be finite"):
+                route(window)
 
 
 def scalar_bisect(f, lo, hi, sign_lo, rel_tol):
@@ -472,6 +508,51 @@ def test_counts_and_roots_with_cross_parity_overlaps():
                                 cfg.solver.pole_exclusion)
         assert len(roots) == len(dyn) > 0
         assert np.max(np.abs(roots - dyn) / dyn) < 1e-8
+
+
+def test_two_exciton_scan_of_the_coupled_2x2_relation():
+    # K[0, 1] and K[3, 0] make photons 0 and 3 couple both matter modes, so
+    # Sigma_01 is not 0 and the 2x2 relation is scanned whole; its roots
+    # are the dynamical frequencies of the same K once poles are dropped
+    cfg = make_config(L=1.2, l=0.7, species=((4.0, 1.0),), photon=9, exciton=2,
+                      pole_exclusion=1e-3)
+    K = overlap_K(cfg).K.copy()
+    K[0, 1], K[3, 0] = 0.35, -0.2
+    hand = OverlapSet(K=K, D=K @ K.T, L=cfg.L, l=cfg.l)
+    window = (0.0, cfg.solver.omega_max)
+    for q in (0.0, 0.8):
+        poles = all_poles(cfg, q)
+        dyn = hopfield.frequencies(build_dynamical_matrix(cfg, hand, q))
+        dyn = drop_near_poles(dyn[dyn < window[1]], poles, cfg.solver.pole_exclusion)
+        roots = drop_near_poles(two_exciton_roots(cfg, hand, q, window), poles,
+                                cfg.solver.pole_exclusion)
+        assert len(roots) == len(dyn) == 6
+        assert np.max(np.abs(roots - dyn)) < 1e-8
+
+
+def scalar_evaluators():
+    # every evaluator of one frequency, as name -> (config, call(omega))
+    cfg = make_config(L=1.0, l=0.5, species=((4.0, 1.0),), photon=6, exciton=2)
+    one = cfg.with_truncation(exciton_mode_count=1)
+    ov, ov1 = overlap_K(cfg), overlap_K(one)
+    op = SecularOperator(config=cfg, overlaps=ov, q=0.0)
+    return {"SecularOperator.matrix": (cfg, op.matrix),
+            "SecularOperator.determinant": (cfg, op.determinant),
+            "one_exciton_value": (one, lambda w: one_exciton_value(one, ov1, w, 0.0)),
+            "two_exciton_value": (cfg, lambda w: two_exciton_value(cfg, ov, w, 0.0))}
+
+
+@pytest.mark.parametrize("name", sorted(scalar_evaluators()))
+@pytest.mark.parametrize("pole", ["species", "photon"])
+def test_scalar_evaluators_refuse_an_exact_pole(name, pole):
+    # a species pole raised ZeroDivisionError and a photon pole warned and
+    # returned a non-finite value; both are a typed PoleError now
+    cfg, call = scalar_evaluators()[name]
+    omega = 4.0 if pole == "species" else float(photon_frequencies(cfg, 0.0)[0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PoleError, match=f"{pole} pole {omega}"):
+            call(omega)
 
 
 @pytest.mark.parametrize("q", [6.0, 0.5])

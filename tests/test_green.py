@@ -23,28 +23,28 @@ from polsp import (EvanescentError, PoleError, QuadratureError, cosine_solution,
 from polsp import dispersion
 from polsp.cli import parse_config, sweep_grid
 from polsp.dispersion import (_SIGN_CHUNK_DOUBLES, _SlabModes,
-                              _double_integral_quadrature, _green_determinants,
-                              _green_matrices, _green_sectors,
-                              _kernel_double_integrals, _propagating_window,
-                              _slab_moments, cosine_solutions, sine_solutions)
+                              _fundamental_pairs, _green_determinants,
+                              _green_kernel, _green_matrices, _green_sectors,
+                              _propagating_window)
 from conftest import make_config
 from test_golden import CONFIGS as GOLDEN_CONFIGS
 
 
 def sector_arrays(l: float, count: int, s) -> list:
     # per parity sector: its modes, the slab moments of C and of S and the
-    # closed-form kernel at the (n, 1) column s, each computed exactly as
-    # the sector's matching matrix computes them; a sector takes only the
-    # moment of its own interior solution, so the other one is an exact 0
-    h = l / 2.0
-    ch, sh = cosine_solutions(h, s), sine_solutions(h, s)
+    # kernel at the (n, 1) column s, each computed exactly as the sector's
+    # matching matrix computes them, from _green_kernel; a sector takes only
+    # the moment u = -2 chi'(h) phi of its own interior solution, so the
+    # other one is an exact 0
+    ch, sh = _fundamental_pairs(l / 2.0, s)
     out = []
     for parity, y_h, z_h in ((0, ch, sh), (1, sh, -ch)):
         modes = _SlabModes(l, count, parity)
-        u = _slab_moments(modes, s, y_h)
+        phi, kernel = _green_kernel(modes, s, y_h, z_h)
+        u = -2.0 * modes.grad_pf * phi
         other = np.zeros_like(u)
         uc, us = (other, u) if parity else (u, other)
-        out.append((modes, uc, us, _kernel_double_integrals(modes, s, u, z_h)))
+        out.append((modes, uc, us, kernel))
     return out
 
 
@@ -140,16 +140,13 @@ def test_slab_moments_match_quadrature(s):
 
 def test_slab_moments_rows_are_independent():
     # every regime in one column gives each row the moments it has alone
-    def moments(modes, y, s):
-        return _slab_moments(modes, s, y(0.45, s))
-
-    for parity, y in ((0, cosine_solutions), (1, sine_solutions)):
-        modes = _SlabModes(0.9, 5, parity)
-        column = moments(modes, y, np.array(MOMENT_S)[:, None])
-        for row, s in enumerate(MOMENT_S):
-            alone = moments(modes, y, np.full((1, 1), s))
-            np.testing.assert_allclose(column[row], alone[0], rtol=1e-14,
-                                       atol=1e-14 * np.max(np.abs(alone)))
+    column = sector_arrays(0.9, 5, np.array(MOMENT_S)[:, None])
+    for row, s in enumerate(MOMENT_S):
+        alone = sector_arrays(0.9, 5, np.full((1, 1), s))
+        for sector, sector_alone in zip(column, alone):
+            for got, expected in zip(sector[1:3], sector_alone[1:3]):
+                np.testing.assert_allclose(got[row], expected[0], rtol=1e-14,
+                                           atol=1e-14 * np.max(np.abs(expected)))
 
 
 @pytest.mark.parametrize("s", [37.0, 3.0, 0.0, -11.0])
@@ -162,25 +159,56 @@ def test_kernel_double_integrals_match_quadrature(s):
                 oracle_double_integral(l, xi, eta, s), abs=2e-10)
 
 
-def test_kernel_double_integrals_resonant_fallback():
-    # s exactly on the eta pole of the partial-fraction form, for the
-    # first column and for an inner one: the closed form is indeterminate
-    # there and that column must fall back to quadrature without losing
-    # accuracy, while the other columns and the diagonal keep the closed
-    # form
+def resonant_kernel_s(l: float, eta: int) -> list:
+    # s on and near b_eta^2 = s, where Y(h) and b_eta^2 - s vanish
+    # together, and just inside and outside |Delta| = 1/4, where phi and the
+    # diagonal switch to their limits in Delta = (sqrt(s) - b_eta) h
+    b, h = (eta + 1) * np.pi / l, l / 2.0
+    return ([b * b * f for f in (1.0, 1.0 + 1e-9, 1.0 - 1e-9, 1.0 + 2e-4, 1.0 - 2e-4,
+                                 1.0 + 1e-3, 1.0 - 1e-3)]
+            + [(b + d / h) ** 2 for d in (0.2499, 0.2501, -0.2499, -0.2501)])
+
+
+def test_kernel_double_integrals_exact_at_resonances():
+    # the closed form carries the removable zero at b_eta^2 = s exactly:
+    # every entry agrees with the adaptive oracle relative to the largest
+    # one, for the first column of each sector and an inner one, with no
+    # numpy warning on the way.  Subtracting b_eta^2 - s lost two digits
+    # (1.4e-12) just outside a relative 1e-4 band
     l = 0.9
-    for eta in (0, 2):
-        s = ((eta + 1) * np.pi / l) ** 2
-        M = closed_form_kernel(l, 3, s)
-        for xi in range(3):
-            for col in range(3):
-                assert M[xi, col] == pytest.approx(
-                    oracle_double_integral(l, xi, col, s), abs=1e-8)
-        # just outside the switching window the closed form takes over;
-        # the two evaluations must agree where they meet
-        for side in (1.0 - 2e-4, 1.0 + 2e-4):
-            near = closed_form_kernel(l, 3, s * side)
-            assert near[eta, eta] == pytest.approx(M[eta, eta], rel=1e-3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for eta in range(3):
+            for s in resonant_kernel_s(l, eta):
+                M = closed_form_kernel(l, 3, s)
+                expected = np.array([[oracle_double_integral(l, xi, col, s)
+                                      for col in range(3)] for xi in range(3)])
+                scale = np.max(np.abs(expected))
+                assert np.max(np.abs(M - expected)) <= 1e-13 * scale, (eta, s)
+
+
+def gauss_legendre_column(modes: _SlabModes, eta: int, s: float) -> np.ndarray:
+    # column eta of the sector's kernel double integrals by nested
+    # Gauss-Legendre, splitting the inner integral at the |z - z'| kink and
+    # sizing the rule from the mode's xi
+    h, norm, b_eta = modes.h, np.sqrt(1.0 / modes.h), modes.b[eta]
+    x, w = np.polynomial.legendre.leggauss(min(160, 48 + 8 * (int(modes.idx[eta]) + 1)))
+    z = h * x
+    wz = h * w
+
+    def chi_eta(zz):
+        return norm * np.sin(b_eta * (zz + h))
+
+    # inner integral at every outer node z_i, over (-h, z_i) and (z_i, h)
+    lo = np.stack([np.full_like(z, -h), z], axis=1)[:, :, None]
+    hi = np.stack([z, np.full_like(z, h)], axis=1)[:, :, None]
+    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    zp = mid + half * x
+    kernel = -0.5 * _fundamental_pairs(np.abs(z[:, None, None] - zp), s)[1]
+    parts = half[:, :, 0] * np.sum(w * kernel * chi_eta(zp), axis=2)
+    inner = parts[:, 0] + parts[:, 1]
+    chi_all = norm * np.sin(np.outer(modes.b, z + h))
+    return chi_all @ (wz * inner)
 
 
 @pytest.mark.parametrize("s", [-400.0, -2500.0, -10000.0])
@@ -190,22 +218,9 @@ def test_kernel_double_integrals_stay_exact_far_below_the_light_line(s):
     # agrees with nested Gauss-Legendre relative to its largest entry
     for modes, _, _, kernel in sector_arrays(0.9, 5, np.full((1, 1), s)):
         for eta in range(len(modes.b)):
-            expected = _double_integral_quadrature(modes, eta, s)
+            expected = gauss_legendre_column(modes, eta, s)
             scale = np.max(np.abs(expected))
             assert np.max(np.abs(kernel[0, :, eta] - expected)) <= 1e-12 * scale
-
-
-def test_resonant_fallback_sizes_its_rule_from_xi(monkeypatch):
-    # the odd sector's third mode is xi = 5, so its rule has 48 + 8 * 6
-    # nodes, as it had when one basis held every xi; the column's place in
-    # the sector would give 72 and round differently
-    sizes = []
-    real = dispersion._gauss_nodes
-    monkeypatch.setattr(dispersion, "_gauss_nodes",
-                        lambda n: sizes.append(n) or real(n))
-    l = 0.9
-    closed_form_kernel(l, 6, (6 * np.pi / l) ** 2)
-    assert sizes == [96]
 
 
 def test_matching_matrix_shape_and_finiteness():
@@ -343,8 +358,7 @@ def test_array_fundamental_pair_matches_the_scalar_one():
     # every sign of s, s = 0 included, against the math-module pair
     xs = np.array([0.0, 0.3, 1.7, 4.0])
     ss = np.array([-40.0, -1e-3, 0.0, 2e-9, 5.0, 900.0])
-    cos_arr = cosine_solutions(xs[:, None], ss[None, :])
-    sin_arr = sine_solutions(xs[:, None], ss[None, :])
+    cos_arr, sin_arr = _fundamental_pairs(xs[:, None], ss[None, :])
     for i, x in enumerate(xs):
         for j, s in enumerate(ss):
             assert cos_arr[i, j] == pytest.approx(cosine_solution(x, s), rel=1e-14)
@@ -374,9 +388,8 @@ def two_face_determinants(cfg, q, xs) -> np.ndarray:
     omegas = np.asarray(xs, dtype=float)[:, None]
     s = (omegas / cfg.c) ** 2 - q ** 2
     count, n = cfg.exciton_mode_count, len(omegas)
-    ch, sh = cosine_solutions(cfg.l / 2.0, s), sine_solutions(cfg.l / 2.0, s)
-    gap = (cfg.L - cfg.l) / 2.0
-    cg, sg = cosine_solutions(gap, s), sine_solutions(gap, s)
+    ch, sh = _fundamental_pairs(cfg.l / 2.0, s)
+    cg, sg = _fundamental_pairs((cfg.L - cfg.l) / 2.0, s)
     beta = sum(sp.G ** 2 / (sp.omega ** 2 - omegas ** 2)
                for sp in cfg.oscillators) * omegas ** 2 / cfg.c ** 2
     uc, us, kernel = np.zeros((n, count)), np.zeros((n, count)), np.zeros((n, count, count))
