@@ -8,8 +8,9 @@ Four independent routes to the same eigenfrequencies live here:
   found by multisecting an exact inertia count of its roots.
 * ``one_exciton_roots`` / ``two_exciton_roots``: the scalar and 2x2
   closed-form factorizations available at Xi = 1, 2 with one species.
-* ``green_roots``: sign changes of the determinant of the Green-function
-  matching system, which never truncates the photon field at all.
+* ``green_roots``: roots of the Green-function matching system, which
+  never truncates the photon field at all, found by multisecting an exact
+  count of each mirror-parity sector's roots.
 * ``classical_roots``: the transcendental relation of the classical slab
   problem, the Xi -> infinity limit of the secular method.
 
@@ -21,15 +22,16 @@ is what makes cross-method comparison well defined.
 
 All root finding is bracketing plus bisection, never derivative-based:
 the functions have poles and near-vertical branches, and a sign or a count
-is trustworthy where a Newton step is not.  The secular route multisects a
-count of its roots below each frequency (the inertia of the reduced matrix,
-after Wittrick and Williams), which sees every root however close two lie.
-The other routes halve the sign brackets of a scan, all in lockstep through
-the same refiner, a sign standing in for the count.  Every sign scan is
-repeated at doubled density, and a changed bracket count raises
-BracketError; two roots of one function in one cell of both grids still
-cancel unseen.  So the two-exciton and Green scans take each mirror-parity
-factor alone.
+is trustworthy where a Newton step is not.  The secular and Green routes
+multisect a count of their roots below each frequency (after Wittrick and
+Williams: the inertia of the reduced matrix, and the negative eigenvalues
+of the half-cavity operator), which sees every root however close two lie.
+The closed forms and the classical route still halve the sign brackets of
+a scan, all in lockstep through the same refiner, a sign standing in for
+the count.  Every sign scan is repeated at doubled density, and a changed
+bracket count raises BracketError; two roots of one function in one cell
+of both grids still cancel unseen.  So the two-exciton scan takes each
+mirror-parity factor alone, and each classical branch is scanned alone.
 """
 
 from __future__ import annotations
@@ -107,8 +109,9 @@ def _longitudinal_sq(config: CavityConfig, omega: float, qv: float) -> float:
 
 def _propagating_window(config: CavityConfig, qv: float,
                         window: tuple[float, float]) -> tuple[float, float]:
-    # the window clamped to Omega > q c unless the continuation is enabled
-    lo, hi = window
+    # the window clamped to Omega > q c unless the continuation is enabled;
+    # a NaN or infinite edge is refused before the clamp could hide it
+    lo, hi = _finite_window(window)
     if not config.solver.allow_evanescent:
         lo = max(lo, qv * config.c * (1.0 + 1e-12))
     return lo, hi
@@ -130,14 +133,19 @@ def _damped_pair(x: float, s: float) -> tuple[float, float]:
 # scanning and bisection
 # --------------------------------------------------------------------------
 
+def _finite_window(window: tuple[float, float]) -> tuple[float, float]:
+    lo, hi = window
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ConfigError(f"window edges must be finite, got ({lo}, {hi})")
+    return lo, hi
+
+
 def pole_free_segments(window: tuple[float, float], poles, exclusion: float):
     """Split a finite window at the poles, removing exclusion half-widths > 0."""
     check_positive("exclusion", exclusion)
-    lo, hi = window
     # a reversed window is left empty, since clamping to the light line can
     # empty a window; a NaN or infinite edge is refused
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ConfigError(f"window edges must be finite, got ({lo}, {hi})")
+    lo, hi = _finite_window(window)
     segments = []
     prev = lo
     for p in sorted(p for p in poles if lo - exclusion < p < hi + exclusion):
@@ -273,8 +281,7 @@ def _multisect_counts(counts, segments, rel_tol: float, levels=None,
 # --------------------------------------------------------------------------
 
 # doubles held by one chunk's stacked arrays: the pole weights, pair sums
-# and reduced sector matrices of sector_counts, and in _green_determinants
-# the matching matrices and kernel stack of one _green_matrices call
+# and reduced sector matrices of sector_counts
 _SIGN_CHUNK_DOUBLES = 32768
 
 
@@ -580,6 +587,21 @@ class _SlabModes:
                        / (self.b_sq - self.b_sq[:, None] + self.eye))
 
 
+def _resonances(modes: _SlabModes, r: np.ndarray):
+    # (rows, cols, phi, diag): the entries with |Delta| < 1/4 at the
+    # wavenumbers r = sqrt(max(s, 0)) of n rows, and phi and the kernel
+    # diagonal there from their limits in Delta.  At most one mode per row,
+    # with r > 0.84 b, Y(h) = -sigma p sin(Delta)/r^parity and
+    # den = -(r + b) Delta/h
+    delta = (r[:, None] - modes.b) * modes.h
+    rows, cols = np.nonzero(np.abs(delta) < _RESONANT_DELTA)
+    r, b, delta = r[rows], modes.b[cols], delta[rows, cols]
+    phi = (modes.sigma * modes.h * modes.p[cols] * np.sinc(delta / np.pi)
+           / ((r + b) * (r if modes.parity else 1.0)))
+    tail = 2.0 * delta * np.polynomial.polynomial.polyval((2.0 * delta) ** 2, _SIN_TAIL)
+    return rows, cols, phi, -(2.0 * b + r + 4.0 * b * b * modes.h * tail) / (r * (r + b) ** 2)
+
+
 def _green_kernel(modes: _SlabModes, s, y_h, z_h) -> tuple[np.ndarray, np.ndarray]:
     """phi = Y(h)/(b^2 - s), (n, P), and the (n, P, P) kernel stack.
 
@@ -589,19 +611,11 @@ def _green_kernel(modes: _SlabModes, s, y_h, z_h) -> tuple[np.ndarray, np.ndarra
     dividing, so no division by zero occurs.
     """
     den = modes.b_sq - s
-    r = np.sqrt(np.maximum(s, 0.0))
-    delta = (r - modes.b) * modes.h
-    rows, cols = np.nonzero(np.abs(delta) < _RESONANT_DELTA)
+    rows, cols, res_phi, res_diag = _resonances(modes, np.sqrt(np.maximum(s[:, 0], 0.0)))
     den[rows, cols] = 1.0
     phi = y_h / den
     diag = (1.0 - 2.0 * z_h * phi * modes.grad_pf ** 2) / den
-    if len(rows):
-        r, b, delta = r[rows, 0], modes.b[cols], delta[rows, cols]
-        # Y(h) = -sigma p sin(Delta)/r^parity, den = -(r + b) Delta/h, r > 0.84 b
-        phi[rows, cols] = (modes.sigma * modes.h * modes.p[cols] * np.sinc(delta / np.pi)
-                           / ((r + b) * (r if modes.parity else 1.0)))
-        tail = 2.0 * delta * np.polynomial.polynomial.polyval((2.0 * delta) ** 2, _SIN_TAIL)
-        diag[rows, cols] = -(2.0 * b + r + 4.0 * b * b * modes.h * tail) / (r * (r + b) ** 2)
+    phi[rows, cols], diag[rows, cols] = res_phi, res_diag
     twice_zh_phi = 2.0 * z_h * phi
     out = (twice_zh_phi[:, None, :] - twice_zh_phi[:, :, None]) * modes.weight
     out.reshape(len(out), -1)[:, ::len(modes.b) + 1] = diag
@@ -612,13 +626,12 @@ def _green_matrices(config: CavityConfig, modes: _SlabModes, omegas: np.ndarray,
                     qv: float) -> np.ndarray:
     """One sector's (n, P+2, P+2) matching matrices at an (n, 1) column of frequencies.
 
-    Every matching matrix is built here: the scan grid and its halving in
-    chunks, the public entry points one row at a time.  The first row, in
-    order, that lies below the light line without allow_evanescent, sits on
-    a species pole or gives a matrix that is not finite raises
-    EvanescentError, PoleError or QuadratureError, as evaluating the rows
-    one at a time would.  A hyperbolic function that overflows makes its
-    matrix not finite.
+    Every matching matrix is built here; the public entry points take one
+    row.  The first row, in order, that lies below the light line without
+    allow_evanescent, sits on a species pole or gives a matrix that is not
+    finite raises EvanescentError, PoleError or QuadratureError, as
+    evaluating the rows one at a time would.  A hyperbolic function that
+    overflows makes its matrix not finite.
     """
     # Unknowns: the sector's P matter-projection coefficients, the amplitude
     # of its interior fundamental solution Y (C in the even sector, S in the
@@ -667,23 +680,6 @@ def _green_matrices(config: CavityConfig, modes: _SlabModes, omegas: np.ndarray,
     return mats
 
 
-def _green_determinants(config: CavityConfig, modes: _SlabModes, omegas: np.ndarray,
-                        qv: float) -> np.ndarray:
-    """det of one sector's matching matrix at every frequency of an array.
-
-    A chunk's stacked matrices hold about _SIGN_CHUNK_DOUBLES doubles
-    whatever the truncation and share one np.linalg.det.  Chunks run in
-    ascending order, so the first refused frequency raises its error.
-    """
-    omegas = np.asarray(omegas, dtype=float)
-    dets = np.empty(len(omegas))
-    step = max(1, _SIGN_CHUNK_DOUBLES // (2 * (len(modes.b) + 2) ** 2))
-    for start in range(0, len(omegas), step):
-        part = slice(start, start + step)
-        dets[part] = np.linalg.det(_green_matrices(config, modes, omegas[part, None], qv))
-    return dets
-
-
 def _green_sectors(config: CavityConfig) -> tuple[_SlabModes, _SlabModes]:
     # the even and the odd sector's slab modes, in that order
     return tuple(_SlabModes(config.l, config.exciton_mode_count, parity)
@@ -710,19 +706,96 @@ def green_determinant(config: CavityConfig, omega: float, q) -> float:
     return float(np.linalg.det(green_matching_matrix(config, omega, q)))
 
 
-def green_roots(config: CavityConfig, q, window: tuple[float, float]) -> np.ndarray:
-    """Sign-change roots of the Green-function determinant in the window.
+def _tangent_ratio(w: float, s: np.ndarray, r: np.ndarray) -> np.ndarray:
+    # S(w, s)/C(w, s) with r = sqrt(|s|): tan(r w)/r above s = 0, tanh(r w)/r
+    # below and w at s = 0; a ratio, so it never overflows
+    return np.where(s == 0.0, w, np.where(s > 0.0, np.tan(r * w), np.tanh(r * w)) / r)
 
-    Each parity sector's determinant is scanned on its own through
-    _green_determinants, the grid in batches and every bracket halved in
-    lockstep, so roots of the two sectors in one scan cell cannot cancel.
+
+def _multiples_below(x: np.ndarray) -> np.ndarray:
+    # #{n >= 1: n pi < x} for x >= 0
+    return np.maximum(np.ceil(x / np.pi) - 1.0, 0.0).astype(np.int64)
+
+
+def _green_counts(config: CavityConfig, modes: _SlabModes, qv: float,
+                  omegas) -> np.ndarray:
+    """One parity sector's count of its roots below every frequency of an array.
+
+    Notation as in the matching system above, with d = (L - l)/2 and
+    chi' = chi_xi'(h).  After Wittrick and Williams: J counts the negative eigenvalues of
+    -d^2/dz^2 - s - gamma Pi on the half cavity 0 < z < L/2, with the
+    sector's condition at z = 0 (E' = 0 even, E = 0 odd), E = 0 at L/2 and
+    Pi the projection on the sector's slab modes xi < Xi.  Between species
+    poles s and gamma = Omega^2 S(Omega)/c^2 both rise with Omega, so J
+    rises by one at each of the sector's roots, however close two lie.
+    With the face z = h clamped the problem splits into the slab, whose
+    modes are the chi_xi themselves, and the gap of width d; k is the face's
+    dynamic stiffness:
+
+        J = #{xi < Xi: den_xi < gamma} + #{xi >= Xi: b_xi^2 < s}
+            + #{n >= 1: n pi/d < sqrt(s)} + [k < 0]
+        k = Y'(h)/Y(h) - 2 gamma sum_{xi < Xi} chi'^2/(den (den - gamma)) + C(d)/S(d)
+
+    At d = 0 the face is the wall and J is the clamped count alone, as
+    C(d)/S(d) -> +inf gives.  Y'/Y and C/S are written with tan, tanh,
+    cot and coth, so nothing overflows below the light line.  Where
+    |Delta| < 1/4 the pole of Y'/Y cancels that mode's 2 chi'^2/den part of
+    the sum; their sum is taken as Z'/Z - K[xi, xi]/(sigma Z(h) phi) from
+    the limits of phi and of the kernel diagonal (the Wronskian is
+    Y Z' - Z Y' = sigma), so no term divides by den.  At den = gamma
+    exactly k is -inf, its limit from den > gamma, and no warning is raised.
+    """
+    omegas = np.asarray(omegas, dtype=float)
+    s = (omegas / config.c) ** 2 - qv ** 2
+    r = np.sqrt(np.abs(s))
+    r_prop = np.where(s > 0.0, r, 0.0)
+    gap = (config.L - config.l) / 2.0
+    with np.errstate(all="ignore"):
+        gamma = (_coupling_strength_sum(config, omegas) * omegas ** 2 / config.c ** 2)[:, None]
+        den = modes.b_sq - s[:, None]
+        excess = den - gamma
+        # the clamped slab: the projected modes with den < gamma, then the
+        # sector's other modes below sqrt(s), m = xi + 1 < sqrt(s) l/pi of
+        # the sector's parity of m
+        slab = _multiples_below(r_prop * config.l)
+        counts = (excess < 0.0).sum(axis=1) + np.maximum(
+            (slab + 1 - modes.parity) // 2 - len(modes.b), 0)
+        if gap == 0.0:
+            return counts
+        # the clamped gap, then the sign of the face's stiffness
+        counts += _multiples_below(r_prop * gap)
+        ratio = _tangent_ratio(modes.h, s, r)
+        y_log, z_log = ((1.0 / ratio, -s * ratio) if modes.parity
+                        else (-s * ratio, 1.0 / ratio))
+        rows, cols, res_phi, res_diag = _resonances(modes, r_prop)
+        den[rows, cols] = 1.0
+        terms = -2.0 * modes.grad_pf ** 2 * (gamma / excess) / den
+        res_r = r[rows]
+        z_h = -np.cos(res_r * modes.h) if modes.parity else np.sin(res_r * modes.h) / res_r
+        y_log[rows] = z_log[rows] - res_diag / (z_h * res_phi)
+        terms[rows, cols] = -2.0 * modes.grad_pf[cols] ** 2 / excess[rows, cols]
+        stiffness = y_log + terms.sum(axis=1) + 1.0 / _tangent_ratio(gap, s, r)
+    return counts + (stiffness < 0.0)
+
+
+def green_roots(config: CavityConfig, q, window: tuple[float, float]) -> np.ndarray:
+    """Roots of the Green-function matching system in the window, by counting.
+
+    Each parity sector's roots are multisected from its _green_counts over
+    the species-pole-free segments of the window, clamped to the light
+    line unless allow_evanescent is set.  A count sees every root, however
+    close two lie, and builds no matching matrix, so nothing overflows far
+    below the light line; no scan grid is built and ``scan_points`` is not
+    read.
     """
     qv = transverse_wavenumber(q)
-    window = _propagating_window(config, qv, window)
-    poles = [sp.omega for sp in config.oscillators]
+    settings = config.solver
+    segments = pole_free_segments(_propagating_window(config, qv, window),
+                                  [sp.omega for sp in config.oscillators],
+                                  settings.pole_exclusion)
     return np.sort(np.concatenate([
-        _scan(config, None, window, poles,
-              grid_signs=partial(_green_determinants, config, modes, qv=qv))
+        _multisect_counts(partial(_green_counts, config, modes, qv), segments,
+                          settings.root_tol)
         for modes in _green_sectors(config)]))
 
 

@@ -53,8 +53,8 @@ class SolverSettings:
         Half-width (rad/time) of the neighborhood excluded around every
         pole of a secular or transcendental function.
     scan_points : int
-        Samples per pole-free subinterval in the Green, classical and
-        closed-form sign scans; the counted secular route does not read it.
+        Samples per pole-free subinterval in the classical and closed-form
+        sign scans; the counted secular and Green routes do not read it.
     omega_max : float
         Upper edge of the default search window (rad/time).
     allow_evanescent : bool

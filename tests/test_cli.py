@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from polsp import GeometryError, ParseError
+from polsp import GeometryError, ParseError, overlap_K, secular_roots
 from polsp.cli import (main, manifest_digest, parse_config, sweep_grid)
 
 MINIMAL = """
@@ -217,20 +217,26 @@ solver: {omega_max: 12.0}
     assert not out.exists()
 
 
-def test_overflowing_green_sweep_is_a_solver_error(tmp_path, capsys):
-    # far below the light line the green matching matrix overflows: exit 3
-    # with a QuadratureError record and no output directory
-    path = write_config(tmp_path, """
+def test_green_sweep_far_below_the_light_line_finds_the_guided_modes(tmp_path, capsys):
+    # q = 3000, kappa h ~ 750: the matching matrix overflows here, but the
+    # green sweep counts its roots from ratios and exits 0 with the guided
+    # modes the secular route finds, within 2.2e-7 of the resonance
+    text = """
 geometry: {L: 1.0, l: 0.5}
 oscillators: [{omega: 4.0, G: 1.0}]
 sweep: {q_min: 3000.0, q_max: 3000.0, points: 1}
-solver: {omega_max: 10.0, allow_evanescent: true}
-""")
-    out = tmp_path / "newdir"
-    code = main(["sweep", "--config", path, "--method", "green", "--out", str(out)])
-    assert code == 3
-    assert json.loads(capsys.readouterr().err)["error"] == "QuadratureError"
-    assert not out.exists()
+solver: {omega_max: 10.0, allow_evanescent: true, pole_exclusion: 1.0e-9}
+"""
+    path = write_config(tmp_path, text)
+    assert main(["sweep", "--config", path, "--method", "green", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    lines = (tmp_path / "sweep.csv").read_text().splitlines()[2:]
+    roots = np.sort([float(line.split(",")[2]) for line in lines])
+    config, _ = parse_config(text)
+    secular = secular_roots(config, overlap_K(config), 3000.0, (0.0, 10.0))
+    assert len(roots) == len(secular) > 0
+    assert np.max(np.abs(roots - secular) / secular) <= 1e-8
+    assert np.all(np.abs(roots - 3.99999978) < 1e-8)
 
 
 def test_converge_without_secular_roots_is_a_solver_error(tmp_path, capsys):

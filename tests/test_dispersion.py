@@ -100,8 +100,10 @@ def test_scan_roots_empty_window():
                           scan_points=50, rel_tol=1e-10)) == 0
 
 
-# a NaN edge at either end and an infinite upper edge
-BAD_WINDOWS = ((float("nan"), 10.0), (0.5, float("nan")), (0.5, float("inf")))
+# a NaN edge at either end, an infinite upper edge and an infinite lower
+# one, which the light-line clamp of the green and classical routes hid
+BAD_WINDOWS = ((float("nan"), 10.0), (0.5, float("nan")), (0.5, float("inf")),
+               (float("-inf"), 12.0))
 
 
 @pytest.mark.parametrize("setting,value", [
@@ -146,11 +148,14 @@ def test_every_route_refuses_a_non_finite_window():
                       exciton=2, omega_max=12.0)
     one = cfg.with_truncation(exciton_mode_count=1)
     ov, ov1 = overlap_K(cfg), overlap_K(one)
+    evanescent = replace(cfg, solver=replace(cfg.solver, allow_evanescent=True))
     routes = [lambda w: secular_roots(cfg, ov, 0.5, w),
               lambda w: one_exciton_roots(one, ov1, 0.5, w),
               lambda w: two_exciton_roots(cfg, ov, 0.5, w),
               lambda w: green_roots(cfg, 0.5, w),
-              lambda w: classical_roots(cfg, None, 0.5, w)]
+              lambda w: green_roots(evanescent, 0.5, w),
+              lambda w: classical_roots(cfg, None, 0.5, w),
+              lambda w: classical_roots(evanescent, None, 0.5, w)]
     for route in routes:
         for window in BAD_WINDOWS:
             with pytest.raises(ConfigError, match="window edges must be finite"):

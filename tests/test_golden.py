@@ -7,9 +7,11 @@ leave these bytes unchanged.
 
 To regenerate the golden files after an intended output change, run
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [case ...]
 
-and review the diff of ``tests/golden/`` before committing it.
+and review the diff of ``tests/golden/`` before committing it.  Named
+cases (keys of ``CASES``) are regenerated alone; with no names every case
+is.
 """
 
 from __future__ import annotations
@@ -134,11 +136,17 @@ def test_golden_output(case, tmp_path, capsys):
             f"{case}/{name} differs from its golden file"
 
 
-def regenerate() -> None:
-    """Rewrite every golden file from the current code."""
+def regenerate(cases=None) -> None:
+    """Rewrite the golden files of the named cases, or of every case."""
+    unknown = sorted(set(cases or ()) - set(CASES))
+    if unknown:
+        raise SystemExit(f"unknown golden case(s): {', '.join(unknown)}; "
+                         f"known: {', '.join(CASES)}")
     GOLDEN.mkdir(exist_ok=True)
-    KK_INPUT.write_text(_kk_samples(), encoding="utf-8")
-    for case in CASES:  # kk_forward runs before kk_inverse reads it
+    chosen = [case for case in CASES if not cases or case in cases]
+    if "kk_forward" in chosen:
+        KK_INPUT.write_text(_kk_samples(), encoding="utf-8")
+    for case in chosen:  # kk_forward runs before kk_inverse reads it
         out_dir = GOLDEN / case
         out_dir.mkdir(exist_ok=True)
         for old in out_dir.iterdir():
@@ -150,5 +158,5 @@ def regenerate() -> None:
 
 
 if __name__ == "__main__":
-    regenerate()
+    regenerate(sys.argv[1:])
     sys.exit(0)

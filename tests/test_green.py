@@ -4,7 +4,9 @@ The kernel double integrals have a closed form whose derivation is long
 enough to deserve an independent check: nested adaptive quadrature of the
 defining integral, split at the |z - z'| kink.  The matching determinant
 itself is anchored by the empty cavity (exact eigenfrequencies known) and
-by the mode-sum route at large photon truncation.
+by the mode-sum route at large photon truncation.  The root count that
+green_roots multisects is checked against the dynamical spectrum, the
+secular roots and the sign changes of the matching determinant.
 """
 
 from __future__ import annotations
@@ -20,10 +22,9 @@ from polsp import (EvanescentError, PoleError, QuadratureError, cosine_solution,
                    green_determinant, green_matching_matrix, green_roots,
                    one_exciton_roots, overlap_K, pole_free_segments,
                    scan_roots, secular_roots, sine_solution)
-from polsp import dispersion
+from polsp import dispersion, hopfield
 from polsp.cli import parse_config, sweep_grid
-from polsp.dispersion import (_SIGN_CHUNK_DOUBLES, _SlabModes,
-                              _fundamental_pairs, _green_determinants,
+from polsp.dispersion import (_SlabModes, _fundamental_pairs, _green_counts,
                               _green_kernel, _green_matrices, _green_sectors,
                               _propagating_window)
 from conftest import make_config
@@ -283,25 +284,41 @@ def test_green_finds_the_guided_modes_at_kappa_h_15():
 
 
 def test_green_roots_below_the_light_line_are_secular_roots():
-    # q = 40, Xi = 6: every Green root is a counted secular root, though
-    # Green finds only some of the 6, which crowd two to a scan cell
+    # q = 40, Xi = 6: the counts find all 6 guided modes, which crowd two
+    # to a cell of a 400-point scan and cancelled there
     cfg = guided_cavity(6)
     roots = green_roots(cfg, 40.0, (0.0, 4.0))
     secular = secular_roots(cfg, overlap_K(cfg), 40.0, (0.0, 4.0))
-    assert len(roots) > 0
-    assert np.max(np.min(np.abs(roots[:, None] - secular), axis=1)) <= 1e-8
+    assert len(roots) == len(secular) == 6
+    assert np.max(np.abs(roots - secular) / secular) <= 1e-8
+
+
+@pytest.mark.parametrize("q", [20.0, 120.0])
+def test_green_counts_the_crowded_guided_modes(q):
+    # the six guided modes of one sector pair lie 0.0004-0.001 apart just
+    # below the resonance.  A 400-point sign scan returned 2 of them at
+    # q = 20 and raised BracketError at q = 120 (kappa h = 30), where the
+    # determinant's sign is rounding noise; the counts find all 6
+    cfg = guided_cavity(6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        roots = green_roots(cfg, q, (0.0, 4.0))
+    secular = secular_roots(cfg, overlap_K(cfg), q, (0.0, 4.0))
+    assert len(roots) == len(secular) == 6
+    assert np.max(np.abs(roots - secular)) <= 1e-9
 
 
 def test_overflowing_evanescent_matrix_is_a_quadrature_error():
     # far below the light line cosh(sqrt(-s) h) overflows; the matrix is
-    # then not finite, a typed error with no numpy warning on the way
+    # then not finite, a typed error with no numpy warning on the way.
+    # green_roots counts from ratios and builds no matrix: it returns, and
+    # its roots there lie inside the default pole exclusion
     cfg = make_config(species=((4.0, 1.0),), allow_evanescent=True)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(QuadratureError, match="not finite at Omega=1, q=3000"):
             green_determinant(cfg, 1.0, 3000.0)
-        with pytest.raises(QuadratureError, match="not finite at Omega=0.5, q=3000"):
-            green_roots(cfg, 3000.0, (0.5, 10.0))
+        assert len(green_roots(cfg, 3000.0, (0.5, 10.0))) == 0
 
 
 def test_pole_within_the_square_tolerance_is_refused_where_beta_stays_finite():
@@ -351,7 +368,7 @@ def test_green_determinant_sign_brackets_quartic_root():
 
 
 # ---------------------------------------------------------------------------
-# batched evaluation of the scan grid
+# stacked matching matrices against the scalar entry points
 # ---------------------------------------------------------------------------
 
 def test_array_fundamental_pair_matches_the_scalar_one():
@@ -367,11 +384,13 @@ def test_array_fundamental_pair_matches_the_scalar_one():
 
 
 def green_grid(cfg, q):
-    # the product of the batched sector determinants that green_roots
-    # scans, on an array of frequencies; the even sector is evaluated first
+    # the product of the sector determinants of one stack of matching
+    # matrices per sector, on an array of frequencies; the even sector is
+    # evaluated first
     sectors = _green_sectors(cfg)
-    return lambda xs: np.prod([_green_determinants(cfg, modes, xs, q)
-                               for modes in sectors], axis=0)
+    return lambda xs: np.prod([
+        np.linalg.det(_green_matrices(cfg, modes, np.asarray(xs, dtype=float)[:, None], q))
+        for modes in sectors], axis=0)
 
 
 def scalar_grid_signs(cfg, q, xs):
@@ -542,42 +561,42 @@ CROWDED_CASE = (make_config(L=1.4, l=0.9, c=0.8,
 
 
 def test_green_roots_equal_the_scalar_scan():
-    # the batched grid changes how the grid is evaluated, not a root
+    # multisecting the sectors' counts finds the roots of each sector
+    # determinant's scalar sign scan, each within root_tol: both stop once
+    # their bracket is that narrow
     for cfg, q in [(make_config(L=1.0, l=0.5, species=((20.0, 3.0),), photon=24,
                                 exciton=4, omega_max=12.0, scan_points=200), 2.0),
                    CROWDED_CASE,
                    (make_config(**README_CAVITY), 1.5)]:
-        batched = green_roots(cfg, q, (0.0, cfg.solver.omega_max))
-        assert len(batched) > 0
-        assert np.array_equal(batched, scan_green(cfg, q, scalar_sector_scans(cfg, q)))
+        counted = green_roots(cfg, q, (0.0, cfg.solver.omega_max))
+        scalar = scan_green(cfg, q, scalar_sector_scans(cfg, q))
+        assert len(counted) == len(scalar) > 0
+        assert np.all(np.abs(counted - scalar)
+                      <= cfg.solver.root_tol * np.maximum(1.0, scalar))
 
 
-def test_green_halving_builds_one_stack_per_step_per_sector(monkeypatch):
-    # 11 roots in each sector.  Halving every bracket of a sector in
-    # lockstep builds one stack of matching matrices per step; bisecting
-    # one root at a time built one per step per root (561 calls here)
+def test_green_multisection_counts_once_per_step_per_sector(monkeypatch):
+    # 11 roots in each sector.  Multisecting every interval of a sector in
+    # lockstep takes one counts call for the segment ends and one per step,
+    # and no matching matrix is built
     cfg = make_config(L=1.0, l=0.5, species=((100.0, 3.0),), photon=8, exciton=4,
-                      omega_max=70.0, scan_points=400)
+                      omega_max=70.0)
     calls = []
-    monkeypatch.setattr(dispersion, "_green_matrices",
-                        lambda *args: calls.append(1) or _green_matrices(*args))
+    monkeypatch.setattr(dispersion, "_green_counts",
+                        lambda *args: calls.append(1) or _green_counts(*args))
+    monkeypatch.setattr(dispersion, "_green_matrices", None)
     roots = green_roots(cfg, 0.0, (0.0, cfg.solver.omega_max))
     settings = cfg.solver
-    grid_points = 2 * settings.scan_points - 1
-    cell = settings.omega_max / (grid_points - 1)
-    steps = int(np.ceil(np.log2(cell / settings.root_tol)))
-    allowed = 0
-    for modes in _green_sectors(cfg):
-        chunk = _SIGN_CHUNK_DOUBLES // (2 * (len(modes.b) + 2) ** 2)
-        allowed += -(-grid_points // chunk) + steps
+    steps = int(np.ceil(np.log(settings.omega_max / settings.root_tol)
+                        / np.log(dispersion._COUNT_SECTIONS)))
     assert len(roots) == 22
-    assert 0 < len(calls) <= allowed
+    assert 0 < len(calls) <= 2 * (1 + steps)
 
 
 def test_sector_scan_finds_what_a_dense_whole_scan_finds():
     cfg, q = CROWDED_CASE
     roots = green_roots(cfg, q, (0.0, cfg.solver.omega_max))
-    # one scan of the whole determinant, its grid batched
+    # one scan of the whole determinant, its grid one stack per sector
     dense = scan_green(cfg, q, [(lambda w: green_determinant(cfg, w, q), green_grid(cfg, q))],
                        scan_points=20000)
     assert len(roots) == len(dense) == 13
@@ -607,7 +626,8 @@ def test_opposite_parity_roots_in_one_scan_cell_are_both_found(scan_points):
 
 def test_two_species_golden_config_scans_without_bracket_error():
     # c10_two_species at q = 0: the whole-determinant scan raised
-    # BracketError at 400 points; the sector scans agree with 4000 points
+    # BracketError at 400 points.  The counts read no scan_points, so
+    # 400 and 4000 give the same roots
     cfg, _ = parse_config(GOLDEN_CONFIGS["c10_two_species"])
     window = (0.0, cfg.solver.omega_max)
     roots = green_roots(cfg, 0.0, window)
@@ -629,13 +649,12 @@ def raised(fn):
                               "light_first_one_chunk"])
 def test_green_grid_raises_the_scalar_loops_first_error(pole_at, light_at):
     # one grid with a species pole and a point below the light line, both
-    # past the first chunk, in two chunks or in one: the batched grid
-    # raises the error of the first offending point in scan order, as the
-    # scalar loop does
+    # past the first block of rows, in two blocks or in one: the stacked
+    # matrices raise the error of the first offending point in scan order,
+    # as the scalar loop does
     cfg = make_config(L=1.0, l=0.5, species=((5.0, 1.0),), photon=4, exciton=3)
     q = 2.0
-    # the chunk of the even sector, which green_grid evaluates first
-    chunk = _SIGN_CHUNK_DOUBLES // (2 * ((cfg.exciton_mode_count + 1) // 2 + 2) ** 2)
+    chunk = 512
     xs = np.linspace(2.5, 12.0, 3 * chunk)
     xs[int(pole_at * chunk) + 5] = 5.0
     xs[int(light_at * chunk) + 5] = 1.5
@@ -647,3 +666,93 @@ def test_green_grid_raises_the_scalar_loops_first_error(pole_at, light_at):
                                      (xs[0], xs[-1]), [], exclusion=1e-6,
                                      scan_points=2, rel_tol=1e-10,
                                      grid_signs=lambda _: green_signs(xs))) == expected
+
+
+# ---------------------------------------------------------------------------
+# the Wittrick-Williams count that green_roots multisects
+# ---------------------------------------------------------------------------
+
+def random_count_case(rng, k):
+    # 1-2 species, the first uncoupled in every third case; every fourth
+    # slab fills the cavity (l = L, no gap)
+    L = rng.uniform(0.6, 2.5)
+    l = L if k % 4 == 0 else rng.uniform(0.2, 1.0) * L
+    species = [(rng.uniform(2.0, 11.0), rng.uniform(0.2, 3.0))
+               for _ in range(rng.integers(1, 3))]
+    if k % 3 == 0:
+        species[0] = (species[0][0], 0.0)
+    cfg = make_config(L=L, l=l, c=rng.choice([1.0, rng.uniform(0.6, 1.4)]),
+                      species=tuple(species), photon=600,
+                      exciton=int(rng.integers(1, 9)),
+                      allow_evanescent=bool(rng.random() < 0.4), pole_exclusion=1e-3)
+    return cfg, float(rng.uniform(0.0, 3.0)), (0.0, float(rng.uniform(6.0, 12.0)))
+
+
+def test_green_count_rises_by_the_dynamical_modes_of_each_segment():
+    # over every species-pole-free segment of the green window, the rise of
+    # the two sectors' counts is the number of modes of the dynamical
+    # spectrum there, uncoupled photon lines included
+    rng = np.random.default_rng(20261019)
+    roots = evanescent = 0
+    for k in range(60):
+        cfg, q, window = random_count_case(rng, k)
+        spectrum = hopfield.spectrum(cfg, q)
+        segments = pole_free_segments(_propagating_window(cfg, q, window),
+                                      [sp.omega for sp in cfg.oscillators],
+                                      cfg.solver.pole_exclusion)
+        ends = np.array(segments).ravel()
+        rise = sum(np.diff(_green_counts(cfg, modes, q, ends).reshape(-1, 2), axis=1)[:, 0]
+                   for modes in _green_sectors(cfg))
+        expected = [np.sum((spectrum > lo) & (spectrum < hi)) for lo, hi in segments]
+        np.testing.assert_array_equal(rise, expected, err_msg=f"case {k}")
+        roots += sum(expected)
+        evanescent += cfg.solver.allow_evanescent
+    assert roots > 400 and 15 <= evanescent <= 35
+
+
+def exact_cavity(**solver):
+    # l = pi/4 makes the slab wavenumbers b_xi = 4 (xi + 1) exact doubles.
+    # With c = 1 and q = 0, s = Omega^2 is exactly b_xi^2 at Omega = b_xi,
+    # and the species at 4 with G = 15 gives den_0 = gamma = 15 exactly at
+    # Omega = 1
+    return make_config(L=1.0, l=np.pi / 4, species=((4.0, 15.0),), photon=8,
+                       exciton=3, **solver)
+
+
+@pytest.mark.parametrize("solver,q,omega", [
+    ({}, 0.0, 1.0),
+    ({}, 0.0, 12.0),
+    ({}, 0.0, 8.0),
+    ({}, 0.0, 16.0),
+    ({}, 0.0, 20.0),
+    ({"allow_evanescent": True}, 2.0, 2.0),
+], ids=["den_eq_gamma", "projected_even_b_sq_eq_s", "projected_odd_b_sq_eq_s",
+        "unprojected_odd_b_sq_eq_s", "unprojected_even_b_sq_eq_s", "s_zero"])
+def test_green_count_is_exact_and_silent_at_singular_points(solver, q, omega):
+    # each count equals the counts 1e-9 to either side, where no root lies,
+    # with no numpy warning on the way.  At Omega = 16 the even sector also
+    # has den_0 = gamma exactly, since b_0 is the species frequency
+    cfg = exact_cavity(**solver)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for modes in _green_sectors(cfg):
+            at = _green_counts(cfg, modes, q, [omega])
+            near = _green_counts(cfg, modes, q, omega * (1.0 + np.array([-1e-9, 1e-9])))
+            assert at.dtype.kind == "i"
+            assert near[0] == at[0] == near[1], modes.parity
+
+
+@pytest.mark.parametrize("l,G", [(0.5, 3.0), (0.485, 3.09), (0.515, 2.91)],
+                         ids=["readme", "jitter_low", "jitter_high"])
+def test_green_roots_match_secular_at_400_photons(l, G):
+    # the README cavity and the jittered sweep configs of its benchmark, on
+    # the whole 9-point q grid: the untruncated green roots and the secular
+    # roots at N = 400 agree within 1e-8
+    cfg = make_config(L=1.0, l=l, species=((20.0, G),), photon=400, exciton=16,
+                      omega_max=17.0)
+    overlaps = overlap_K(cfg)
+    for q in np.linspace(0.0, 4.0, 9):
+        roots = green_roots(cfg, q, (0.0, 17.0))
+        secular = secular_roots(cfg, overlaps, q, (0.0, 17.0))
+        assert len(roots) == len(secular) > 0
+        assert np.max(np.abs(roots - secular) / secular) <= 1e-8

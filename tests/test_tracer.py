@@ -28,13 +28,14 @@ solver: {omega_max: 12.0, scan_points: 60}
 """
 
 SWEEP_LAYERS = ("dispersion.scan_roots", "dispersion.solve", "model.validate")
-# the secular route counts its roots and never calls scan_roots
+# the secular and green routes count their roots and never call scan_roots
 SECULAR_LAYERS = ("dispersion.secular_roots", "dispersion.solve", "model.validate")
+GREEN_LAYERS = ("dispersion.green_roots", "dispersion.solve", "model.validate")
 
 
 @pytest.mark.parametrize("argv,layers", [
     (["sweep", "--method", "secular"], SECULAR_LAYERS),
-    (["sweep", "--method", "green"], SWEEP_LAYERS),
+    (["sweep", "--method", "green"], GREEN_LAYERS),
     (["sweep", "--method", "classical"], SWEEP_LAYERS),
     (["sweep", "--method", "dynamical"], ("dispersion.solve", "hopfield.build")),
     (["spectrum"], ("hopfield.build", "hopfield.diagonalize")),
