@@ -22,16 +22,16 @@ is what makes cross-method comparison well defined.
 
 All root finding is bracketing plus bisection, never derivative-based:
 the functions have poles and near-vertical branches, and a sign or a count
-is trustworthy where a Newton step is not.  The secular and Green routes
-multisect a count of their roots below each frequency (after Wittrick and
-Williams: the inertia of the reduced matrix, and the negative eigenvalues
-of the half-cavity operator), which sees every root however close two lie.
-The closed forms and the classical route still halve the sign brackets of
-a scan, all in lockstep through the same refiner, a sign standing in for
-the count.  Every sign scan is repeated at doubled density, and a changed
-bracket count raises BracketError; two roots of one function in one cell
-of both grids still cancel unseen.  So the two-exciton scan takes each
-mirror-parity factor alone, and each classical branch is scanned alone.
+is trustworthy where a Newton step is not.  The secular, closed-form and
+Green routes multisect a count of their roots below each frequency (after
+Wittrick and Williams: the inertia of the reduced matrix, from one sign or
+from its determinant and trace in the closed forms, and the negative
+eigenvalues of the half-cavity operator), which sees every root however
+close two lie.  Only the classical route scans signs: its brackets are
+halved in lockstep through the same refiner, a sign standing in for the
+count.  Its scan is repeated at doubled density, and a changed bracket
+count raises BracketError; two roots of one function in one cell of both
+grids still cancel unseen, so each classical branch is scanned alone.
 """
 
 from __future__ import annotations
@@ -195,21 +195,20 @@ def _brackets(signs, lo: float, hi: float, n: int):
 
 
 def scan_roots(f, window: tuple[float, float], poles, *, exclusion: float,
-               scan_points: int, rel_tol: float, grid_signs=None) -> np.ndarray:
-    """All roots of f in the window, excluding pole neighborhoods.
+               scan_points: int, rel_tol: float) -> np.ndarray:
+    """All roots of the scalar f in the window, excluding pole neighborhoods.
 
     Each pole-free segment is bracketed twice, at scan_points and at double
     density; a differing bracket count means the grid cannot be trusted and
     raises BracketError rather than guessing.  Every bracket is then halved
-    in lockstep down to rel_tol.  ``grid_signs(xs)``, if given, must return
-    the sign of f at every point of the array xs; it then evaluates the
-    grids and the halving, and f is never called (it may be None).
-    ``scan_points`` must be an integer >= 2, and ``exclusion`` and
-    ``rel_tol`` real numbers in (0, inf).
+    in lockstep down to rel_tol.  ``scan_points`` must be an integer >= 2,
+    and ``exclusion`` and ``rel_tol`` real numbers in (0, inf).
     """
     check_scan_points(scan_points)
     check_positive("rel_tol", rel_tol)
-    signs = grid_signs or (lambda xs: np.array([f(x) for x in xs]))
+
+    def signs(xs):
+        return np.array([f(x) for x in xs])
     brackets = []
     for lo, hi in pole_free_segments(window, poles, exclusion):
         coarse, fine = _brackets(signs, lo, hi, scan_points)
@@ -221,15 +220,6 @@ def scan_roots(f, window: tuple[float, float], poles, *, exclusion: float,
                 "accumulate against a resonance")
         brackets += fine
     return np.sort(_bisect_sign(signs, brackets, rel_tol))
-
-
-def _scan(config: CavityConfig, f, window: tuple[float, float], poles,
-          grid_signs=None) -> np.ndarray:
-    """scan_roots with the configured exclusion, scan density and tolerance."""
-    settings = config.solver
-    return scan_roots(f, window, poles, exclusion=settings.pole_exclusion,
-                      scan_points=settings.scan_points, rel_tol=settings.root_tol,
-                      grid_signs=grid_signs)
 
 
 _COUNT_SECTIONS = 8  # equal parts an interval is cut into per counting step
@@ -447,10 +437,11 @@ def secular_roots(config: CavityConfig, overlaps: OverlapSet, q,
 
 def _closed_form_roots(name: str, needed_modes: int, config: CavityConfig,
                        overlaps: OverlapSet, q, window) -> np.ndarray:
-    # the scan shared by both closed forms.  Sigma_01 is exactly 0 when no
-    # photon couples to both matter modes, as for every overlap_K, and the
-    # relation is then the product of the factors 1 - Sigma_aa: each is
-    # scanned on its own, so roots of both in one scan cell cannot cancel
+    # both closed forms count their roots, as secular_roots does: the
+    # relation is det(I - Sigma) of the 1x1 or 2x2 reduced secular matrix,
+    # and the negative eigenvalues of sgn(w0^2 - Omega^2)(I - Sigma) rise by
+    # one at each root inside a pole-free segment (Wittrick and Williams),
+    # however close two lie.  No scan grid is built and scan_points is not read
     overlaps.check_shape(config)
     if config.species_count() != 1:
         raise ConfigError(f"{name} requires exactly one species")
@@ -458,31 +449,36 @@ def _closed_form_roots(name: str, needed_modes: int, config: CavityConfig,
         raise ConfigError(
             f"{name} requires exciton_mode_count == {needed_modes}, "
             f"got {config.exciton_mode_count}")
-    K = overlaps.K
-    if np.any(K[:, :1] * K[:, 1:]):
-        relations = [_two_exciton]
-    else:
-        relations = [partial(_one_exciton, column=a) for a in range(needed_modes)]
     freqs = photon_frequencies(config, q)
-    poles = np.concatenate([freqs, [config.oscillators[0].omega]])
-    return np.sort(np.concatenate([
-        _scan(config, None, window, poles, grid_signs=partial(value, config, overlaps, freqs))
-        for value in relations]))
+    settings = config.solver
+    segments = pole_free_segments(window, [*freqs, config.oscillators[0].omega],
+                                  settings.pole_exclusion)
+    return np.sort(_multisect_counts(partial(_closed_form_counts, config, overlaps, freqs),
+                                     segments, settings.root_tol))
 
 
-def _weighted_column_sum(overlaps: OverlapSet, photon_freqs: np.ndarray,
-                         omega, a: int, b: int) -> np.ndarray:
-    weights = 1.0 / (photon_freqs ** 2 - np.asarray(omega)[..., None] ** 2)
-    return np.sum(overlaps.K[:, a] * overlaps.K[:, b] * weights, axis=-1)
+def _closed_form_counts(config: CavityConfig, overlaps: OverlapSet,
+                        freqs: np.ndarray, omegas) -> np.ndarray:
+    # the negative eigenvalues of sgn(w0^2 - Omega^2)(I - Sigma) at every
+    # frequency of an array: one sign at Xi = 1; at Xi = 2 one where the
+    # determinant is negative, else two or none by the sign of the trace
+    flip = np.sign(config.oscillators[0].omega ** 2 - omegas ** 2)
+    if overlaps.K.shape[1] == 1:
+        value = 1.0 - _sigma(config, overlaps, freqs, omegas, 0, 0)
+        return (flip * value < 0.0).astype(int)
+    det, trace = _two_exciton(config, overlaps, freqs, omegas)
+    return np.where(det < 0.0, 1, 2 * (flip * trace < 0.0))
 
 
-def _one_exciton(config: CavityConfig, overlaps: OverlapSet,
-                 freqs: np.ndarray, omega, column: int = 0) -> np.ndarray:
-    # one_exciton_value of matter mode column at the photon frequencies
-    # freqs, which a scan computes once, for a frequency or an array
+def _sigma(config: CavityConfig, overlaps: OverlapSet, photon_freqs: np.ndarray,
+           omega, a: int, b: int) -> np.ndarray:
+    # Sigma_ab = G^2 Omega^2/(w0^2 - Omega^2) sum_m K[m,a] K[m,b]/(Omega_m^2 -
+    # Omega^2) at the photon frequencies photon_freqs, which a root search
+    # computes once, for a frequency or an array
     sp = config.oscillators[0]
     factor = sp.G ** 2 * omega ** 2 / (sp.omega ** 2 - omega ** 2)
-    return 1.0 - factor * _weighted_column_sum(overlaps, freqs, omega, column, column)
+    weights = 1.0 / (photon_freqs ** 2 - np.asarray(omega)[..., None] ** 2)
+    return factor * np.sum(overlaps.K[:, a] * overlaps.K[:, b] * weights, axis=-1)
 
 
 def one_exciton_value(config: CavityConfig, overlaps: OverlapSet,
@@ -490,23 +486,22 @@ def one_exciton_value(config: CavityConfig, overlaps: OverlapSet,
     """1 - G^2 Omega^2/(w0^2 - Omega^2) sum_m K[m,0]^2/(Omega_m^2 - Omega^2)."""
     freqs = photon_frequencies(config, q)
     _refuse_poles(config, freqs, omega, "one_exciton_value")
-    return float(_one_exciton(config, overlaps, freqs, omega))
+    return float(1.0 - _sigma(config, overlaps, freqs, omega, 0, 0))
 
 
 def one_exciton_roots(config: CavityConfig, overlaps: OverlapSet, q,
                       window: tuple[float, float]) -> np.ndarray:
-    """Roots of the scalar single-matter-mode dispersion relation."""
+    """Roots of the scalar single-matter-mode dispersion relation, by counting."""
     return _closed_form_roots("one_exciton_roots", 1, config, overlaps, q, window)
 
 
 def _two_exciton(config: CavityConfig, overlaps: OverlapSet,
-                 freqs: np.ndarray, omega) -> np.ndarray:
-    # two_exciton_value at the photon frequencies freqs, elementwise
-    sp = config.oscillators[0]
-    factor = sp.G ** 2 * omega ** 2 / (sp.omega ** 2 - omega ** 2)
-    s00, s11, s01 = (factor * _weighted_column_sum(overlaps, freqs, omega, a, b)
+                 freqs: np.ndarray, omega) -> tuple[np.ndarray, np.ndarray]:
+    # the determinant two_exciton_value and the trace 2 - Sigma_00 - Sigma_11
+    # of I - Sigma, elementwise
+    s00, s11, s01 = (_sigma(config, overlaps, freqs, omega, a, b)
                      for a, b in ((0, 0), (1, 1), (0, 1)))
-    return (1.0 - s00) * (1.0 - s11) - s01 ** 2
+    return (1.0 - s00) * (1.0 - s11) - s01 ** 2, 2.0 - s00 - s11
 
 
 def two_exciton_value(config: CavityConfig, overlaps: OverlapSet,
@@ -514,12 +509,12 @@ def two_exciton_value(config: CavityConfig, overlaps: OverlapSet,
     """(1 - Sigma_00)(1 - Sigma_11) - Sigma_01^2 for the two-mode relation."""
     freqs = photon_frequencies(config, q)
     _refuse_poles(config, freqs, omega, "two_exciton_value")
-    return float(_two_exciton(config, overlaps, freqs, omega))
+    return float(_two_exciton(config, overlaps, freqs, omega)[0])
 
 
 def two_exciton_roots(config: CavityConfig, overlaps: OverlapSet, q,
                       window: tuple[float, float]) -> np.ndarray:
-    """Roots of the two-matter-mode product-minus-cross-term relation."""
+    """Roots of the two-matter-mode product-minus-cross-term relation, by counting."""
     return _closed_form_roots("two_exciton_roots", 2, config, overlaps, q, window)
 
 
@@ -626,12 +621,10 @@ def _green_matrices(config: CavityConfig, modes: _SlabModes, omegas: np.ndarray,
                     qv: float) -> np.ndarray:
     """One sector's (n, P+2, P+2) matching matrices at an (n, 1) column of frequencies.
 
-    Every matching matrix is built here; the public entry points take one
-    row.  The first row, in order, that lies below the light line without
-    allow_evanescent, sits on a species pole or gives a matrix that is not
-    finite raises EvanescentError, PoleError or QuadratureError, as
-    evaluating the rows one at a time would.  A hyperbolic function that
-    overflows makes its matrix not finite.
+    Arithmetic only: a frequency below the light line is continued, one on
+    a species pole or whose hyperbolic functions overflow gives a matrix
+    that is not finite, and no warning is raised.  green_matching_matrix
+    refuses such a frequency before it builds.
     """
     # Unknowns: the sector's P matter-projection coefficients, the amplitude
     # of its interior fundamental solution Y (C in the even sector, S in the
@@ -640,10 +633,9 @@ def _green_matrices(config: CavityConfig, modes: _SlabModes, omegas: np.ndarray,
     # derivative continuity at z = +h; z = -h repeats them by symmetry
     count = len(modes.b)
     s = (omegas / config.c) ** 2 - qv ** 2
-    omegas_sq = omegas ** 2
     widths = np.array([modes.h, (config.L - config.l) / 2.0])
     with np.errstate(all="ignore"):
-        beta = _coupling_strength_sum(config, omegas) * omegas_sq / config.c ** 2
+        beta = _coupling_strength_sum(config, omegas) * omegas ** 2 / config.c ** 2
         # the fundamental pair at the slab half-width and at the gap width
         cos, sin = _fundamental_pairs(widths, s)
         ch, sh = cos[:, :1], sin[:, :1]
@@ -662,21 +654,6 @@ def _green_matrices(config: CavityConfig, modes: _SlabModes, omegas: np.ndarray,
         mats[:, count:] = np.concatenate(
             (z_h * chi_phi, value, sin[:, 1:], z_slope * chi_phi, slope, -cos[:, 1:]),
             axis=1).reshape(-1, 2, count + 2)
-        # cheap supersets of the refused rows, which the loop below then
-        # finds exactly: a non-finite entry makes the sum non-finite, and a
-        # squared frequency within 1e-300 of a species pole's is either
-        # equal to it, where beta is not finite, or below 1e-284, where
-        # doubles lie that close together
-        suspect = not math.isfinite(mats.sum()) or omegas_sq.min() < 1e-284
-    if suspect or (not config.solver.allow_evanescent and s.min() < 0.0):
-        for omega, mat in zip(omegas[:, 0].tolist(), mats):
-            _longitudinal_sq(config, omega, qv)
-            for sp in config.oscillators:
-                if abs(sp.omega ** 2 - omega ** 2) <= 1e-300:
-                    raise PoleError(f"green system evaluated at species pole {sp.omega}")
-            if not np.isfinite(mat).all():
-                raise QuadratureError(
-                    f"green matching matrix not finite at Omega={omega:.6g}, q={qv:.6g}")
     return mats
 
 
@@ -691,13 +668,24 @@ def green_matching_matrix(config: CavityConfig, omega: float, q) -> np.ndarray:
 
     Block diagonal, even parity sector first, each block that sector's
     matrix of _green_matrices: the two-face system after sums and
-    differences of the faces' rows and of the two gaps' amplitudes.
+    differences of the faces' rows and of the two gaps' amplitudes.  A
+    frequency below the light line without allow_evanescent raises
+    EvanescentError, one on a species pole PoleError, and a matrix that is
+    not finite, as where a hyperbolic function overflows, QuadratureError.
     """
-    qv, omegas = transverse_wavenumber(q), np.full((1, 1), omega, dtype=float)
+    qv = transverse_wavenumber(q)
+    _longitudinal_sq(config, omega, qv)
+    for sp in config.oscillators:
+        if abs(sp.omega ** 2 - omega ** 2) <= 1e-300:
+            raise PoleError(f"green system evaluated at species pole {sp.omega}")
+    omegas = np.full((1, 1), omega, dtype=float)
     even, odd = (_green_matrices(config, modes, omegas, qv)[0]
                  for modes in _green_sectors(config))
     mat = np.zeros((config.exciton_mode_count + 4,) * 2)
     mat[:len(even), :len(even)], mat[len(even):, len(even):] = even, odd
+    if not np.isfinite(mat).all():
+        raise QuadratureError(
+            f"green matching matrix not finite at Omega={omega:.6g}, q={qv:.6g}")
     return mat
 
 
@@ -859,12 +847,17 @@ def classical_roots(config: CavityConfig, susceptibility, q,
     window = _propagating_window(config, qv, window)
     chi = _resolve_susceptibility(susceptibility)
 
+    settings = config.solver
+
     def branch(which):
         def f(omega):
             return classical_branch_values(config, chi, omega, qv)[which]
         return f
 
-    return tuple(_scan(config, branch(which), window, poles) for which in (0, 1))
+    return tuple(scan_roots(branch(which), window, poles,
+                            exclusion=settings.pole_exclusion,
+                            scan_points=settings.scan_points, rel_tol=settings.root_tol)
+                 for which in (0, 1))
 
 
 def _lorentz_classical_roots(config: CavityConfig, q,

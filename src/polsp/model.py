@@ -53,8 +53,9 @@ class SolverSettings:
         Half-width (rad/time) of the neighborhood excluded around every
         pole of a secular or transcendental function.
     scan_points : int
-        Samples per pole-free subinterval in the classical and closed-form
-        sign scans; the counted secular and Green routes do not read it.
+        Samples per pole-free subinterval in the classical sign scan, the
+        only route that reads it; the counted secular, closed-form and
+        Green routes do not.
     omega_max : float
         Upper edge of the default search window (rad/time).
     allow_evanescent : bool

@@ -21,7 +21,7 @@ from scipy.integrate import quad
 from polsp import (EvanescentError, PoleError, QuadratureError, cosine_solution,
                    green_determinant, green_matching_matrix, green_roots,
                    one_exciton_roots, overlap_K, pole_free_segments,
-                   scan_roots, secular_roots, sine_solution)
+                   secular_roots, sine_solution)
 from polsp import dispersion, hopfield
 from polsp.cli import parse_config, sweep_grid
 from polsp.dispersion import (_SlabModes, _fundamental_pairs, _green_counts,
@@ -328,9 +328,6 @@ def test_pole_within_the_square_tolerance_is_refused_where_beta_stays_finite():
     omega = 1.0000001e-150
     with pytest.raises(PoleError, match="species pole 1e-150"):
         green_determinant(cfg, omega, 0.0)
-    green_signs = green_grid(cfg, 0.0)
-    with pytest.raises(PoleError, match="species pole 1e-150"):
-        green_signs(np.array([0.5, omega, 2.0]))
 
 
 def test_green_matches_mode_sum_and_improves_with_truncation():
@@ -531,24 +528,31 @@ def test_green_grid_signs_match_scalar_on_random_cases():
     assert points > 8000
 
 
-def scan_green(cfg, q, scans, scan_points=None):
-    # scan_roots of every (scalar f, grid_signs) pair over the green scan's
-    # window and poles, merged
+def scan_green(cfg, q, evaluators, scan_points=None):
+    # the sign scan of every array evaluator over the green window's
+    # species-pole-free segments, merged: brackets at scan_points and at
+    # double density, which must agree, halved in lockstep to root_tol
     settings = cfg.solver
-    return np.sort(np.concatenate([
-        scan_roots(f, _propagating_window(cfg, q, (0.0, settings.omega_max)),
-                   [sp.omega for sp in cfg.oscillators],
-                   exclusion=settings.pole_exclusion,
-                   scan_points=scan_points or settings.scan_points,
-                   rel_tol=settings.root_tol, grid_signs=grid_signs)
-        for f, grid_signs in scans]))
+    points = scan_points or settings.scan_points
+    window = _propagating_window(cfg, q, (0.0, settings.omega_max))
+    segments = pole_free_segments(window, [sp.omega for sp in cfg.oscillators],
+                                  settings.pole_exclusion)
+    roots = []
+    for signs in evaluators:
+        brackets = []
+        for lo, hi in segments:
+            coarse, fine = dispersion._brackets(signs, lo, hi, points)
+            assert len(coarse) == len(fine), (lo, hi)
+            brackets += fine
+        roots.append(dispersion._bisect_sign(signs, brackets, settings.root_tol))
+    return np.sort(np.concatenate(roots))
 
 
 def scalar_sector_scans(cfg, q):
     # each parity sector's determinant, one frequency at a time on the grid
     # as in bisection
-    return [(lambda w, modes=modes: np.linalg.det(
-        _green_matrices(cfg, modes, np.full((1, 1), w), q)[0]), None)
+    return [lambda xs, modes=modes: np.array([np.linalg.det(
+        _green_matrices(cfg, modes, np.full((1, 1), w), q)[0]) for w in xs])
         for modes in _green_sectors(cfg)]
 
 
@@ -597,8 +601,7 @@ def test_sector_scan_finds_what_a_dense_whole_scan_finds():
     cfg, q = CROWDED_CASE
     roots = green_roots(cfg, q, (0.0, cfg.solver.omega_max))
     # one scan of the whole determinant, its grid one stack per sector
-    dense = scan_green(cfg, q, [(lambda w: green_determinant(cfg, w, q), green_grid(cfg, q))],
-                       scan_points=20000)
+    dense = scan_green(cfg, q, [green_grid(cfg, q)], scan_points=20000)
     assert len(roots) == len(dense) == 13
     assert np.max(np.abs(roots - dense) / dense) <= cfg.solver.root_tol
     assert np.min(np.abs(roots - 6.0887018342)) < 1e-9
@@ -636,36 +639,6 @@ def test_two_species_golden_config_scans_without_bracket_error():
     assert cfg.solver.scan_points == 400
     assert len(roots) == len(dense) == 21
     assert np.max(np.abs(roots - dense) / dense) <= cfg.solver.root_tol
-
-
-def raised(fn):
-    with pytest.raises((EvanescentError, PoleError)) as info:
-        fn()
-    return type(info.value), str(info.value)
-
-
-@pytest.mark.parametrize("pole_at,light_at", [(1, 2), (2, 1), (1.0, 1.1), (1.1, 1.0)],
-                         ids=["pole_first", "light_first", "pole_first_one_chunk",
-                              "light_first_one_chunk"])
-def test_green_grid_raises_the_scalar_loops_first_error(pole_at, light_at):
-    # one grid with a species pole and a point below the light line, both
-    # past the first block of rows, in two blocks or in one: the stacked
-    # matrices raise the error of the first offending point in scan order,
-    # as the scalar loop does
-    cfg = make_config(L=1.0, l=0.5, species=((5.0, 1.0),), photon=4, exciton=3)
-    q = 2.0
-    chunk = 512
-    xs = np.linspace(2.5, 12.0, 3 * chunk)
-    xs[int(pole_at * chunk) + 5] = 5.0
-    xs[int(light_at * chunk) + 5] = 1.5
-    green_signs = green_grid(cfg, q)
-    expected = raised(lambda: scalar_grid_signs(cfg, q, xs))
-    assert expected[0] is (PoleError if pole_at < light_at else EvanescentError)
-    assert raised(lambda: green_signs(xs)) == expected
-    assert raised(lambda: scan_roots(lambda w: green_determinant(cfg, w, q),
-                                     (xs[0], xs[-1]), [], exclusion=1e-6,
-                                     scan_points=2, rel_tol=1e-10,
-                                     grid_signs=lambda _: green_signs(xs))) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -28,21 +28,24 @@ solver: {omega_max: 12.0, scan_points: 60}
 """
 
 SWEEP_LAYERS = ("dispersion.scan_roots", "dispersion.solve", "model.validate")
-# the secular and green routes count their roots and never call scan_roots
+# the secular, green and closed-form routes count their roots and never
+# call scan_roots; only the classical route scans signs
 SECULAR_LAYERS = ("dispersion.secular_roots", "dispersion.solve", "model.validate")
 GREEN_LAYERS = ("dispersion.green_roots", "dispersion.solve", "model.validate")
+TWO_EXCITON_LAYERS = ("dispersion.two_exciton_roots", "dispersion.solve", "model.validate")
 
 
 @pytest.mark.parametrize("argv,layers", [
     (["sweep", "--method", "secular"], SECULAR_LAYERS),
     (["sweep", "--method", "green"], GREEN_LAYERS),
+    (["sweep", "--method", "two_exciton"], TWO_EXCITON_LAYERS),
     (["sweep", "--method", "classical"], SWEEP_LAYERS),
     (["sweep", "--method", "dynamical"], ("dispersion.solve", "hopfield.build")),
     (["spectrum"], ("hopfield.build", "hopfield.diagonalize")),
     (["converge"], ("dispersion.scan_roots", "dispersion.solve",
                     "dispersion.secular_roots", "dispersion.classical_roots",
                     "model.validate")),
-], ids=["sweep_secular", "sweep_green", "sweep_classical", "sweep_dynamical",
+], ids=["sweep_secular", "sweep_green", "sweep_two_exciton", "sweep_classical", "sweep_dynamical",
         "spectrum", "converge"])
 def test_traced_command_counts_its_layers(tmp_path, argv, layers):
     config = tmp_path / "tiny.yaml"
