@@ -4,8 +4,9 @@ Config files are YAML with a strict schema; unknown keys are rejected by
 name because a silently ignored typo in a physics config is worse than an
 error.  Every output file embeds a manifest digest computed over the
 run-defining inputs only (config snapshot, method, q grid, tool version,
-and for kk a sha256 of the loaded samples), never over timestamps, so
-re-running a manifest byte-reproduces the CSV.
+and for kk, whose q grid is empty, a sha256 of the loaded sample grid
+and values), never over timestamps, so re-running a manifest
+byte-reproduces the CSV.
 
 Exit codes: 0 success, 2 configuration error, 3 solver error.
 """
@@ -252,8 +253,9 @@ def _cmd_kk(config: CavityConfig, snapshot: dict, args):
     lines = [f"# direction: {args.direction}",
              f"# tail_estimate: {result.tail_estimate:.3e}"]
     lines += [f"{_fmt(w)} {_fmt(v)}" for w, v in zip(result.grid, result.values)]
+    # kk has no in-plane wavenumber; the samples' digest covers their grid
     samples = hashlib.sha256(np.stack((grid, values)).tobytes()).hexdigest()
-    return f"kk_{args.direction}", grid, lines, {"samples_sha256": samples}
+    return f"kk_{args.direction}", [], lines, {"samples_sha256": samples}
 
 
 def _cmd_converge(config: CavityConfig, snapshot: dict, args):

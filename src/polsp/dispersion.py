@@ -435,13 +435,9 @@ def secular_roots(config: CavityConfig, overlaps: OverlapSet, q,
 # closed-form few-exciton relations (single species)
 # --------------------------------------------------------------------------
 
-def _closed_form_roots(name: str, needed_modes: int, config: CavityConfig,
-                       overlaps: OverlapSet, q, window) -> np.ndarray:
-    # both closed forms count their roots, as secular_roots does: the
-    # relation is det(I - Sigma) of the 1x1 or 2x2 reduced secular matrix,
-    # and the negative eigenvalues of sgn(w0^2 - Omega^2)(I - Sigma) rise by
-    # one at each root inside a pole-free segment (Wittrick and Williams),
-    # however close two lie.  No scan grid is built and scan_points is not read
+def _check_closed_form(name: str, needed_modes: int, config: CavityConfig,
+                       overlaps: OverlapSet) -> None:
+    # every closed form holds for one species at needed_modes matter modes
     overlaps.check_shape(config)
     if config.species_count() != 1:
         raise ConfigError(f"{name} requires exactly one species")
@@ -449,6 +445,16 @@ def _closed_form_roots(name: str, needed_modes: int, config: CavityConfig,
         raise ConfigError(
             f"{name} requires exciton_mode_count == {needed_modes}, "
             f"got {config.exciton_mode_count}")
+
+
+def _closed_form_roots(name: str, needed_modes: int, config: CavityConfig,
+                       overlaps: OverlapSet, q, window) -> np.ndarray:
+    # both closed forms count their roots, as secular_roots does: the
+    # relation is det(I - Sigma) of the 1x1 or 2x2 reduced secular matrix,
+    # and the negative eigenvalues of sgn(w0^2 - Omega^2)(I - Sigma) rise by
+    # one at each root inside a pole-free segment (Wittrick and Williams),
+    # however close two lie.  No scan grid is built and scan_points is not read
+    _check_closed_form(name, needed_modes, config, overlaps)
     freqs = photon_frequencies(config, q)
     settings = config.solver
     segments = pole_free_segments(window, [*freqs, config.oscillators[0].omega],
@@ -484,6 +490,7 @@ def _sigma(config: CavityConfig, overlaps: OverlapSet, photon_freqs: np.ndarray,
 def one_exciton_value(config: CavityConfig, overlaps: OverlapSet,
                       omega: float, q) -> float:
     """1 - G^2 Omega^2/(w0^2 - Omega^2) sum_m K[m,0]^2/(Omega_m^2 - Omega^2)."""
+    _check_closed_form("one_exciton_value", 1, config, overlaps)
     freqs = photon_frequencies(config, q)
     _refuse_poles(config, freqs, omega, "one_exciton_value")
     return float(1.0 - _sigma(config, overlaps, freqs, omega, 0, 0))
@@ -507,6 +514,7 @@ def _two_exciton(config: CavityConfig, overlaps: OverlapSet,
 def two_exciton_value(config: CavityConfig, overlaps: OverlapSet,
                       omega: float, q) -> float:
     """(1 - Sigma_00)(1 - Sigma_11) - Sigma_01^2 for the two-mode relation."""
+    _check_closed_form("two_exciton_value", 2, config, overlaps)
     freqs = photon_frequencies(config, q)
     _refuse_poles(config, freqs, omega, "two_exciton_value")
     return float(_two_exciton(config, overlaps, freqs, omega)[0])

@@ -35,6 +35,7 @@ from .model import CavityConfig, OscillatorSpecies
 
 _EDGE_WEIGHT_RTOL = 1e-3  # relative edge magnitude that triggers the warning
 _KK_CHUNK_DOUBLES = 1 << 16  # doubles in one row chunk of the batched PV kernel
+_UNIFORM_RTOL = 1e-7  # largest node offset from a + i h, in units of h, of a uniform grid
 
 
 # --------------------------------------------------------------------------
@@ -188,6 +189,69 @@ def _trapezoid_weights(grid: np.ndarray) -> np.ndarray:
     return weights
 
 
+def _uniform_spacing(grid: np.ndarray) -> float | None:
+    # the spacing h when every node lies within _UNIFORM_RTOL h of
+    # grid[0] + i h, else None
+    h = (grid[-1] - grid[0]) / (len(grid) - 1)
+    offsets = grid - (grid[0] + h * np.arange(len(grid)))
+    return h if np.max(np.abs(offsets)) <= _UNIFORM_RTOL * h else None
+
+
+def _uniform_sums(grid: np.ndarray, h: float, columns: np.ndarray) -> np.ndarray:
+    """sum_{i != k} X_i / (g_i^2 - g_k^2) at every node k, for each row X.
+
+    On the uniform grid g_i = a + i h the partial fractions
+
+        1/(g_i^2 - g_k^2) = [1/(g_i - g_k) - 1/(g_i + g_k)] / (2 g_k)
+
+    split each sum into a Toeplitz correlation with 1/((i - k) h) and a
+    Hankel convolution with 1/(2a + (i + k) h).  Each is one real-FFT
+    product of length >= 2n - 1 (F. W. King, Hilbert Transforms, vol. 1,
+    2009): O(n log n) arithmetic.  The k = 0 row, where g_0 may vanish, is
+    summed directly.
+    """
+    count = grid.size
+    size = 1 << (2 * count - 1).bit_length()
+    steps = h * np.arange(1, count)
+    toeplitz = np.zeros(size)
+    toeplitz[1:count] = 1.0 / steps
+    toeplitz[:size - count:-1] = -1.0 / steps
+    # the index sum 0 meets only the k = 0 row, which is replaced below
+    hankel = np.zeros(2 * count - 1)
+    hankel[1:] = 1.0 / (2.0 * grid[0] + h * np.arange(1, 2 * count - 1))
+    rfft, irfft = np.fft.rfft, np.fft.irfft
+    twice = 2.0 * (grid[0] + h * np.arange(count))
+    # samples near the largest double overflow here; the caller's
+    # finiteness check refuses them
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # t is odd, so sum_i X_i t_{i-k} is minus the convolution of X with t
+        below = -irfft(rfft(columns, size) * rfft(toeplitz), size)[:, :count]
+        above = irfft(rfft(columns[:, ::-1], size) * rfft(hankel, size),
+                      size)[:, count - 1:2 * count - 1]
+        # the Hankel sum includes i = k, whose term is X_k / (2 g_k)
+        sums = (below - above + columns / twice) / twice
+        sums[:, 0] = columns[:, 1:] @ np.reciprocal(grid[1:] ** 2 - grid[0] ** 2)
+    return sums
+
+
+def _dense_sums(grid: np.ndarray, columns: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    # the same sums at the given nodes from the kernel R[k, i] =
+    # 1/(g_i^2 - g_k^2) with its diagonal zeroed, built a few rows at a
+    # time so that no chunk holds more than _KK_CHUNK_DOUBLES doubles:
+    # O(len(grid)^2) arithmetic in bounded memory, on any grid
+    count = len(grid)
+    sq = grid ** 2
+    sums = np.empty((len(columns), len(nodes)))
+    rows = max(1, _KK_CHUNK_DOUBLES // count)
+    for start in range(0, len(nodes), rows):
+        part = nodes[start:start + rows]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            kernel = np.reciprocal(sq[None, :] - sq[part, None])
+            kernel[np.arange(len(part)), part] = 0.0
+            sums[:, start:start + rows] = columns @ kernel.T
+    return sums
+
+
 def _pv_at_nodes(grid: np.ndarray, numerator: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     """_pv_integral(grid, numerator, grid[k], tail_model=True) at every node k.
 
@@ -197,10 +261,10 @@ def _pv_at_nodes(grid: np.ndarray, numerator: np.ndarray, nodes: np.ndarray) -> 
         sum_{i != k} c_i n_i R[k, i] - n_k sum_{i != k} c_i R[k, i] + c_k y_k,
 
     y_k the removable value of the integrand at its pole.  Both sums for
-    every node come from one product R @ [c n, c] with the diagonal of R
-    zeroed, built a few rows at a time so that no chunk holds more than
-    _KK_CHUNK_DOUBLES doubles: O(len(grid)^2) arithmetic in bounded memory.
-    Agrees with the per-node integral up to summation order.
+    every node come from the columns c n and c: by FFT when the grid is
+    uniform (_uniform_sums), else from the dense kernel (_dense_sums).
+    Agrees with the per-node integral up to summation order, and on a
+    uniform grid up to the nodes' offsets from uniform.
     """
     count = len(grid)
     weights = _trapezoid_weights(grid)
@@ -212,22 +276,18 @@ def _pv_at_nodes(grid: np.ndarray, numerator: np.ndarray, nodes: np.ndarray) -> 
         removable = ((numerator[hi] - numerator[lo]) / (grid[hi] - grid[lo])
                      / (2.0 * targets))
         removable[targets == 0.0] = (numerator[1] - numerator[0]) / grid[1] ** 2
-    sq = grid ** 2
-    columns = np.column_stack([weights * numerator, weights])
-    sums = np.empty((len(nodes), 2))
-    rows = max(1, _KK_CHUNK_DOUBLES // count)
-    for start in range(0, len(nodes), rows):
-        part = nodes[start:start + rows]
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            kernel = np.reciprocal(sq[None, :] - sq[part, None])
-            kernel[np.arange(len(part)), part] = 0.0
-            sums[start:start + rows] = kernel @ columns
+    columns = np.stack([weights * numerator, weights])
+    spacing = _uniform_spacing(grid)
+    if spacing is None:
+        sums = _dense_sums(grid, columns, nodes)
+    else:
+        sums = _uniform_sums(grid, spacing, columns)[:, nodes]
     with np.errstate(invalid="ignore", over="ignore"):
         # every subtracted numerator n_i - n_k, the integrand's numerators,
         # is finite exactly when its two extremes are
         subtracted = (np.isfinite(numerator.max() - numerator[nodes])
                       & np.isfinite(numerator[nodes] - numerator.min()))
-        pv = sums[:, 0] - numerator[nodes] * sums[:, 1] + weights[nodes] * removable
+        pv = sums[0] - numerator[nodes] * sums[1] + weights[nodes] * removable
     if not np.all(subtracted & np.isfinite(removable) & np.isfinite(pv)):
         raise GridError("PV integrand not finite after subtraction")
 

@@ -314,26 +314,32 @@ def test_method_override_changes_digest(tmp_path, capsys):
 
 def test_kk_digest_covers_the_input_samples(tmp_path, capsys):
     # two sample files on one 50-point grid that differ in one value got
-    # equal digests and different CSVs; the digest now covers the values
+    # equal digests and different CSVs; the digest now covers the values,
+    # and the grid too, which the manifest no longer repeats as its q grid
     path = write_config(tmp_path, SMALL)
     grid = np.linspace(0.0, 40.0, 50)
     values = 0.4 * grid / ((16.0 - grid ** 2) ** 2 + (0.4 * grid) ** 2)
     changed = values.copy()
     changed[20] *= 1.5
+    moved = grid.copy()
+    moved[20] += 0.1 * (grid[1] - grid[0])
     digests = {}
-    for name, data, run in (("a", values, 1), ("a", values, 2), ("b", changed, 1)):
+    for name, nodes, data, run in (("a", grid, values, 1), ("a", grid, values, 2),
+                                   ("b", grid, changed, 1), ("c", moved, values, 1)):
         samples = tmp_path / f"{name}.txt"
-        samples.write_text("".join(f"{w:.17e} {v:.17e}\n" for w, v in zip(grid, data)))
+        samples.write_text("".join(f"{w:.17e} {v:.17e}\n" for w, v in zip(nodes, data)))
         out = tmp_path / f"{name}{run}"
         assert main(["kk", "--input", str(samples), "--config", path,
                      "--out", str(out)]) == 0
         manifest = json.loads((out / "kk_manifest.json").read_text())
+        assert manifest["q_grid"] == []
         assert (out / "kk.csv").read_text().splitlines()[0].split()[-1] == manifest["digest"]
         digests[name, run] = manifest["digest"], (out / "kk.csv").read_text()
     capsys.readouterr()
     assert digests["a", 1] == digests["a", 2]
-    assert digests["a", 1][0] != digests["b", 1][0]
-    assert digests["a", 1][1] != digests["b", 1][1]
+    for other in ("b", "c"):
+        assert digests["a", 1][0] != digests[other, 1][0]
+        assert digests["a", 1][1] != digests[other, 1][1]
 
 
 def test_only_kk_digests_samples(tmp_path, capsys):

@@ -13,10 +13,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from polsp import (BracketError, ConfigError, OverlapSet, PoleError, SecularOperator,
-                   build_dynamical_matrix, classical_branch_values,
-                   classical_roots, cli, dispersion, green_determinant,
-                   green_matching_matrix, green_roots, hopfield, model, modes,
+from polsp import (BracketError, ConfigError, DimensionError, OverlapSet,
+                   PoleError, SecularOperator, build_dynamical_matrix,
+                   classical_branch_values, classical_roots, cli, dispersion,
+                   green_determinant, green_matching_matrix, green_roots,
+                   hopfield, model, modes,
                    one_exciton_roots, one_exciton_value, overlap_K,
                    photon_frequencies, pole_free_segments, scan_roots,
                    secular_roots, spectrum, sweep, two_exciton_roots,
@@ -744,15 +745,22 @@ def test_one_exciton_value_sign_structure():
 
 
 def test_closed_forms_require_matching_truncation():
-    cfg = make_config(exciton=2)
-    with pytest.raises(ConfigError):
-        one_exciton_roots(cfg, overlap_K(cfg), 0.0, (0.5, 10.0))
-    cfg1 = make_config(exciton=1)
-    with pytest.raises(ConfigError):
-        two_exciton_roots(cfg1, overlap_K(cfg1), 0.0, (0.5, 10.0))
-    multi = make_config(species=((4.0, 1.0), (6.0, 0.5)), exciton=1)
-    with pytest.raises(ConfigError):
-        one_exciton_roots(multi, overlap_K(multi), 0.0, (0.5, 10.0))
+    # the value functions returned the first species' or first mode's value
+    # on these configs, or raised a bare IndexError at Xi = 1
+    window = (0.5, 10.0)
+    calls = {"one_exciton_roots": (1, lambda c, ov: one_exciton_roots(c, ov, 0.0, window)),
+             "two_exciton_roots": (2, lambda c, ov: two_exciton_roots(c, ov, 0.0, window)),
+             "one_exciton_value": (1, lambda c, ov: one_exciton_value(c, ov, 2.0, 0.0)),
+             "two_exciton_value": (2, lambda c, ov: two_exciton_value(c, ov, 2.0, 0.0))}
+    for name, (modes, call) in calls.items():
+        wrong = make_config(exciton=3 - modes)
+        with pytest.raises(ConfigError, match=f"{name} requires exciton_mode_count"):
+            call(wrong, overlap_K(wrong))
+        multi = make_config(species=((4.0, 1.0), (6.0, 0.5)), exciton=modes)
+        with pytest.raises(ConfigError, match=f"{name} requires exactly one species"):
+            call(multi, overlap_K(multi))
+        with pytest.raises(DimensionError):
+            call(make_config(exciton=modes), overlap_K(wrong))
 
 
 # ---------------------------------------------------------------------------

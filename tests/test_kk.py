@@ -16,7 +16,7 @@ from polsp import (GridError, LorentzSet, OscillatorSpecies, ParseError,
                    PoleError, SampledSusceptibility, TruncatedSpectrumWarning,
                    kk_forward, kk_inverse, load_samples, save_samples,
                    species_from_grid)
-from polsp.kk import _pv_integral
+from polsp.kk import _UNIFORM_RTOL, _pv_integral, _uniform_spacing
 
 
 OMEGA0, G, GAMMA = 4.0, 1.3, 0.4
@@ -78,6 +78,7 @@ def reference_cases():
     return {"uneven": uneven,
             "uneven_from_0.5": np.sort(rng.uniform(0.5, 40.0, 300)),
             "offset": np.linspace(1.5, 40.0, 400),
+            "uniform_from_0": np.linspace(0.0, 40.0, 400),
             "n_2": np.array([0.0, 7.0]),
             "n_2_offset": np.array([3.0, 5.5]),
             "n_3": np.array([0.0, 4.5, 11.0]),
@@ -102,6 +103,43 @@ def test_transforms_match_the_scalar_integral(transform, samples, name):
     assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
     if transform is kk_inverse and grid[0] == 0.0:
         assert got[0] == 0.0
+
+
+def rounded_to_12_digits(grid):
+    # the grid as a kk CSV writes it: 12 significant digits
+    return np.array([float(f"{w:.11e}") for w in grid])
+
+
+@pytest.mark.parametrize("transform", [kk_forward, kk_inverse])
+def test_rounded_uniform_grid_takes_the_fast_path(transform):
+    # a kk CSV at the benchmark's 8,000 nodes is uniform to about 1e-8 h;
+    # the FFT sums treat it as exactly uniform, which moves the result by
+    # 4.6e-11 (forward) and 2.0e-11 (inverse) of its maximum
+    grid = rounded_to_12_digits(np.linspace(0.0, 40.0, 8000))
+    assert _uniform_spacing(grid) is not None
+    real, imag = damped_pair(grid)
+    values = imag if transform is kk_forward else real
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncatedSpectrumWarning)
+        got = transform(grid, values).values
+        expected = transform_per_node(transform, grid, values)
+    assert np.max(np.abs(got - expected)) <= 2e-10 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("transform", [kk_forward, kk_inverse])
+def test_one_moved_node_takes_the_dense_path(transform):
+    # a node 10 tolerances off uniform makes the grid non-uniform, so the
+    # transform matches the per-node integral to summation order
+    grid = np.linspace(0.0, 40.0, 400)
+    grid[137] += 10.0 * _UNIFORM_RTOL * (grid[1] - grid[0])
+    assert _uniform_spacing(grid) is None
+    real, imag = damped_pair(grid)
+    values = imag if transform is kk_forward else real
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncatedSpectrumWarning)
+        got = transform(grid, values).values
+        expected = transform_per_node(transform, grid, values)
+    assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 @pytest.mark.parametrize("transform", [kk_forward, kk_inverse])
