@@ -252,7 +252,9 @@ def _cmd_kk(config: CavityConfig, snapshot: dict, args):
     result = transform(grid, values)
     lines = [f"# direction: {args.direction}",
              f"# tail_estimate: {result.tail_estimate:.3e}"]
-    lines += [f"{_fmt(w)} {_fmt(v)}" for w, v in zip(result.grid, result.values)]
+    # Python floats format faster than numpy scalars, to the same text
+    lines += [f"{_fmt(w)} {_fmt(v)}"
+              for w, v in zip(result.grid.tolist(), result.values.tolist())]
     # kk has no in-plane wavenumber; the samples' digest covers their grid
     samples = hashlib.sha256(np.stack((grid, values)).tobytes()).hexdigest()
     return f"kk_{args.direction}", [], lines, {"samples_sha256": samples}
