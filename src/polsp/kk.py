@@ -16,6 +16,14 @@ and the subtracted part is integrated analytically.  Plain quadrature
 across a PV pole does not converge; this split does, at the cost of the
 edge caveat below.
 
+The transforms evaluate that integral at every grid node at once.  Its
+two sums over the nodes cost O(n log n) by FFT when the grid is uniform,
+every node within _UNIFORM_RTOL h of a + i h (which admits the
+12-significant-digit grids that the kk CSV writes), and O(n^2) from a
+chunked dense kernel on any other grid.  Summing a grid within that
+tolerance as exactly uniform moves the result by a relative amount of
+order _UNIFORM_RTOL at most.
+
 Finite grids truncate an intrinsically global transform.  When the input
 has significant weight at the grid edges, the output is biased there; the
 transforms emit TruncatedSpectrumWarning and attach an order-of-magnitude
@@ -35,7 +43,7 @@ from .model import CavityConfig, OscillatorSpecies
 
 _EDGE_WEIGHT_RTOL = 1e-3  # relative edge magnitude that triggers the warning
 _KK_CHUNK_DOUBLES = 1 << 16  # doubles in one row chunk of the batched PV kernel
-_UNIFORM_RTOL = 1e-7  # largest node offset from a + i h, in units of h, of a uniform grid
+_UNIFORM_RTOL = 1e-7  # node offset from a + i h, in units of h, still summed as uniform
 
 
 # --------------------------------------------------------------------------

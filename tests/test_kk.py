@@ -16,7 +16,8 @@ from polsp import (GridError, LorentzSet, OscillatorSpecies, ParseError,
                    PoleError, SampledSusceptibility, TruncatedSpectrumWarning,
                    kk_forward, kk_inverse, load_samples, save_samples,
                    species_from_grid)
-from polsp.kk import _UNIFORM_RTOL, _pv_integral, _uniform_spacing
+from polsp.kk import (_UNIFORM_RTOL, _dense_sums, _pv_integral, _trapezoid_weights,
+                      _uniform_sums, _uniform_spacing)
 
 
 OMEGA0, G, GAMMA = 4.0, 1.3, 0.4
@@ -75,10 +76,14 @@ def transform_per_node(transform, grid, values):
 def reference_cases():
     rng = np.random.default_rng(7)
     uneven = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 40.0, 299))])
+    # one node 10 tolerances off uniform: the dense path
+    moved = np.linspace(0.0, 40.0, 400)
+    moved[137] += 10.0 * _UNIFORM_RTOL * (moved[1] - moved[0])
     return {"uneven": uneven,
             "uneven_from_0.5": np.sort(rng.uniform(0.5, 40.0, 300)),
             "offset": np.linspace(1.5, 40.0, 400),
             "uniform_from_0": np.linspace(0.0, 40.0, 400),
+            "one_node_moved": moved,
             "n_2": np.array([0.0, 7.0]),
             "n_2_offset": np.array([3.0, 5.5]),
             "n_3": np.array([0.0, 4.5, 11.0]),
@@ -126,20 +131,21 @@ def test_rounded_uniform_grid_takes_the_fast_path(transform):
     assert np.max(np.abs(got - expected)) <= 2e-10 * np.max(np.abs(expected))
 
 
-@pytest.mark.parametrize("transform", [kk_forward, kk_inverse])
-def test_one_moved_node_takes_the_dense_path(transform):
-    # a node 10 tolerances off uniform makes the grid non-uniform, so the
-    # transform matches the per-node integral to summation order
-    grid = np.linspace(0.0, 40.0, 400)
-    grid[137] += 10.0 * _UNIFORM_RTOL * (grid[1] - grid[0])
-    assert _uniform_spacing(grid) is None
-    real, imag = damped_pair(grid)
-    values = imag if transform is kk_forward else real
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", TruncatedSpectrumWarning)
-        got = transform(grid, values).values
-        expected = transform_per_node(transform, grid, values)
-    assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+def test_uniform_grids_take_the_fft_sums():
+    # the FFT sums equal the dense kernel's; compared before the
+    # subtraction, which would cancel an error proportional to X_k
+    cases = reference_cases()
+    uniform = {name for name, grid in cases.items() if _uniform_spacing(grid) is not None}
+    assert uniform == {"offset", "uniform_from_0", "n_2", "n_2_offset"}
+    for name in sorted(uniform):
+        grid = cases[name]
+        real, _ = damped_pair(grid)
+        weights = _trapezoid_weights(grid)
+        columns = np.stack([weights * real, weights])
+        fft = _uniform_sums(grid, _uniform_spacing(grid), columns)
+        dense = _dense_sums(grid, columns, np.arange(len(grid)))
+        for got, expected in zip(fft, dense):
+            assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected)), name
 
 
 @pytest.mark.parametrize("transform", [kk_forward, kk_inverse])
