@@ -9,6 +9,13 @@ and values), never over timestamps, so re-running a manifest
 byte-reproduces the CSV.
 
 Exit codes: 0 success, 2 configuration error, 3 solver error.
+
+Loading this module imports no solver route and neither numpy nor PyYAML.
+``main`` imports the command's routes (``_ROUTES``) right after parsing
+its arguments; they bring numpy, and ``parse_config`` then brings yaml.
+Where modules compile from source (PYTHONDONTWRITEBYTECODE), that order
+keeps every command's peak RSS lower than compiling the routes on a heap
+that already holds numpy or yaml.
 """
 
 from __future__ import annotations
@@ -18,22 +25,19 @@ import hashlib
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
 from datetime import datetime, timezone
+from importlib import import_module
 from pathlib import Path
-
-import numpy as np
-import yaml
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .dispersion import _lorentz_classical_roots, _roots_for_method, sweep
 from .errors import ConfigError, GeometryError, ParseError, PolspError, \
     SolverError, SpeciesError, TruncationError
-from .hopfield import build_dynamical_matrix, diagonalize
-from .kk import kk_forward, kk_inverse, load_samples
 from .model import METHODS, CavityConfig, OscillatorSpecies, SolverSettings
-from .modes import overlap_K
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # ---------------------------------------------------------------------------
 # config ingestion
@@ -95,6 +99,8 @@ def _section(obj, section: str, schema: dict) -> dict:
 
 def parse_config(text: str) -> tuple[CavityConfig, dict]:
     """Parse and validate a YAML config; return it plus its plain snapshot."""
+    import yaml
+
     try:
         raw = yaml.safe_load(text)
     except yaml.YAMLError as exc:
@@ -152,6 +158,8 @@ def load_config(path) -> tuple[CavityConfig, dict]:
 
 
 def sweep_grid(snapshot: dict) -> np.ndarray:
+    import numpy as np
+
     sec = snapshot["sweep"]
     return np.linspace(sec["q_min"], sec["q_max"], sec["points"])
 
@@ -209,42 +217,59 @@ def _fmt(x: float) -> str:
 
 # ---------------------------------------------------------------------------
 # commands: each returns (method label, q grid, CSV lines below the manifest)
-# and, for kk, the digested fields of its input file
+# and, for kk, the digested fields of its input file.  Each imports its
+# solver modules when it runs; main has loaded them already (_ROUTES), so
+# these imports only look up the names, at call time, on the defining
+# module.  Rows are formatted from Python floats, which format faster than
+# numpy scalars, to the same text.
 # ---------------------------------------------------------------------------
 
 def _cmd_sweep(config: CavityConfig, snapshot: dict, args):
+    from .dispersion import sweep
+
     qs = sweep_grid(snapshot)
     method = args.method or config.solver.method
     if args.threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=args.threads) as pool:
             curve = sweep(config, qs, method=method, mapper=pool.map)
     else:
         curve = sweep(config, qs, method=method)
     lines = ["q,branch,omega"]
     for branch_id, branch in enumerate(curve.branches):
-        lines += [f"{_fmt(qv)},{branch_id},{_fmt(omega)}" for qv, omega in branch]
+        lines += [f"{_fmt(qv)},{branch_id},{_fmt(omega)}"
+                  for qv, omega in branch.tolist()]
     return method, qs, lines
 
 
 def _cmd_spectrum(config: CavityConfig, snapshot: dict, args):
+    from .hopfield import build_dynamical_matrix, diagonalize
+    from .modes import overlap_K
+
     # mode tables need eigenvectors, so this is always the dynamical method
     modes = diagonalize(build_dynamical_matrix(config, overlap_K(config), args.q))
     lines = ["omega,norm_W,norm_X,norm_Y,norm_Z"]
     for mode in modes:
-        parts = [float(np.sum(np.abs(v) ** 2)) for v in (mode.W, mode.X, mode.Y, mode.Z)]
-        lines.append(",".join(_fmt(p) for p in [mode.Omega, *parts]))
+        parts = [float((abs(v) ** 2).sum()) for v in (mode.W, mode.X, mode.Y, mode.Z)]
+        lines.append(",".join(_fmt(p) for p in [float(mode.Omega), *parts]))
     return "dynamical", [args.q], lines
 
 
 def _cmd_classical(config: CavityConfig, snapshot: dict, args):
+    from .dispersion import _lorentz_classical_roots
+
     branch1, branch2 = _lorentz_classical_roots(
         config, args.q, (0.0, config.solver.omega_max))
-    rows = sorted([(w, 1) for w in branch1] + [(w, 2) for w in branch2])
+    rows = sorted([(w, 1) for w in branch1.tolist()]
+                  + [(w, 2) for w in branch2.tolist()])
     return "classical", [args.q], ["omega,branch"] + [
         f"{_fmt(omega)},{branch}" for omega, branch in rows]
 
 
 def _cmd_kk(config: CavityConfig, snapshot: dict, args):
+    from .kk import kk_forward, kk_inverse, load_samples
+
     if args.input is None:
         raise ParseError("kk command needs --input with a two-column sample file")
     grid, values = load_samples(args.input)
@@ -252,15 +277,18 @@ def _cmd_kk(config: CavityConfig, snapshot: dict, args):
     result = transform(grid, values)
     lines = [f"# direction: {args.direction}",
              f"# tail_estimate: {result.tail_estimate:.3e}"]
-    # Python floats format faster than numpy scalars, to the same text
     lines += [f"{_fmt(w)} {_fmt(v)}"
               for w, v in zip(result.grid.tolist(), result.values.tolist())]
     # kk has no in-plane wavenumber; the samples' digest covers their grid
-    samples = hashlib.sha256(np.stack((grid, values)).tobytes()).hexdigest()
+    # and values, as the bytes of their (2, n) float64 stack
+    samples = hashlib.sha256(grid.tobytes() + values.tobytes()).hexdigest()
     return f"kk_{args.direction}", [], lines, {"samples_sha256": samples}
 
 
 def _cmd_converge(config: CavityConfig, snapshot: dict, args):
+    from .dispersion import _roots_for_method
+    from .modes import overlap_K
+
     # the complete-matter-basis experiment: hold N fixed, double Xi, watch
     # the secular roots approach the classical ones
     window = (0.0, config.solver.omega_max)
@@ -279,13 +307,21 @@ def _cmd_converge(config: CavityConfig, snapshot: dict, args):
         if take == 0:
             raise SolverError(
                 f"no secular roots inside the window at exciton_modes={xi}")
-        dev = float(np.max(np.abs(roots[:take] - reference[:take]) / reference[:take]))
+        dev = float((abs(roots[:take] - reference[:take]) / reference[:take]).max())
         lines.append(f"{xi},{cfg.photon_mode_count},{_fmt(dev)}")
     return "converge", [0.0], lines
 
 
 COMMANDS = {"sweep": _cmd_sweep, "spectrum": _cmd_spectrum,
             "classical": _cmd_classical, "kk": _cmd_kk, "converge": _cmd_converge}
+
+# the polsp modules each command runs, imported by main before it reads the
+# config, so no process loads a route it does not use; what only some
+# sweeps need (hopfield for dynamical, kk for classical, concurrent.futures
+# for --threads > 1) is imported where it is first used
+_ROUTES = {"sweep": ("dispersion", "modes"), "spectrum": ("hopfield", "modes"),
+           "classical": ("dispersion", "kk"), "kk": ("kk",),
+           "converge": ("dispersion", "kk", "modes")}
 
 # the flags each command reads, with the value each takes when not given;
 # a command refuses every other flag, since it would ignore it
@@ -334,6 +370,8 @@ def main(argv=None) -> int:
                 setattr(args, flag, reads.get(flag))
             elif flag not in reads:
                 raise ParseError(f"{args.command} does not take --{flag}", field=f"--{flag}")
+        for route in _ROUTES[args.command]:
+            import_module(f".{route}", __package__)
         config, snapshot = load_config(args.config)
         if args.threads is not None and args.threads < 1:
             raise ParseError("threads must be >= 1", field="--threads")

@@ -42,10 +42,8 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from . import hopfield
 from .errors import (BracketError, BranchMatchError, ConfigError,
                      EvanescentError, PoleError, QuadratureError)
-from .kk import LorentzSet
 from .model import (CavityConfig, check_positive, check_scan_points,
                     transverse_wavenumber)
 from .modes import OverlapSet, _sector_masks, overlap_K, photon_frequencies
@@ -871,6 +869,8 @@ def classical_roots(config: CavityConfig, susceptibility, q,
 def _lorentz_classical_roots(config: CavityConfig, q,
                              window: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
     # both classical branches for the configured species, resonances excluded
+    from .kk import LorentzSet
+
     model = LorentzSet.from_config(config)
     return classical_roots(config, model, q, window, poles=model.poles())
 
@@ -893,8 +893,11 @@ class DispersionCurve:
 def _roots_for_method(config: CavityConfig, overlaps, method: str, q: float,
                       window: tuple[float, float]) -> np.ndarray:
     if method == "dynamical":
-        # module attribute lookups at call time, so wrappers rebound on
-        # polsp.hopfield see every call
+        # imported here, since no other route needs it; module attribute
+        # lookups at call time, so wrappers rebound on polsp.hopfield see
+        # every call
+        from . import hopfield
+
         dyn = hopfield.build_dynamical_matrix(config, overlaps, q)
         return hopfield.frequencies(dyn)
     if method == "secular":

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -417,3 +421,101 @@ solver: {omega_max: 17.0, scan_points: 600}
     dev = [float(r[2]) for r in table]
     assert xi == [1, 2, 4, 8]
     assert dev[-1] < dev[0]
+
+
+# ---------------------------------------------------------------------------
+# start-up: each command, in a fresh interpreter, loads only what it runs
+# ---------------------------------------------------------------------------
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# runs the CLI the way `python -m polsp.cli` does, then prints the names of
+# every loaded module as its last line of output
+RUN_AND_LIST_MODULES = """
+import json, runpy, sys
+sys.argv = ["polsp", *sys.argv[1:]]
+try:
+    runpy.run_module("polsp.cli", run_name="__main__")
+except SystemExit as exc:
+    assert exc.code == 0, exc.code
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
+def fresh_python(cwd, *args) -> str:
+    """stdout of a new interpreter that imports polsp from this checkout."""
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+ROUTE_MODULES = ("polsp.dispersion", "polsp.hopfield", "polsp.kk", "polsp.modes")
+
+
+@pytest.mark.parametrize("argv,absent,present", [
+    (["kk", "--input", "samples.txt"],
+     ("polsp.dispersion", "polsp.hopfield", "polsp.modes", "concurrent.futures"),
+     ("polsp.kk",)),
+    (["spectrum"], ("polsp.dispersion", "polsp.kk"), ("polsp.hopfield", "polsp.modes")),
+    (["sweep", "--method", "secular", "--threads", "1"],
+     ("polsp.hopfield", "polsp.kk", "concurrent.futures"), ("polsp.dispersion",)),
+    (["sweep", "--method", "secular", "--threads", "2"],
+     ("polsp.hopfield", "polsp.kk"), ("polsp.dispersion", "concurrent.futures")),
+    (["classical"], ("polsp.hopfield",), ("polsp.dispersion", "polsp.kk")),
+    (["converge"], ("polsp.hopfield",), ("polsp.dispersion", "polsp.modes")),
+], ids=["kk", "spectrum", "sweep_one_thread", "sweep_two_threads", "classical",
+        "converge"])
+def test_command_loads_only_its_routes(tmp_path, argv, absent, present):
+    write_config(tmp_path, SMALL)
+    grid = np.linspace(0.0, 40.0, 50)
+    (tmp_path / "samples.txt").write_text(
+        "".join(f"{w:.17e} {0.4 * w / ((16.0 - w * w) ** 2 + (0.4 * w) ** 2):.17e}\n"
+                for w in grid))
+    stdout = fresh_python(tmp_path, "-c", RUN_AND_LIST_MODULES, *argv,
+                          "--config", "run.yaml", "--out", "out")
+    loaded = set(json.loads(stdout.splitlines()[-1]))
+    assert (tmp_path / "out").is_dir()
+    assert not loaded & set(absent), sorted(loaded & set(absent))
+    assert set(present) <= loaded, sorted(set(present) - loaded)
+
+
+def test_bare_import_loads_no_submodule(tmp_path):
+    stdout = fresh_python(tmp_path, "-c", "import json, sys, polsp; "
+                          "print(json.dumps(sorted(sys.modules)))")
+    loaded = json.loads(stdout)
+    assert [m for m in loaded if m.startswith("polsp.")] == []
+    assert "concurrent.futures" not in loaded
+
+
+def test_cli_module_loads_no_route_numpy_or_yaml(tmp_path):
+    # main imports the command's routes before numpy or yaml is loaded
+    stdout = fresh_python(tmp_path, "-c", "import json, sys, polsp.cli; "
+                          "print(json.dumps(sorted(sys.modules)))")
+    loaded = set(json.loads(stdout))
+    assert not loaded & {*ROUTE_MODULES, "numpy", "yaml", "concurrent.futures"}
+
+
+DYNAMICAL_SMALL = """
+geometry: {L: 1.0, l: 0.5}
+oscillators: [{omega: 6.0, G: 0.8}, {omega: 9.0, G: 0.5}]
+basis: {photon_modes: 12, exciton_modes: 3}
+sweep: {q_min: 0.0, q_max: 3.0, points: 12}
+solver: {method: dynamical, omega_max: 14.0}
+"""
+
+
+def test_cold_start_thread_pool_gives_the_single_thread_bytes(tmp_path):
+    # in a fresh process the dynamical route first imports hopfield inside
+    # the pool's workers, where the in-process thread tests never reach it
+    write_config(tmp_path, DYNAMICAL_SMALL)
+    blobs = []
+    for threads in (1, 2):
+        fresh_python(tmp_path, "-m", "polsp.cli", "sweep", "--config", "run.yaml",
+                     "--out", f"t{threads}", "--threads", str(threads))
+        blobs.append((tmp_path / f"t{threads}" / "sweep.csv").read_bytes())
+    assert blobs[0] == blobs[1]
+    assert len(blobs[0].splitlines()) > 2
