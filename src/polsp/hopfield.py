@@ -21,15 +21,16 @@ assignment does.  The metric eta = diag(+1, -1) over the (W, Xt | Y, Zt)
 split makes eta M symmetric, which is what guarantees the +-Omega pairing
 and the eta-orthogonality of eigenvectors across distinct eigenvalues.
 
-No solver here works on this non-symmetric problem directly.  Flipping
-the sign of the Zt coordinates brings M to the standard bosonic form
-[[A, -B], [B, -A]] with A and B symmetric (Colpa, Physica A 93, 327
-(1978)), which one Cholesky factorization and one symmetric eigenproblem
-of half the size diagonalize, once per mirror-parity sector of the
-modes.  Both solvers share that reduction and its checks.  ``diagonalize``
-also takes the eigenvectors and returns full, ordered, boson-normalized
-modes; ``frequencies``, behind ``spectrum`` and the dynamical sweep,
-stops at the eigenvalues.
+Flipping the sign of the Zt coordinates brings M to the standard bosonic
+form [[A, -B], [B, -A]], A = [[P+E, C], [C^T, R]], B = [[E, C], [C^T, 0]]
+(Colpa, Physica A 93, 327 (1978)).  A - B = diag(P, R) is positive definite
+exactly when every frequency is > 0, so the reduction to a symmetric
+eigenproblem of half the size is the diagonal scaling d (A + B) d with
+d = sqrt(diag(P, R)), once per mirror-parity sector.  No solver builds M:
+a DynamicalMatrix holds P, R, E and C.  ``diagonalize`` also takes the
+eigenvectors and returns full, ordered, boson-normalized modes;
+``frequencies``, behind ``spectrum`` and the dynamical sweep, stops at the
+eigenvalues.
 """
 
 from __future__ import annotations
@@ -42,8 +43,8 @@ from .errors import ConvergenceError, DimensionError, NormalizationError
 from .model import CavityConfig, transverse_wavenumber
 from .modes import OverlapSet, _sector_masks, overlap_K, photon_frequencies
 
-# relative scales: smallest admissible Omega^2, standard-form check,
-# degenerate clusters of Omega
+# relative scales: smallest admissible Omega^2, symmetry of E, degenerate
+# clusters of Omega
 _ZERO_MODE_RTOL = 1e-12
 _PAIRING_RTOL = 1e-10
 _CLUSTER_RTOL = 1e-9
@@ -51,23 +52,46 @@ _CLUSTER_RTOL = 1e-9
 
 @dataclass(frozen=True)
 class DynamicalMatrix:
-    """The real first-order evolution matrix plus its block bookkeeping."""
+    """M's blocks at one q, read-only: diag(P), diag(R) species-major, E, C.
 
-    matrix: np.ndarray
+    DimensionError on shapes that do not fit the counts; NormalizationError
+    on an asymmetric E or a frequency that is not finite and > 0.
+    """
+
+    photon: np.ndarray
+    matter: np.ndarray
+    E: np.ndarray
+    C: np.ndarray
     photon_mode_count: int
     species_count: int
     exciton_mode_count: int
     q: float
 
     def __post_init__(self) -> None:
-        if self.matrix.shape != (2 * self.half_dim,) * 2:
-            raise DimensionError(
-                f"matrix shape {self.matrix.shape} does not match half dimension {self.half_dim}")
-        self.matrix.flags.writeable = False
+        n, m = self.photon_mode_count, self.half_dim - self.photon_mode_count
+        blocks = (self.photon, self.matter, self.E, self.C)
+        if tuple(block.shape for block in blocks) != ((n,), (m,), (n, n), (n, m)):
+            raise DimensionError(f"blocks of shapes {[block.shape for block in blocks]} do "
+                                 f"not fit {n} photon and {m} matter coordinates")
+        if np.abs(self.E - self.E.T).max(initial=0) > _PAIRING_RTOL * np.abs(self.E).max(initial=0):
+            raise NormalizationError("E is not symmetric: eigenvalues are not +-Omega paired")
+        if not all(np.all((f > 0) & (f < np.inf)) for f in (self.photon, self.matter)):
+            raise NormalizationError("A - B is not positive definite: the Hamiltonian is unstable")
+        for block in blocks:
+            block.flags.writeable = False
 
     @property
     def half_dim(self) -> int:
         return self.photon_mode_count + self.species_count * self.exciton_mode_count
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """M, read-only, assembled by the docstring's formula at every read."""
+        P, R, E, C = np.diag(self.photon), np.diag(self.matter), self.E, self.C
+        M = np.block([[P + E, C, -E, C], [C.T, R, -C.T, np.zeros_like(R)],
+                      [E, C, -(P + E), C], [-C.T, np.zeros_like(R), C.T, -R]])
+        M.flags.writeable = False
+        return M
 
 
 @dataclass(frozen=True)
@@ -94,11 +118,9 @@ class PolaritonMode:
 
 
 def build_dynamical_matrix(config: CavityConfig, overlaps: OverlapSet, q) -> DynamicalMatrix:
-    """Assemble the 2(N + S*Xi) evolution matrix at in-plane wavenumber q."""
+    """The blocks of the 2(N + S*Xi) evolution matrix at in-plane wavenumber q."""
     overlaps.check_shape(config)
-    n = config.photon_mode_count
-    s = config.species_count()
-    xi = config.exciton_mode_count
+    n, s, xi = config.photon_mode_count, config.species_count(), config.exciton_mode_count
     qv = transverse_wavenumber(q)
 
     om_phot = photon_frequencies(config, qv)
@@ -109,99 +131,66 @@ def build_dynamical_matrix(config: CavityConfig, overlaps: OverlapSet, q) -> Dyn
     E = 0.5 * np.sum(g_spec ** 2) * overlaps.D / np.outer(sqrt_phot, sqrt_phot)
 
     # C is N x (S Xi), species blocks side by side
-    C = np.empty((n, s * xi))
-    for j in range(s):
-        C[:, j * xi:(j + 1) * xi] = (
-            0.5 * g_spec[j] * np.sqrt(om_spec[j]) / sqrt_phot[:, None] * overlaps.K)
-
-    # M filled block by block; each block is the exact expression of the
-    # formula above, signed zeros included
-    h = n + s * xi
-    PE = np.diag(om_phot) + E
-    w, x, y, z = slice(0, n), slice(n, h), slice(h, h + n), slice(h + n, 2 * h)
-    M = np.zeros((2 * h, 2 * h))
-    M[w, w], M[w, x], M[w, y], M[w, z] = PE, C, -E, C
-    M[x, w], M[x, y] = C.T, -C.T
-    M[y, w], M[y, x], M[y, y], M[y, z] = E, C, -PE, C
-    M[z, w], M[z, y] = -C.T, C.T
-    # R = diag(omega_j repeated Xi times) in (Xt, Xt) and -R in (Zt, Zt)
-    matter, om_matter = np.arange(n, h), np.repeat(om_spec, xi)
-    M[z, z] = -0.0
-    M[matter, matter], M[h + matter, h + matter] = om_matter, -om_matter
-    return DynamicalMatrix(matrix=M, photon_mode_count=n, species_count=s,
+    C = np.hstack([0.5 * g_spec[j] * np.sqrt(om_spec[j]) / sqrt_phot[:, None] * overlaps.K
+                   for j in range(s)])
+    return DynamicalMatrix(photon=om_phot, matter=np.repeat(om_spec, xi), E=E, C=C,
+                           photon_mode_count=n, species_count=s,
                            exciton_mode_count=xi, q=qv)
 
 
 def _reduce(dyn: DynamicalMatrix, vectors: bool):
-    """Standard-form reduction shared by diagonalize and frequencies.
+    """The reduction shared by diagonalize and frequencies.
 
-    Checks the [[A, -B], [B, -A]] form, splits the parity sectors, factors
-    A - B = L L^T and solves L^T (A + B) L per sector, with eigenvectors z
-    only when vectors is set, and rejects zero and unstable modes over all
-    sectors.  Returns the Zt sign flip, one (indices, A + B, L z or None)
-    per sector, and Omega^2 of all sectors in sector order.
+    Per parity sector, solves d (A + B) d (eigenvectors z only when vectors
+    is set), then rejects zero and unstable modes over all sectors.  Returns
+    one (indices, A + B, d z or None) per sector and Omega^2 of all sectors
+    in sector order.
     """
-    n, half, M = dyn.photon_mode_count, dyn.half_dim, dyn.matrix
-    # views of M with the Zt sign flipped, which must read [[A, -B], [B, -A]]
-    flip = np.r_[np.ones(half + n), -np.ones(half - n)]
-    sign = flip[half:]
-    A, B = M[:half, :half], -M[:half, half:] * sign
-    M21, M22 = sign[:, None] * M[half:, :half], sign[:, None] * M[half:, half:] * sign
-    gaps = (M21 - B, M22 + A, A - A.T, M21.T - B, M22 - M22.T)
-    if max(np.max(np.abs(gap)) for gap in gaps) > _PAIRING_RTOL * np.max(np.abs(M)):
-        raise NormalizationError("matrix is not of the form [[A, -B], [B, -A]] "
-                                 "with A, B symmetric: eigenvalues are not +-Omega paired")
-
+    n, E, C = dyn.photon_mode_count, dyn.E, dyn.C
+    PE = np.diag(dyn.photon) + E
     sectors, omega2 = [], []
-    for mask in _sector_masks(n, dyn.exciton_mode_count, dyn.species_count, (A, B)):
-        block = np.ix_(mask, mask)
-        a_minus_b, a_plus_b = A[block] - B[block], A[block] + B[block]
-        try:
-            L = np.linalg.cholesky(a_minus_b)
-        except np.linalg.LinAlgError as exc:
-            raise NormalizationError(
-                "A - B is not positive definite: the Hamiltonian is unstable") from exc
-        H = L.T @ a_plus_b @ L
+    # the photon rows [E, C] of A + B hold every entry that can cross sectors
+    for mask in _sector_masks(n, dyn.exciton_mode_count, dyn.species_count, (np.hstack((E, C)),)):
+        ph, ma = np.ix_(mask[:n], mask[:n]), np.ix_(mask[:n], mask[n:])
+        # A + B block by block, (P + E) + E as that sum rounds, not P + 2E
+        a_plus_b = np.block([[PE[ph] + E[ph], C[ma] + C[ma]],
+                             [C[ma].T + C[ma].T, np.diag(dyn.matter[mask[n:]])]])
+        d = np.sqrt(np.concatenate([dyn.photon, dyn.matter])[mask])
+        H = d[:, None] * a_plus_b * d
         try:
             w2, z = np.linalg.eigh(H) if vectors else (np.linalg.eigvalsh(H), None)
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError(f"eigensolver failed: {exc}") from exc
-        sectors.append((np.flatnonzero(mask), a_plus_b, None if z is None else L @ z))
+        sectors.append((np.flatnonzero(mask), a_plus_b, None if z is None else d[:, None] * z))
         omega2.append(w2)
     omega2 = np.concatenate(omega2)
     # a zero mode shows up as Omega^2 at round-off level, an unstable one
     # as a negative Omega^2
     if np.min(omega2) <= _ZERO_MODE_RTOL * np.max(omega2):
         raise NormalizationError("zero-frequency or unstable mode encountered")
-    return flip, sectors, omega2
+    return sectors, omega2
 
 
 def diagonalize(dyn: DynamicalMatrix) -> list[PolaritonMode]:
     """Return all positive-frequency modes, boson-normalized, sorted by Omega.
 
-    Standard-form reduction (Colpa, Physica A 93, 327 (1978)): with the
-    sign of the Zt coordinates flipped, M = [[A, -B], [B, -A]] with A and
-    B symmetric.  Writing a mode as (x, y), r = x - y and p = x + y obey
-    (A - B) p = Omega r and (A + B) r = Omega p.  The Hamiltonian is stable
-    exactly when A - B = L L^T and A + B are positive definite; then Omega^2
-    are the eigenvalues of the symmetric half-size matrix L^T (A + B) L
-    with eigenvectors z, r = L z, p = (A + B) r / Omega and
-    x, y = (p +- r) / (2 sqrt(Omega)), which makes every mode boson-
-    normalized and eta-orthogonal to every other mode by construction.
+    In the standard form of the module docstring, a mode (x, y) has
+    r = x - y and p = x + y with (A - B) p = d^2 p = Omega r and
+    (A + B) r = Omega p.  So Omega^2 are the eigenvalues of the symmetric
+    half-size d (A + B) d with eigenvectors z, r = d z, p = (A + B) r / Omega
+    and x, y = (p +- r) / (2 sqrt(Omega)): every mode is boson-normalized
+    and eta-orthogonal to every other mode by construction.
 
-    Each mirror-parity sector of modes._sector_masks is factored and
-    solved on its own when A and B vanish exactly between the sectors, as
-    build_dynamical_matrix makes them; any other matrix is one sector.
+    Each mirror-parity sector of modes._sector_masks is solved on its own
+    when E and C vanish exactly between the sectors, as
+    build_dynamical_matrix makes them; other blocks are one sector.
     Omega^2 of all sectors is sorted stably before the global cluster and
-    sign rules below.
-
-    Raises NormalizationError when M is not of that form, when A - B has
-    no Cholesky factor or when some Omega^2 is not positive; each signals
-    an unstable parameter set or an assembly bug.  ConvergenceError means
-    the symmetric eigensolver failed.
+    sign rules below.  NormalizationError means some Omega^2 is not
+    positive (unstable parameters); ConvergenceError, that the symmetric
+    eigensolver failed.
     """
     n, half = dyn.photon_mode_count, dyn.half_dim
-    flip, sectors, omega2 = _reduce(dyn, vectors=True)
+    sectors, omega2 = _reduce(dyn, vectors=True)
 
     # columns in sector order, rows in (x, y) coordinates with Zt flipped
     omegas = np.sqrt(omega2)
@@ -212,6 +201,8 @@ def diagonalize(dyn: DynamicalMatrix) -> list[PolaritonMode]:
         p = a_plus_b @ r / omegas[cols]
         V[idx, cols], V[half + idx, cols] = p + r, p - r
         start += len(idx)
+    # flipping Zt back gives the (W, Xt, Y, Zt) coordinates
+    flip = np.r_[np.ones(half + n), -np.ones(half - n)]
     V *= flip[:, None] / (2.0 * np.sqrt(omegas))
     ascending = np.argsort(omega2, kind="stable")
     omegas, V = omegas[ascending], V[:, ascending]
@@ -241,11 +232,11 @@ def frequencies(dyn: DynamicalMatrix) -> np.ndarray:
     """Sorted positive eigenfrequencies Omega of dyn, without mode vectors.
 
     The same reduction and checks as diagonalize, up to the eigenvalues:
-    each sector's L^T (A + B) L goes to the eigenvalue-only symmetric
+    each sector's d (A + B) d goes to the eigenvalue-only symmetric
     solver.  With no vectors there is no cluster order, sign rule or norm
     check.  Raises the same errors as diagonalize for the same matrices.
     """
-    return np.sqrt(np.sort(_reduce(dyn, vectors=False)[2]))
+    return np.sqrt(np.sort(_reduce(dyn, vectors=False)[1]))
 
 
 def spectrum(config: CavityConfig, q) -> np.ndarray:

@@ -139,6 +139,14 @@ def _integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _finite_square(value) -> bool:
+    # value squared is a finite float, as the routes square omega, G, c and 1/c
+    try:
+        return math.isfinite(float(value) ** 2)
+    except OverflowError:
+        return False
+
+
 def check_scan_points(value) -> None:
     """ConfigError unless value is an integer >= 2, as a sign scan needs."""
     if not (_integer(value) and value >= 2):
@@ -162,10 +170,10 @@ def validate(config: CavityConfig) -> CavityConfig:
     ------
     GeometryError
         Nonpositive, non-finite or non-real lengths, l > L, or c not a real
-        in (0, inf).
+        > 0 with c^2 and 1/c^2 finite.
     SpeciesError
         Empty species list, an entry that is not an OscillatorSpecies,
-        omega not a real in (0, inf), or G not a real in [0, inf).
+        omega not a real > 0 or G not a real >= 0, each with a finite square.
     TruncationError
         photon_mode_count or exciton_mode_count not an integer >= 1.
     ConfigError
@@ -176,18 +184,19 @@ def validate(config: CavityConfig) -> CavityConfig:
         raise GeometryError(f"cavity length must be positive and finite, got L={config.L}")
     if not (_real(config.l) and 0.0 < config.l <= config.L):
         raise GeometryError(f"slab thickness must satisfy 0 < l <= L, got l={config.l}, L={config.L}")
-    if not (_real(config.c) and 0.0 < config.c < math.inf):
-        raise GeometryError(f"light speed must be positive and finite, got c={config.c}")
+    if not (_real(config.c) and config.c > 0.0 and _finite_square(max(config.c, 1 / config.c))):
+        raise GeometryError(f"light speed must be > 0 with finite c^2 and 1/c^2, got c={config.c}")
 
     if len(config.oscillators) == 0:
         raise SpeciesError("at least one oscillator species is required")
     for k, sp in enumerate(config.oscillators):
         if not isinstance(sp, OscillatorSpecies):
             raise SpeciesError(f"oscillators[{k}] must be an OscillatorSpecies, got {sp!r}")
-        if not (_real(sp.omega) and 0.0 < sp.omega < math.inf):
-            raise SpeciesError(f"oscillators[{k}].omega must be > 0 and finite, got {sp.omega}")
-        if not (_real(sp.G) and 0.0 <= sp.G < math.inf):
-            raise SpeciesError(f"oscillators[{k}].G must be >= 0 and finite, got {sp.G}")
+        if not (_real(sp.omega) and sp.omega > 0.0 and _finite_square(sp.omega)):
+            raise SpeciesError(f"oscillators[{k}].omega must be > 0 with a finite square, "
+                               f"got {sp.omega}")
+        if not (_real(sp.G) and sp.G >= 0.0 and _finite_square(sp.G)):
+            raise SpeciesError(f"oscillators[{k}].G must be >= 0 with a finite square, got {sp.G}")
 
     for name in ("photon_mode_count", "exciton_mode_count"):
         count = getattr(config, name)

@@ -221,6 +221,63 @@ solver: {omega_max: 12.0}
     assert not out.exists()
 
 
+OVERFLOW = """
+geometry: {{L: 1.0, l: 0.5, c: {c}}}
+oscillators: [{species}]
+basis: {{photon_modes: 4, exciton_modes: 2}}
+solver: {{omega_max: 20.0}}
+"""
+
+
+@pytest.mark.parametrize("argv", [["sweep", "--method", "secular"],
+                                  ["sweep", "--method", "green"],
+                                  ["sweep", "--method", "classical"], ["converge"]],
+                         ids=["secular", "green", "classical", "converge"])
+@pytest.mark.parametrize("c, species, error, field", [
+    ("1.0", "{omega: 4.0, G: 1.0e+200}", "SpeciesError", "oscillators[0].G"),
+    ("1.0", "{omega: 1.0e+200, G: 1.0}", "SpeciesError", "oscillators[0].omega"),
+    ("1.0e-200", "{omega: 4.0, G: 1.0}", "GeometryError", "light speed"),
+], ids=["G", "omega", "c"])
+def test_overflowing_squares_are_configuration_errors(tmp_path, capsys, argv, c, species,
+                                                      error, field):
+    # omega, G or 1/c whose square overflows used to end in a bare
+    # OverflowError or ValueError and exit 1; now exit 2, naming the field
+    path = write_config(tmp_path, OVERFLOW.format(c=c, species=species))
+    out = tmp_path / "out"
+    assert main([*argv, "--config", path, "--out", str(out)]) == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == error and field in record["message"]
+    assert not out.exists()
+
+
+BRANCH_MATCH = """
+geometry: {L: 1.0, l: 0.3}
+oscillators: [{omega: 3.0, G: 0.5}]
+basis: {photon_modes: 16, exciton_modes: 4}
+sweep: {q_min: 0.0, q_max: 4.0, points: 9}
+solver: {omega_max: 10.0}
+"""
+
+
+def test_slope_capped_branch_matcher_refuses_with_a_typed_error(tmp_path, capsys):
+    # the top secular root leaves the window at omega_max between two q
+    # steps; the matter-like roots crowded below omega_j then lie closer
+    # than the slope cap c dq, and the greedy matcher refuses them
+    path = write_config(tmp_path, BRANCH_MATCH)
+    out = tmp_path / "secular"
+    assert main(["sweep", "--method", "secular", "--config", path, "--out", str(out)]) == 3
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "BranchMatchError"
+    assert "Omega=2.98419" in record["message"]
+    assert not out.exists()
+    # the dynamical and Green routes label the same sweep without refusal
+    for method in ("dynamical", "green"):
+        out = tmp_path / method
+        assert main(["sweep", "--method", method, "--config", path, "--out", str(out)]) == 0
+        assert (out / "sweep.csv").exists()
+    capsys.readouterr()
+
+
 def test_green_sweep_far_below_the_light_line_finds_the_guided_modes(tmp_path, capsys):
     # q = 3000, kappa h ~ 750: the matching matrix overflows here, but the
     # green sweep counts its roots from ratios and exits 0 with the guided

@@ -173,10 +173,15 @@ def test_degenerate_exciton_lines_are_handled():
     assert len(degenerate) == 4
 
 
-def _bare(matrix) -> DynamicalMatrix:
-    # one photon mode and no matter: half dimension 1
-    return DynamicalMatrix(matrix=np.array(matrix, dtype=float), photon_mode_count=1,
-                           species_count=0, exciton_mode_count=1, q=0.0)
+def _bare(photon, E=None, matter=()) -> DynamicalMatrix:
+    # photon modes with coupling E and one matter coordinate per entry of
+    # matter, coupled to nothing: half dimension len(photon) + len(matter)
+    photon, matter = np.array(photon, dtype=float), np.array(matter, dtype=float)
+    E = np.zeros((len(photon),) * 2) if E is None else np.array(E, dtype=float)
+    return DynamicalMatrix(photon=photon, matter=matter, E=E,
+                           C=np.zeros((len(photon), len(matter))),
+                           photon_mode_count=len(photon), species_count=len(matter),
+                           exciton_mode_count=1, q=0.0)
 
 
 def _standard_form(dyn: DynamicalMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -231,14 +236,13 @@ def test_parity_split_matches_one_sector_reference():
 
 
 def _cross_parity(cfg: CavityConfig, q: float) -> DynamicalMatrix:
-    # one cross-parity pair A[0, 1] = A[1, 0] between the photons m = 1 and
-    # m = 2, placed in the (W, W) and (Y, Y) blocks as the pairing demands
+    # one cross-parity pair E[0, 1] = E[1, 0] between the photons m = 1 and
+    # m = 2, which enters both A and B
     dyn = build_dynamical_matrix(cfg, overlap_K(cfg), q)
-    M = dyn.matrix.copy()
-    half, extra = dyn.half_dim, 0.3 * dyn.matrix[0, 0]
-    M[0, 1] = M[1, 0] = extra
-    M[half, half + 1] = M[half + 1, half] = -extra
-    return DynamicalMatrix(matrix=M, photon_mode_count=dyn.photon_mode_count,
+    E = dyn.E.copy()
+    E[0, 1] = E[1, 0] = 0.3 * dyn.matrix[0, 0]
+    return DynamicalMatrix(photon=dyn.photon, matter=dyn.matter, E=E, C=dyn.C,
+                           photon_mode_count=dyn.photon_mode_count,
                            species_count=dyn.species_count,
                            exciton_mode_count=dyn.exciton_mode_count, q=dyn.q)
 
@@ -283,28 +287,32 @@ def test_frequencies_match_diagonalize():
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("solve", [diagonalize, frequencies], ids=lambda f: f.__name__)
 def test_diagonalize_rejects_complex_spectrum(solve):
-    # a rotation (A + B negative) and an indefinite A - B: both give
-    # frequencies +-i Omega
+    # a rotation (A + B = P + 2E negative) and an indefinite A - B = P:
+    # both give frequencies +-i Omega
     with pytest.raises(NormalizationError, match="unstable mode"):
-        solve(_bare([[0.0, 1.0], [-1.0, 0.0]]))
+        solve(_bare([1.0], [[-1.0]]))
     with pytest.raises(NormalizationError, match="not positive definite"):
-        solve(_bare([[1.0, -2.0], [2.0, -1.0]]))
+        solve(_bare([-1.0]))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("solve", [diagonalize, frequencies], ids=lambda f: f.__name__)
 def test_diagonalize_rejects_unpaired_spectrum(solve):
-    # diag(1, -2) breaks the +-Omega pairing; the other two are zero
+    # an asymmetric E breaks the +-Omega pairing; the other two are zero
     # modes, with A - B = 0 and with A + B = 0
-    with pytest.raises(NormalizationError, match="not of the form"):
-        solve(_bare(np.diag([1.0, -2.0])))
+    with pytest.raises(NormalizationError, match="E is not symmetric"):
+        solve(_bare([1.0, 2.0], [[0.0, 0.1], [0.0, 0.0]]))
     with pytest.raises(NormalizationError, match="not positive definite"):
-        solve(_bare([[1.0, -1.0], [1.0, -1.0]]))
+        solve(_bare([0.0]))
     with pytest.raises(NormalizationError, match="zero-frequency"):
-        solve(_bare([[1.0, 1.0], [-1.0, -1.0]]))
-    # a 3x3 matrix cannot hold half dimension 1
+        solve(_bare([2.0], [[-1.0]]))
+    # blocks that do not fit the counts: an E too large, a C too wide
     with pytest.raises(DimensionError):
-        _bare(np.eye(3))
+        _bare([1.0], np.eye(2))
+    with pytest.raises(DimensionError):
+        DynamicalMatrix(photon=np.ones(1), matter=np.ones(1), E=np.zeros((1, 1)),
+                        C=np.zeros((1, 2)), photon_mode_count=1, species_count=1,
+                        exciton_mode_count=1, q=0.0)
 
 
 def test_assembly_matches_block_formula():
@@ -327,8 +335,27 @@ def test_assembly_matches_block_formula():
                               [C.T, R, -C.T, zero],
                               [E, C, -(P + E), C],
                               [-C.T, zero, C.T, -R]])
-        got = build_dynamical_matrix(cfg, overlaps, q).matrix
-        assert got.tobytes() == reference.tobytes()
+        dyn = build_dynamical_matrix(cfg, overlaps, q)
+        blocks = ((dyn.photon, photon), (dyn.matter, np.diag(R)), (dyn.E, E), (dyn.C, C))
+        assert all(got.tobytes() == block.tobytes() for got, block in blocks)
+        assert dyn.matrix.tobytes() == reference.tobytes()
+
+
+@pytest.mark.parametrize("photon, matter", [([np.inf], [1.0]), ([np.nan], [1.0]),
+                                            ([1.0], [0.0]), ([1.0], [-np.inf])])
+def test_blocks_need_finite_positive_frequencies(photon, matter):
+    # A - B = diag(photon, matter) is positive definite exactly when every
+    # entry is finite and > 0
+    with pytest.raises(NormalizationError, match="not positive definite"):
+        _bare(photon, matter=matter)
+
+
+def test_blocks_are_read_only():
+    cfg = make_config()
+    dyn = build_dynamical_matrix(cfg, overlap_K(cfg), 0.0)
+    for block in (dyn.photon, dyn.matter, dyn.E, dyn.C):
+        with pytest.raises(ValueError):
+            block[0] = 1.0
 
 
 def test_matrix_is_read_only():

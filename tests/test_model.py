@@ -61,6 +61,24 @@ def test_species_errors():
             CavityConfig(L=1.0, l=0.5, oscillators=bad)
 
 
+@pytest.mark.parametrize("species, field", [((4.0, 1.0e200), "G"), ((1.0e200, 1.0), "omega"),
+                                            ((10 ** 400, 1.0), "omega")])
+def test_species_whose_square_overflows_are_refused(species, field):
+    # every route squares omega and G, which overflowed to a bare
+    # OverflowError before; the field is named
+    with pytest.raises(SpeciesError, match=rf"oscillators\[0\]\.{field} .* finite square"):
+        make_config(species=(species,))
+    validate(make_config(species=((1.0e154, 1.0e154),)))
+
+
+@pytest.mark.parametrize("c", [1.0e-200, 1.0e200])
+def test_light_speed_whose_square_or_inverse_square_overflows_is_refused(c):
+    with pytest.raises(GeometryError, match="light speed"):
+        make_config(c=c)
+    validate(make_config(c=1.0e-150))
+    validate(make_config(c=1.0e150))
+
+
 def test_zero_coupling_is_legal():
     # the decoupling limit must be representable
     validate(make_config(species=((4.0, 0.0),)))
