@@ -257,10 +257,11 @@ def _cmd_spectrum(config: CavityConfig, snapshot: dict, args):
 
 
 def _cmd_classical(config: CavityConfig, snapshot: dict, args):
-    from .dispersion import _lorentz_classical_roots
+    from .dispersion import classical_roots
+    from .kk import LorentzSet
 
-    branch1, branch2 = _lorentz_classical_roots(
-        config, args.q, (0.0, config.solver.omega_max))
+    branch1, branch2 = classical_roots(
+        config, LorentzSet.from_config(config), args.q, (0.0, config.solver.omega_max))
     rows = sorted([(w, 1) for w in branch1.tolist()]
                   + [(w, 2) for w in branch2.tolist()])
     return "classical", [args.q], ["omega,branch"] + [
@@ -292,7 +293,7 @@ def _cmd_converge(config: CavityConfig, snapshot: dict, args):
     # the complete-matter-basis experiment: hold N fixed, double Xi, watch
     # the secular roots approach the classical ones
     window = (0.0, config.solver.omega_max)
-    reference = _roots_for_method(config, None, "classical", 0.0, window)
+    reference = _roots_for_method(config, None, "classical", 0.0, window)[0]
     if len(reference) == 0:
         raise SolverError("no classical roots inside the window; widen omega_max")
     compare = min(5, len(reference))
@@ -302,7 +303,7 @@ def _cmd_converge(config: CavityConfig, snapshot: dict, args):
     top = config.exciton_mode_count
     for xi in sorted(top // 2 ** k for k in range(5) if top // 2 ** k >= 1):
         cfg = config.with_truncation(exciton_mode_count=xi)
-        roots = _roots_for_method(cfg, overlap_K(cfg), "secular", 0.0, window)
+        roots = _roots_for_method(cfg, overlap_K(cfg), "secular", 0.0, window)[0]
         take = min(compare, len(roots))
         if take == 0:
             raise SolverError(

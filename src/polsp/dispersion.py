@@ -21,17 +21,15 @@ the scanners here never search inside pole_exclusion neighborhoods, which
 is what makes cross-method comparison well defined.
 
 All root finding is bracketing plus bisection, never derivative-based:
-the functions have poles and near-vertical branches, and a sign or a count
-is trustworthy where a Newton step is not.  The secular, closed-form and
-Green routes multisect a count of their roots below each frequency (after
-Wittrick and Williams: the inertia of the reduced matrix, from one sign or
-from its determinant and trace in the closed forms, and the negative
-eigenvalues of the half-cavity operator), which sees every root however
-close two lie.  Only the classical route scans signs: its brackets are
-halved in lockstep through the same refiner, a sign standing in for the
-count.  Its scan is repeated at doubled density, and a changed bracket
-count raises BracketError; two roots of one function in one cell of both
-grids still cancel unseen, so each classical branch is scanned alone.
+the functions have poles and near-vertical branches, and a count is
+trustworthy where a Newton step is not.  Every route multisects a count of
+its roots below each frequency (after Wittrick and Williams: the inertia
+of the reduced matrix, from one sign or from its determinant and trace in
+the closed forms, and the negative eigenvalues of the half-cavity
+operator, whose slab the classical route fills), which sees every root
+however close two lie and ranks it, so sweep labels branches by it.  Only
+classical_roots with a caller's own susceptibility scans signs, with a
+repeat at doubled density that raises BracketError on a changed count.
 """
 
 from __future__ import annotations
@@ -108,8 +106,12 @@ def _longitudinal_sq(config: CavityConfig, omega: float, qv: float) -> float:
 def _propagating_window(config: CavityConfig, qv: float,
                         window: tuple[float, float]) -> tuple[float, float]:
     # the window clamped to Omega > q c unless the continuation is enabled;
-    # a NaN or infinite edge is refused before the clamp could hide it
+    # a NaN or infinite edge is refused before the clamp could hide it, and
+    # so is an edge whose (Omega/c)^2, which the counts square, overflows
     lo, hi = _finite_window(window)
+    edge = max(abs(lo), abs(hi)) / config.c
+    if not math.isfinite(edge * edge):
+        raise ConfigError(f"(Omega/c)^2 is not finite at the window edge, |Omega|/c = {edge:g}")
     if not config.solver.allow_evanescent:
         lo = max(lo, qv * config.c * (1.0 + 1e-12))
     return lo, hi
@@ -284,10 +286,10 @@ def _refuse_poles(config: CavityConfig, photon_freqs: np.ndarray, omega: float,
             raise PoleError(f"{name} evaluated at {kind} pole {hit[0]}")
 
 
-def _coupling_strength_sum(config: CavityConfig, omega):
+def _coupling_strength_sum(species, omega):
     # S(Omega) = sum_j G_j^2 / (omega_j^2 - Omega^2); the lossless
-    # susceptibility of the configured species set, for a float or an array
-    return sum((sp.G ** 2 / (sp.omega ** 2 - omega ** 2) for sp in config.oscillators), 0.0)
+    # susceptibility of a species set, for a float or an array
+    return sum((sp.G ** 2 / (sp.omega ** 2 - omega ** 2) for sp in species), 0.0)
 
 
 @dataclass(frozen=True)
@@ -320,7 +322,7 @@ class SecularOperator:
         """The literal N x N operator; prefer determinant() for root scans."""
         _refuse_poles(self.config, self.photon_poles, omega, "secular operator")
         weights = 1.0 / (self._photon_poles_sq - omega ** 2)
-        s_val = _coupling_strength_sum(self.config, omega)
+        s_val = _coupling_strength_sum(self.config.oscillators, omega)
         return (omega ** 2 * s_val) * weights[:, None] * self.overlaps.D
 
     @cached_property
@@ -333,7 +335,7 @@ class SecularOperator:
 
     def _reduced(self, omega: float) -> np.ndarray:
         weights = 1.0 / (self._photon_poles_sq - omega ** 2)
-        s_val = _coupling_strength_sum(self.config, omega)
+        s_val = _coupling_strength_sum(self.config.oscillators, omega)
         K = self.overlaps.K
         core = K.T @ (weights[:, None] * K)
         return self._identity - (omega ** 2 * s_val) * core
@@ -389,7 +391,7 @@ class SecularOperator:
         """
         omegas = np.asarray(omegas, dtype=float)
         omegas_sq = omegas ** 2
-        strength = _coupling_strength_sum(self.config, omegas)
+        strength = _coupling_strength_sum(self.config.oscillators, omegas)
         flip = np.copysign(1.0, strength)
         factor = omegas_sq * np.abs(strength)
         products, poles_sq, unpack = self._parity_sectors[sector]
@@ -641,7 +643,7 @@ def _green_matrices(config: CavityConfig, modes: _SlabModes, omegas: np.ndarray,
     s = (omegas / config.c) ** 2 - qv ** 2
     widths = np.array([modes.h, (config.L - config.l) / 2.0])
     with np.errstate(all="ignore"):
-        beta = _coupling_strength_sum(config, omegas) * omegas ** 2 / config.c ** 2
+        beta = _coupling_strength_sum(config.oscillators, omegas) * omegas ** 2 / config.c ** 2
         # the fundamental pair at the slab half-width and at the gap width
         cos, sin = _fundamental_pairs(widths, s)
         ch, sh = cos[:, :1], sin[:, :1]
@@ -745,7 +747,8 @@ def _green_counts(config: CavityConfig, modes: _SlabModes, qv: float,
     r_prop = np.where(s > 0.0, r, 0.0)
     gap = (config.L - config.l) / 2.0
     with np.errstate(all="ignore"):
-        gamma = (_coupling_strength_sum(config, omegas) * omegas ** 2 / config.c ** 2)[:, None]
+        gamma = (_coupling_strength_sum(config.oscillators, omegas)
+                 * omegas ** 2 / config.c ** 2)[:, None]
         den = modes.b_sq - s[:, None]
         excess = den - gamma
         # the clamped slab: the projected modes with den < gamma, then the
@@ -797,14 +800,6 @@ def green_roots(config: CavityConfig, q, window: tuple[float, float]) -> np.ndar
 # classical transcendental relation
 # --------------------------------------------------------------------------
 
-def _resolve_susceptibility(susceptibility):
-    if susceptibility is None:
-        return lambda omega: 0.0
-    if callable(susceptibility):
-        return susceptibility
-    return susceptibility.chi_prime
-
-
 def classical_branch_values(config: CavityConfig, susceptibility,
                             omega: float, q) -> tuple[float, float]:
     """Values of the two matching functions whose zeros are eigenmodes.
@@ -824,9 +819,10 @@ def classical_branch_values(config: CavityConfig, susceptibility,
     avoids by construction.
     """
     qv = transverse_wavenumber(q)
-    chi = _resolve_susceptibility(susceptibility)
+    chi = (0.0 if susceptibility is None else susceptibility(omega)
+           if callable(susceptibility) else susceptibility.chi_prime(omega))
     s = _longitudinal_sq(config, omega, qv)
-    s_med = (1.0 + chi(omega)) * (omega / config.c) ** 2 - qv ** 2
+    s_med = (1.0 + chi) * (omega / config.c) ** 2 - qv ** 2
     h = config.l / 2.0
     gap = (config.L - config.l) / 2.0
     c_gap, s_gap = _damped_pair(gap, s)
@@ -836,47 +832,69 @@ def classical_branch_values(config: CavityConfig, susceptibility,
     return branch1, branch2
 
 
+def _classical_counts(config: CavityConfig, species, parity: int, qv: float,
+                      omegas) -> np.ndarray:
+    # One branch's count of its roots below every frequency of an array (the
+    # even field, branch 1, is parity 0): the Xi -> infinity form of
+    # _green_counts.  The projection covers the whole slab, so with the face
+    # clamped the slab is a uniform layer at s' = s + Omega^2 chi/c^2, chi =
+    # sum G^2/(omega^2 - Omega^2) over ``species``; with Y the sector's
+    # interior solution at s' and m odd in the even sector, even in the odd,
+    #     J = #{m: m pi/l < sqrt(s')} + #{n >= 1: n pi/d < sqrt(s)}
+    #         + [Y'(h)/Y(h) + C(d)/S(d) < 0].
+    # Between resonances (1 + chi) Omega^2 rises with Omega, so s and s' do
+    # and J rises by one at each root of the branch (Sturm comparison).  At
+    # d = 0 the face is the wall: C(d)/S(d) = +inf and J is the slab count
+    omegas = np.asarray(omegas, dtype=float)
+    gap = (config.L - config.l) / 2.0
+    with np.errstate(all="ignore"):
+        s = (omegas / config.c) ** 2 - qv ** 2
+        s_med = s + _coupling_strength_sum(species, omegas) * (omegas / config.c) ** 2
+        r, r_med = np.sqrt(np.abs(s)), np.sqrt(np.abs(s_med))
+        ratio = _tangent_ratio(config.l / 2.0, s_med, r_med)
+        stiffness = (1.0 / ratio if parity else -s_med * ratio) + 1.0 / _tangent_ratio(gap, s, r)
+    slab = _multiples_below(np.where(s_med > 0.0, r_med, 0.0) * config.l)
+    return ((slab + 1 - parity) // 2 + _multiples_below(np.where(s > 0.0, r, 0.0) * gap)
+            + (stiffness < 0.0))
+
+
 def classical_roots(config: CavityConfig, susceptibility, q,
                     window: tuple[float, float],
                     poles=()) -> tuple[np.ndarray, np.ndarray]:
     """Roots of both classical branches in the window.
 
-    ``susceptibility`` is either an object with a ``chi_prime(omega)``
-    method, a plain callable, or None for vacuum.  ``poles`` lists the
-    frequencies where the susceptibility diverges (the species resonances
-    for a lorentz set); segments around them are excluded exactly like
-    secular poles.  Roots accumulate just below each resonance, so a
-    finite scan reports only the ones it can separate; the doubled-density
-    check turns an under-resolved accumulation into BracketError.
+    ``susceptibility`` is None for vacuum, a kk.LorentzSet, an object with
+    a ``chi_prime(omega)`` method or a plain callable.  Segments around
+    ``poles``, and around a LorentzSet's resonances, are excluded like
+    secular poles.  For None and a LorentzSet each branch's roots are
+    multisected from its _classical_counts, so every root is found down to
+    pole_exclusion below a resonance, where they accumulate.  Any other
+    susceptibility is scanned for sign changes at ``scan_points``, which
+    raises BracketError for an accumulation that it cannot resolve.
     """
+    from .kk import LorentzSet
+
     qv = transverse_wavenumber(q)
     window = _propagating_window(config, qv, window)
-    chi = _resolve_susceptibility(susceptibility)
-
     settings = config.solver
+    if susceptibility is None or isinstance(susceptibility, LorentzSet):
+        species = () if susceptibility is None else susceptibility.species
+        segments = pole_free_segments(window, [*poles, *(sp.omega for sp in species)],
+                                      settings.pole_exclusion)
+        return tuple(np.sort(_multisect_counts(
+            partial(_classical_counts, config, species, parity, qv), segments,
+            settings.root_tol)) for parity in (0, 1))
 
     def branch(which):
-        def f(omega):
-            return classical_branch_values(config, chi, omega, qv)[which]
-        return f
-
+        return lambda omega: classical_branch_values(config, susceptibility, omega, qv)[which]
     return tuple(scan_roots(branch(which), window, poles,
                             exclusion=settings.pole_exclusion,
                             scan_points=settings.scan_points, rel_tol=settings.root_tol)
                  for which in (0, 1))
 
 
-def _lorentz_classical_roots(config: CavityConfig, q,
-                             window: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
-    # both classical branches for the configured species, resonances excluded
-    from .kk import LorentzSet
-
-    model = LorentzSet.from_config(config)
-    return classical_roots(config, model, q, window, poles=model.poles())
-
-
 # --------------------------------------------------------------------------
-# q sweeps and branch tracking
+# q sweeps and branch labels
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -891,104 +909,89 @@ class DispersionCurve:
 
 
 def _roots_for_method(config: CavityConfig, overlaps, method: str, q: float,
-                      window: tuple[float, float]) -> np.ndarray:
+                      window: tuple[float, float]):
+    # The method's ascending roots at q and its count G(omegas) of the
+    # method's modes below each frequency, up to a constant per species
+    # segment that does not depend on q: the secular and closed-form counts
+    # plus the photon poles below, the Green and classical counts summed
+    # over both parities.  The dynamical route returns every mode and no
+    # count.  Routes are called by module attribute, so wrappers rebound on
+    # polsp.dispersion or polsp.hopfield see every call
+    qv = transverse_wavenumber(q)
     if method == "dynamical":
-        # imported here, since no other route needs it; module attribute
-        # lookups at call time, so wrappers rebound on polsp.hopfield see
-        # every call
-        from . import hopfield
+        from . import hopfield  # imported here, since no other route needs it
 
-        dyn = hopfield.build_dynamical_matrix(config, overlaps, q)
-        return hopfield.frequencies(dyn)
-    if method == "secular":
-        return secular_roots(config, overlaps, q, window)
-    if method == "one_exciton":
-        return one_exciton_roots(config, overlaps, q, window)
-    if method == "two_exciton":
-        return two_exciton_roots(config, overlaps, q, window)
+        return hopfield.frequencies(hopfield.build_dynamical_matrix(config, overlaps, q)), None
     if method == "green":
-        return green_roots(config, q, window)
+        return green_roots(config, q, window), lambda omegas: sum(
+            _green_counts(config, modes, qv, omegas) for modes in _green_sectors(config))
     if method == "classical":
-        return np.sort(np.concatenate(_lorentz_classical_roots(config, q, window)))
-    raise ConfigError(f"unknown sweep method {method!r}")
+        from .kk import LorentzSet
+
+        roots = classical_roots(config, LorentzSet.from_config(config), q, window)
+        return np.sort(np.concatenate(roots)), lambda omegas: sum(
+            _classical_counts(config, config.oscillators, parity, qv, omegas) for parity in (0, 1))
+    photon = photon_frequencies(config, qv)
+    if method == "secular":
+        op = SecularOperator(config=config, overlaps=overlaps, q=qv)
+        roots, counts = secular_roots(config, overlaps, q, window), lambda omegas: sum(
+            op.sector_counts(k, omegas) for k in range(len(op._parity_sectors)))
+    elif method in ("one_exciton", "two_exciton"):
+        route = one_exciton_roots if method == "one_exciton" else two_exciton_roots
+        roots = route(config, overlaps, q, window)
+        counts = partial(_closed_form_counts, config, overlaps, photon)
+    else:
+        raise ConfigError(f"unknown sweep method {method!r}")
+    return roots, lambda omegas: counts(omegas) + np.searchsorted(photon, omegas)
 
 
-def _match_indices(previous: np.ndarray, current: np.ndarray, cap: float):
-    # order-preserving assignment between two sorted root lists
-    if len(previous) == len(current) and np.all(np.abs(previous - current) <= cap):
-        # equal counts with every index pair inside the cap: index pairing
-        # is the unique order-preserving perfect matching, degeneracies
-        # included
-        return [(k, k) for k in range(len(previous))]
-    pairs = []
-    i = j = 0
-    while i < len(previous) and j < len(current):
-        if abs(previous[i] - current[j]) <= cap:
-            # a *distinct* competing candidate inside the cap means the
-            # assignment is a guess; exact degeneracies pair by index
-            def distinct(a, b):
-                return abs(a - b) > 1e-12 * max(1.0, abs(a))
-            crowded_prev = (i + 1 < len(previous)
-                            and abs(previous[i + 1] - current[j]) <= cap
-                            and distinct(previous[i + 1], previous[i]))
-            crowded_curr = (j + 1 < len(current)
-                            and abs(previous[i] - current[j + 1]) <= cap
-                            and distinct(current[j + 1], current[j]))
-            if crowded_prev or crowded_curr:
-                raise BranchMatchError(
-                    f"branch assignment ambiguous near Omega={current[j]:.6g}: "
-                    "multiple candidates inside the slope cap")
-            pairs.append((i, j))
-            i += 1
-            j += 1
-        elif previous[i] < current[j]:
-            i += 1
-        else:
-            j += 1
-    return pairs
+def _labels(config: CavityConfig, roots: np.ndarray, count):
+    # (species poles below, G at Omega + root_tol max(1, |Omega|)) per
+    # ascending root; scanning down each species segment, a root whose G
+    # would equal the next root's, closer to it than root_tol, takes one less
+    segment = np.searchsorted(np.sort([sp.omega for sp in config.oscillators]), roots).tolist()
+    above = count(roots + config.solver.root_tol * np.maximum(1.0, np.abs(roots))).tolist()
+    for k in range(len(roots) - 2, -1, -1):
+        if segment[k] == segment[k + 1]:
+            above[k] = min(above[k], above[k + 1] - 1)
+    return list(zip(segment, above))
 
 
 def sweep(config: CavityConfig, q_values, method: str | None = None,
           mapper=map) -> DispersionCurve:
     """Run the configured method over ascending q and label branches.
 
-    Matching across adjacent q uses the physical slope cap c|dq| plus the
-    root tolerance: polariton group velocity never exceeds c, so a larger
-    jump is a different branch.  ``mapper`` is any order-preserving map
-    (e.g. ThreadPoolExecutor.map); every per-q solve is independent, so
-    the assembled curve is identical for any worker count.
+    A branch is every (q, Omega) with one label: the species segment and
+    the rank there from the method's count, which names one mode at every
+    q, so a root leaving the window only ends its branch.  Branches are
+    ordered by first q, then first Omega.  A branch moving faster than c
+    (c dq plus root_tol) is a count defect and raises BranchMatchError.
+    ``mapper`` is any order-preserving map (e.g. ThreadPoolExecutor.map);
+    every per-q solve is independent, so the curve is identical for any
+    worker count.
     """
     qs = np.asarray([transverse_wavenumber(q) for q in q_values], dtype=float)
     if len(qs) == 0:
         raise ConfigError("q grid is empty")
-    if np.any(np.diff(qs) <= 0) and len(qs) > 1:
+    if np.any(np.diff(qs) <= 0):
         raise ConfigError("q grid must be strictly ascending")
     chosen = method or config.solver.method
     window = (0.0, config.solver.omega_max)
     overlaps = overlap_K(config)
 
-    per_q = list(mapper(
-        lambda q: _roots_for_method(config, overlaps, chosen, q, window), qs))
+    def solve(q):
+        # without a count every mode is present, and its index is its rank
+        roots, count = _roots_for_method(config, overlaps, chosen, q, window)
+        return zip(roots, range(len(roots)) if count is None else _labels(config, roots, count))
 
-    branches: list[list[tuple[float, float]]] = [[(qs[0], w)] for w in per_q[0]]
-    open_ids = list(range(len(per_q[0])))
-    for step in range(1, len(qs)):
-        cap = config.c * (qs[step] - qs[step - 1]) + config.solver.root_tol
-        prev_roots = np.array([branches[b][-1][1] for b in open_ids])
-        cur_roots = per_q[step]
-        pairs = _match_indices(prev_roots, cur_roots, cap)
-        matched_cur = {j for _, j in pairs}
-        next_open = []
-        for i, j in pairs:
-            branches[open_ids[i]].append((qs[step], cur_roots[j]))
-            next_open.append(open_ids[i])
-        for j in range(len(cur_roots)):
-            if j not in matched_cur:
-                branches.append([(qs[step], cur_roots[j])])
-                next_open.append(len(branches) - 1)
-        # branches whose index is not matched simply stop extending
-        next_open.sort(key=lambda b: (branches[b][-1][0], branches[b][-1][1]))
-        open_ids = next_open
-
-    arrays = tuple(np.array(b) for b in branches)
-    return DispersionCurve(method=chosen, branches=arrays)
+    groups: dict = {}
+    for qv, labelled in zip(qs, mapper(solve, qs)):
+        for omega, label in labelled:
+            groups.setdefault(label, []).append((qv, omega))
+    branches = sorted((np.array(b) for b in groups.values()), key=lambda b: (b[0, 0], b[0, 1]))
+    for b in branches:
+        jump = np.abs(np.diff(b[:, 1])) - config.c * np.diff(b[:, 0])
+        if np.any(jump > config.solver.root_tol):
+            raise BranchMatchError(f"branch moves faster than c near Omega="
+                                   f"{b[np.argmax(jump), 1]:.6g}: a count defect")
+    return DispersionCurve(method=chosen, branches=tuple(branches))

@@ -165,9 +165,13 @@ def _reduce(dyn: DynamicalMatrix, vectors: bool):
         omega2.append(w2)
     omega2 = np.concatenate(omega2)
     # a zero mode shows up as Omega^2 at round-off level, an unstable one
-    # as a negative Omega^2
-    if np.min(omega2) <= _ZERO_MODE_RTOL * np.max(omega2):
-        raise NormalizationError("zero-frequency or unstable mode encountered")
+    # as a negative Omega^2; a stable spectrum wider than the rule is
+    # refused too, since its smallest Omega^2 is then unresolved
+    lo, hi = np.min(omega2), np.max(omega2)
+    if lo <= _ZERO_MODE_RTOL * hi:
+        raise NormalizationError(
+            f"zero-frequency or unstable mode: smallest Omega^2 {lo:.6g} <= "
+            f"{_ZERO_MODE_RTOL:g} x largest Omega^2 {hi:.6g}")
     return sectors, omega2
 
 

@@ -96,12 +96,33 @@ def test_lorentz_susceptibility_polaritons_straddle_resonance():
 
 
 def test_root_accumulation_at_resonance_is_reported():
-    # lossless Lorentz roots pile up just below omega0; a window that
-    # includes the resonance cannot be fully resolved and must say so
+    # lossless Lorentz roots pile up just below omega0; a scan of a
+    # caller's susceptibility cannot fully resolve a window that includes
+    # the resonance and must say so
     cfg = make_config(L=1.0, l=0.5, species=((4.0, 1.0),))
     model = LorentzSet.from_config(cfg)
     with pytest.raises(BracketError):
-        classical_roots(cfg, model, 0.0, (0.5, 12.0), poles=model.poles())
+        classical_roots(cfg, model.chi_prime, 0.0, (0.5, 12.0), poles=model.poles())
+
+
+def test_count_finds_roots_crowded_under_a_resonance():
+    # slab filling the cavity, resonance inside the window: the count finds
+    # every root down to pole_exclusion below omega0, each a sign change of
+    # its branch; a sign scan of the same window returned 7 + 8 roots at
+    # 400 points and 11 + 10 at 2000, without an error
+    L = 1.9142472356138878
+    cfg = make_config(L=L, l=L, species=((11.699075735821713, 0.415635334246808),),
+                      pole_exclusion=1e-3)
+    model = LorentzSet.from_config(cfg)
+    q = 0.162115439579106
+    branches = classical_roots(cfg, model, q, (1e-3, 15.0), poles=model.poles())
+    assert [len(b) for b in branches] == [15, 14]
+    for which, roots in enumerate(branches):
+        assert np.all(np.diff(roots) > 0.0)
+        for root in roots:
+            below, above = (classical_branch_values(cfg, model, root * (1.0 + d), q)[which]
+                            for d in (-1e-9, 1e-9))
+            assert below * above < 0.0, (which, root)
 
 
 def test_branch_values_entire_in_frequency():

@@ -207,17 +207,19 @@ def test_exit_code_missing_file(tmp_path, capsys):
 
 
 def test_exit_code_solver_error(tmp_path, capsys):
-    # resonance inside the scan window: classical roots pile up against it;
-    # the failed command writes no output, not even the output directory
+    # omega_max below the first classical root: converge has no reference
+    # root to compare with; the failed command writes no output, not even
+    # the output directory
     path = write_config(tmp_path, """
 geometry: {L: 1.0, l: 0.5}
 oscillators: [{omega: 4.0, G: 1.0}]
-solver: {omega_max: 12.0}
+solver: {omega_max: 1.0}
 """)
     out = tmp_path / "newdir"
-    code = main(["classical", "--config", path, "--out", str(out)])
+    code = main(["converge", "--config", path, "--out", str(out)])
     assert code == 3
-    assert json.loads(capsys.readouterr().err)["error"] == "BracketError"
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "SolverError" and "no classical roots" in record["message"]
     assert not out.exists()
 
 
@@ -225,24 +227,34 @@ OVERFLOW = """
 geometry: {{L: 1.0, l: 0.5, c: {c}}}
 oscillators: [{species}]
 basis: {{photon_modes: 4, exciton_modes: 2}}
-solver: {{omega_max: 20.0}}
+solver: {{omega_max: {omega_max}}}
 """
 
+OVERFLOW_ROUTES = {"secular": ["sweep", "--method", "secular"],
+                   "green": ["sweep", "--method", "green"],
+                   "classical": ["sweep", "--method", "classical"], "converge": ["converge"]}
+# name -> (c, species, omega_max, error, field); the last squares omega_max/c,
+# which only the Green and classical counts do, so secular is not run on it
+OVERFLOW_INPUTS = {
+    "G": ("1.0", "{omega: 4.0, G: 1.0e+200}", "20.0", "SpeciesError", "oscillators[0].G"),
+    "omega": ("1.0", "{omega: 1.0e+200, G: 1.0}", "20.0", "SpeciesError",
+              "oscillators[0].omega"),
+    "c": ("1.0e-200", "{omega: 4.0, G: 1.0}", "20.0", "GeometryError", "light speed"),
+    "window": ("1.0e-150", "{omega: 4.0, G: 1.0}", "1.0e+10", "ConfigError",
+               "(Omega/c)^2 is not finite"),
+}
 
-@pytest.mark.parametrize("argv", [["sweep", "--method", "secular"],
-                                  ["sweep", "--method", "green"],
-                                  ["sweep", "--method", "classical"], ["converge"]],
-                         ids=["secular", "green", "classical", "converge"])
-@pytest.mark.parametrize("c, species, error, field", [
-    ("1.0", "{omega: 4.0, G: 1.0e+200}", "SpeciesError", "oscillators[0].G"),
-    ("1.0", "{omega: 1.0e+200, G: 1.0}", "SpeciesError", "oscillators[0].omega"),
-    ("1.0e-200", "{omega: 4.0, G: 1.0}", "GeometryError", "light speed"),
-], ids=["G", "omega", "c"])
+
+@pytest.mark.parametrize("argv, c, species, omega_max, error, field", [
+    pytest.param(argv, *OVERFLOW_INPUTS[name], id=f"{name}-{route}")
+    for name in sorted(OVERFLOW_INPUTS) for route, argv in sorted(OVERFLOW_ROUTES.items())
+    if (name, route) != ("window", "secular")])
 def test_overflowing_squares_are_configuration_errors(tmp_path, capsys, argv, c, species,
-                                                      error, field):
-    # omega, G or 1/c whose square overflows used to end in a bare
-    # OverflowError or ValueError and exit 1; now exit 2, naming the field
-    path = write_config(tmp_path, OVERFLOW.format(c=c, species=species))
+                                                      omega_max, error, field):
+    # omega, G, 1/c or omega_max/c whose square overflows used to end in a
+    # bare OverflowError or ValueError and exit 1, or in a warning and an
+    # empty sweep with exit 0; now exit 2, naming the cause
+    path = write_config(tmp_path, OVERFLOW.format(c=c, species=species, omega_max=omega_max))
     out = tmp_path / "out"
     assert main([*argv, "--config", path, "--out", str(out)]) == 2
     record = json.loads(capsys.readouterr().err)
@@ -259,19 +271,12 @@ solver: {omega_max: 10.0}
 """
 
 
-def test_slope_capped_branch_matcher_refuses_with_a_typed_error(tmp_path, capsys):
+def test_crowded_roots_below_a_resonance_sweep_on_every_route(tmp_path, capsys):
     # the top secular root leaves the window at omega_max between two q
-    # steps; the matter-like roots crowded below omega_j then lie closer
-    # than the slope cap c dq, and the greedy matcher refuses them
+    # steps while matter-like roots crowd below omega_j, closer than c dq;
+    # the count labels every root, so each route sweeps without refusal
     path = write_config(tmp_path, BRANCH_MATCH)
-    out = tmp_path / "secular"
-    assert main(["sweep", "--method", "secular", "--config", path, "--out", str(out)]) == 3
-    record = json.loads(capsys.readouterr().err)
-    assert record["error"] == "BranchMatchError"
-    assert "Omega=2.98419" in record["message"]
-    assert not out.exists()
-    # the dynamical and Green routes label the same sweep without refusal
-    for method in ("dynamical", "green"):
+    for method in ("secular", "dynamical", "green"):
         out = tmp_path / method
         assert main(["sweep", "--method", method, "--config", path, "--out", str(out)]) == 0
         assert (out / "sweep.csv").exists()

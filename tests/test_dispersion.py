@@ -783,6 +783,25 @@ def test_sweep_branch_count_and_monotonicity():
         assert np.all(np.abs(dw) <= cfg.c * dq + 1e-6)
 
 
+@pytest.mark.parametrize("method", ["secular", "green"])
+def test_counted_sweep_branches_lie_on_dynamical_branches(method):
+    # one of 40 random one-species cavities: the top root leaves the window
+    # at omega_max while matter-like roots crowd below omega_j, closer than
+    # c dq; a slope-capped matcher refused this sweep.  Labelled by the
+    # count, every branch is one dynamical branch at each of its q
+    cfg = make_config(L=1.0, l=0.5832410385126672, species=((3.2779113170966285,
+                                                             2.2568160239458006),),
+                      photon=64, exciton=8, omega_max=14.0)
+    qs = np.linspace(0.0, 6.0, 9)
+    dynamical = [dict(b.tolist()) for b in sweep(cfg, qs, method="dynamical").branches]
+    curve = sweep(cfg, qs, method=method)
+    assert curve.branch_count() > 0
+    for branch in curve.branches:
+        matches = [d for d in dynamical
+                   if all(q in d and abs(d[q] - w) <= 1e-7 * w for q, w in branch.tolist())]
+        assert len(matches) == 1, branch
+
+
 def test_sweep_flat_lines_in_decoupled_limit():
     cfg = make_config(species=((4.0, 0.0),), photon=3, exciton=3,
                       omega_max=14.0)

@@ -315,6 +315,16 @@ def test_diagonalize_rejects_unpaired_spectrum(solve):
                         exciton_mode_count=1, q=0.0)
 
 
+def test_too_wide_a_spectrum_is_refused_by_its_rule():
+    # stable, but Omega spans 1e7 / pi: the smallest Omega^2 lies below
+    # 1e-12 of the largest, and the refusal names that rule, not a cause
+    # it cannot tell apart
+    cfg = make_config(L=1.0, l=0.5, species=((1e7, 1.0),), photon=4, exciton=2)
+    with pytest.raises(NormalizationError,
+                       match=r"smallest Omega\^2 9\.8696 <= 1e-12 x largest Omega\^2 1e\+14"):
+        spectrum(cfg, 0.0)
+
+
 def test_assembly_matches_block_formula():
     # the module docstring's block formula, assembled by np.block; E and C
     # are evaluated in the order the module evaluates them, so the bytes

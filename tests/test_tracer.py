@@ -27,9 +27,9 @@ sweep: {q_min: 0.0, q_max: 1.0, points: 3}
 solver: {omega_max: 12.0, scan_points: 60}
 """
 
-SWEEP_LAYERS = ("dispersion.scan_roots", "dispersion.solve", "model.validate")
-# the secular, green and closed-form routes count their roots and never
-# call scan_roots; only the classical route scans signs
+# every route of a sweep counts its roots and never calls scan_roots,
+# which only a caller's own classical susceptibility reaches
+CLASSICAL_LAYERS = ("dispersion.classical_roots", "dispersion.solve", "model.validate")
 SECULAR_LAYERS = ("dispersion.secular_roots", "dispersion.solve", "model.validate")
 GREEN_LAYERS = ("dispersion.green_roots", "dispersion.solve", "model.validate")
 TWO_EXCITON_LAYERS = ("dispersion.two_exciton_roots", "dispersion.solve", "model.validate")
@@ -39,12 +39,11 @@ TWO_EXCITON_LAYERS = ("dispersion.two_exciton_roots", "dispersion.solve", "model
     (["sweep", "--method", "secular"], SECULAR_LAYERS),
     (["sweep", "--method", "green"], GREEN_LAYERS),
     (["sweep", "--method", "two_exciton"], TWO_EXCITON_LAYERS),
-    (["sweep", "--method", "classical"], SWEEP_LAYERS),
+    (["sweep", "--method", "classical"], CLASSICAL_LAYERS),
     (["sweep", "--method", "dynamical"], ("dispersion.solve", "hopfield.build")),
     (["spectrum"], ("hopfield.build", "hopfield.diagonalize")),
-    (["converge"], ("dispersion.scan_roots", "dispersion.solve",
-                    "dispersion.secular_roots", "dispersion.classical_roots",
-                    "model.validate")),
+    (["converge"], ("dispersion.solve", "dispersion.secular_roots",
+                    "dispersion.classical_roots", "model.validate")),
 ], ids=["sweep_secular", "sweep_green", "sweep_two_exciton", "sweep_classical", "sweep_dynamical",
         "spectrum", "converge"])
 def test_traced_command_counts_its_layers(tmp_path, argv, layers):
