@@ -257,11 +257,10 @@ def _cmd_spectrum(config: CavityConfig, snapshot: dict, args):
 
 
 def _cmd_classical(config: CavityConfig, snapshot: dict, args):
-    from .dispersion import classical_roots
-    from .kk import LorentzSet
+    from .dispersion import _lorentz_classical_roots
 
-    branch1, branch2 = classical_roots(
-        config, LorentzSet.from_config(config), args.q, (0.0, config.solver.omega_max))
+    branch1, branch2 = _lorentz_classical_roots(
+        config, args.q, (0.0, config.solver.omega_max))
     rows = sorted([(w, 1) for w in branch1.tolist()]
                   + [(w, 2) for w in branch2.tolist()])
     return "classical", [args.q], ["omega,branch"] + [
@@ -291,11 +290,14 @@ def _cmd_converge(config: CavityConfig, snapshot: dict, args):
     from .modes import overlap_K
 
     # the complete-matter-basis experiment: hold N fixed, double Xi, watch
-    # the secular roots approach the classical ones
-    window = (0.0, config.solver.omega_max)
+    # the secular roots approach the classical ones.  The window ends at the
+    # lowest resonance: below it both lists rise from the lowest mode, so
+    # roots of one index are one mode, while above it classical roots crowd
+    # that no finite Xi holds
+    window = (0.0, min([config.solver.omega_max, *(sp.omega for sp in config.oscillators)]))
     reference = _roots_for_method(config, None, "classical", 0.0, window)[0]
     if len(reference) == 0:
-        raise SolverError("no classical roots inside the window; widen omega_max")
+        raise SolverError("no classical roots below omega_max and the lowest resonance")
     compare = min(5, len(reference))
 
     lines = ["exciton_modes,photon_modes,max_rel_deviation"]

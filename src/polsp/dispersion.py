@@ -106,12 +106,8 @@ def _longitudinal_sq(config: CavityConfig, omega: float, qv: float) -> float:
 def _propagating_window(config: CavityConfig, qv: float,
                         window: tuple[float, float]) -> tuple[float, float]:
     # the window clamped to Omega > q c unless the continuation is enabled;
-    # a NaN or infinite edge is refused before the clamp could hide it, and
-    # so is an edge whose (Omega/c)^2, which the counts square, overflows
+    # a NaN or infinite edge is refused before the clamp could hide it
     lo, hi = _finite_window(window)
-    edge = max(abs(lo), abs(hi)) / config.c
-    if not math.isfinite(edge * edge):
-        raise ConfigError(f"(Omega/c)^2 is not finite at the window edge, |Omega|/c = {edge:g}")
     if not config.solver.allow_evanescent:
         lo = max(lo, qv * config.c * (1.0 + 1e-12))
     return lo, hi
@@ -264,6 +260,13 @@ def _multisect_counts(counts, segments, rel_tol: float, levels=None,
         roots.append(np.repeat(0.5 * (grid[:, :-1] + grid[:, 1:]).ravel(),
                                np.diff(levels, axis=1).ravel()))
     return np.concatenate(roots)
+
+
+def _counted_roots(config: CavityConfig, counts, window, poles) -> list[np.ndarray]:
+    # the ascending roots of each count of a route, multisected over the
+    # window's pole-free segments to root_tol
+    segments = pole_free_segments(window, poles, config.solver.pole_exclusion)
+    return [np.sort(_multisect_counts(count, segments, config.solver.root_tol)) for count in counts]
 
 
 # --------------------------------------------------------------------------
@@ -424,11 +427,8 @@ def secular_roots(config: CavityConfig, overlaps: OverlapSet, q,
     """
     overlaps.check_shape(config)
     op = SecularOperator(config=config, overlaps=overlaps, q=transverse_wavenumber(q))
-    settings = config.solver
-    segments = pole_free_segments(window, op.all_poles(), settings.pole_exclusion)
-    return np.sort(np.concatenate([
-        _multisect_counts(partial(op.sector_counts, k), segments, settings.root_tol)
-        for k in range(len(op._parity_sectors))]))
+    counts = [partial(op.sector_counts, k) for k in range(len(op._parity_sectors))]
+    return np.sort(np.concatenate(_counted_roots(config, counts, window, op.all_poles())))
 
 
 # --------------------------------------------------------------------------
@@ -456,11 +456,8 @@ def _closed_form_roots(name: str, needed_modes: int, config: CavityConfig,
     # however close two lie.  No scan grid is built and scan_points is not read
     _check_closed_form(name, needed_modes, config, overlaps)
     freqs = photon_frequencies(config, q)
-    settings = config.solver
-    segments = pole_free_segments(window, [*freqs, config.oscillators[0].omega],
-                                  settings.pole_exclusion)
-    return np.sort(_multisect_counts(partial(_closed_form_counts, config, overlaps, freqs),
-                                     segments, settings.root_tol))
+    return _counted_roots(config, [partial(_closed_form_counts, config, overlaps, freqs)],
+                          window, [*freqs, config.oscillators[0].omega])[0]
 
 
 def _closed_form_counts(config: CavityConfig, overlaps: OverlapSet,
@@ -709,7 +706,12 @@ def _tangent_ratio(w: float, s: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 
 def _multiples_below(x: np.ndarray) -> np.ndarray:
-    # #{n >= 1: n pi < x} for x >= 0
+    # #{n >= 1: n pi < x} for x >= 0, the one step at which every count of
+    # the Green and classical routes becomes an integer; refused where it
+    # would not be exact, as where (Omega/c)^2 or s' overflows
+    if not np.all(x < 2.0 ** 53):
+        raise ConfigError(f"{np.max(x) / np.pi:.3g} cavity modes below Omega cannot be counted "
+                          "exactly: Omega/c is too large for the cavity")
     return np.maximum(np.ceil(x / np.pi) - 1.0, 0.0).astype(np.int64)
 
 
@@ -742,11 +744,11 @@ def _green_counts(config: CavityConfig, modes: _SlabModes, qv: float,
     exactly k is -inf, its limit from den > gamma, and no warning is raised.
     """
     omegas = np.asarray(omegas, dtype=float)
-    s = (omegas / config.c) ** 2 - qv ** 2
-    r = np.sqrt(np.abs(s))
-    r_prop = np.where(s > 0.0, r, 0.0)
     gap = (config.L - config.l) / 2.0
     with np.errstate(all="ignore"):
+        s = (omegas / config.c) ** 2 - qv ** 2
+        r = np.sqrt(np.abs(s))
+        r_prop = np.where(s > 0.0, r, 0.0)
         gamma = (_coupling_strength_sum(config.oscillators, omegas)
                  * omegas ** 2 / config.c ** 2)[:, None]
         den = modes.b_sq - s[:, None]
@@ -786,14 +788,10 @@ def green_roots(config: CavityConfig, q, window: tuple[float, float]) -> np.ndar
     read.
     """
     qv = transverse_wavenumber(q)
-    settings = config.solver
-    segments = pole_free_segments(_propagating_window(config, qv, window),
-                                  [sp.omega for sp in config.oscillators],
-                                  settings.pole_exclusion)
-    return np.sort(np.concatenate([
-        _multisect_counts(partial(_green_counts, config, modes, qv), segments,
-                          settings.root_tol)
-        for modes in _green_sectors(config)]))
+    counts = [partial(_green_counts, config, modes, qv) for modes in _green_sectors(config)]
+    return np.sort(np.concatenate(_counted_roots(
+        config, counts, _propagating_window(config, qv, window),
+        [sp.omega for sp in config.oscillators])))
 
 
 # --------------------------------------------------------------------------
@@ -819,8 +817,12 @@ def classical_branch_values(config: CavityConfig, susceptibility,
     avoids by construction.
     """
     qv = transverse_wavenumber(q)
-    chi = (0.0 if susceptibility is None else susceptibility(omega)
-           if callable(susceptibility) else susceptibility.chi_prime(omega))
+    if susceptibility is None:
+        chi = 0.0
+    elif callable(susceptibility):
+        chi = susceptibility(omega)
+    else:
+        chi = susceptibility.chi_prime(omega)
     s = _longitudinal_sq(config, omega, qv)
     s_med = (1.0 + chi) * (omega / config.c) ** 2 - qv ** 2
     h = config.l / 2.0
@@ -879,11 +881,9 @@ def classical_roots(config: CavityConfig, susceptibility, q,
     settings = config.solver
     if susceptibility is None or isinstance(susceptibility, LorentzSet):
         species = () if susceptibility is None else susceptibility.species
-        segments = pole_free_segments(window, [*poles, *(sp.omega for sp in species)],
-                                      settings.pole_exclusion)
-        return tuple(np.sort(_multisect_counts(
-            partial(_classical_counts, config, species, parity, qv), segments,
-            settings.root_tol)) for parity in (0, 1))
+        counts = [partial(_classical_counts, config, species, parity, qv) for parity in (0, 1)]
+        return tuple(_counted_roots(config, counts, window,
+                                    [*poles, *(sp.omega for sp in species)]))
 
     def branch(which):
         return lambda omega: classical_branch_values(config, susceptibility, omega, qv)[which]
@@ -891,6 +891,14 @@ def classical_roots(config: CavityConfig, susceptibility, q,
                             exclusion=settings.pole_exclusion,
                             scan_points=settings.scan_points, rel_tol=settings.root_tol)
                  for which in (0, 1))
+
+
+def _lorentz_classical_roots(config: CavityConfig, q,
+                             window: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
+    # both classical branches for the configured species, resonances excluded
+    from .kk import LorentzSet
+
+    return classical_roots(config, LorentzSet.from_config(config), q, window)
 
 
 # --------------------------------------------------------------------------
@@ -926,9 +934,7 @@ def _roots_for_method(config: CavityConfig, overlaps, method: str, q: float,
         return green_roots(config, q, window), lambda omegas: sum(
             _green_counts(config, modes, qv, omegas) for modes in _green_sectors(config))
     if method == "classical":
-        from .kk import LorentzSet
-
-        roots = classical_roots(config, LorentzSet.from_config(config), q, window)
+        roots = _lorentz_classical_roots(config, q, window)
         return np.sort(np.concatenate(roots)), lambda omegas: sum(
             _classical_counts(config, config.oscillators, parity, qv, omegas) for parity in (0, 1))
     photon = photon_frequencies(config, qv)
@@ -947,14 +953,19 @@ def _roots_for_method(config: CavityConfig, overlaps, method: str, q: float,
 
 def _labels(config: CavityConfig, roots: np.ndarray, count):
     # (species poles below, G at Omega + root_tol max(1, |Omega|)) per
-    # ascending root; scanning down each species segment, a root whose G
-    # would equal the next root's, closer to it than root_tol, takes one less
-    segment = np.searchsorted(np.sort([sp.omega for sp in config.oscillators]), roots).tolist()
-    above = count(roots + config.solver.root_tol * np.maximum(1.0, np.abs(roots))).tolist()
+    # ascending root, the point capped at the segment's end pole -
+    # pole_exclusion, so G is never read across the next species pole;
+    # scanning down each species segment, a root whose G would equal the
+    # next root's, closer to it than root_tol, takes one less
+    poles = np.sort([sp.omega for sp in config.oscillators])
+    segment = np.searchsorted(poles, roots)
+    end = np.append(poles, np.inf)[segment] - config.solver.pole_exclusion
+    step = config.solver.root_tol * np.maximum(1.0, np.abs(roots))
+    above = count(np.minimum(roots + step, end)).tolist()
     for k in range(len(roots) - 2, -1, -1):
         if segment[k] == segment[k + 1]:
             above[k] = min(above[k], above[k + 1] - 1)
-    return list(zip(segment, above))
+    return list(zip(segment.tolist(), above))
 
 
 def sweep(config: CavityConfig, q_values, method: str | None = None,

@@ -233,27 +233,31 @@ solver: {{omega_max: {omega_max}}}
 OVERFLOW_ROUTES = {"secular": ["sweep", "--method", "secular"],
                    "green": ["sweep", "--method", "green"],
                    "classical": ["sweep", "--method", "classical"], "converge": ["converge"]}
-# name -> (c, species, omega_max, error, field); the last squares omega_max/c,
-# which only the Green and classical counts do, so secular is not run on it
+# name -> (c, species, omega_max, error, field).  The last two overflow the
+# count of cavity modes below Omega, through (omega_max/c)^2 or past 2^53
+# with a finite square; only the Green and classical counts take it, so
+# secular is not run on them
 OVERFLOW_INPUTS = {
     "G": ("1.0", "{omega: 4.0, G: 1.0e+200}", "20.0", "SpeciesError", "oscillators[0].G"),
     "omega": ("1.0", "{omega: 1.0e+200, G: 1.0}", "20.0", "SpeciesError",
               "oscillators[0].omega"),
     "c": ("1.0e-200", "{omega: 4.0, G: 1.0}", "20.0", "GeometryError", "light speed"),
     "window": ("1.0e-150", "{omega: 4.0, G: 1.0}", "1.0e+10", "ConfigError",
-               "(Omega/c)^2 is not finite"),
+               "Omega/c is too large"),
+    "count": ("1.0e-20", "{omega: 4.0, G: 1.0}", "20.0", "ConfigError", "Omega/c is too large"),
 }
 
 
 @pytest.mark.parametrize("argv, c, species, omega_max, error, field", [
     pytest.param(argv, *OVERFLOW_INPUTS[name], id=f"{name}-{route}")
     for name in sorted(OVERFLOW_INPUTS) for route, argv in sorted(OVERFLOW_ROUTES.items())
-    if (name, route) != ("window", "secular")])
+    if route != "secular" or name not in ("window", "count")])
 def test_overflowing_squares_are_configuration_errors(tmp_path, capsys, argv, c, species,
                                                       omega_max, error, field):
-    # omega, G, 1/c or omega_max/c whose square overflows used to end in a
-    # bare OverflowError or ValueError and exit 1, or in a warning and an
-    # empty sweep with exit 0; now exit 2, naming the cause
+    # omega, G, 1/c or omega_max/c whose square overflows, or a mode count
+    # too large to be exact, used to end in a bare OverflowError or
+    # ValueError and exit 1, or in a warning and a sweep of wrong or no
+    # roots with exit 0; now exit 2, naming the cause
     path = write_config(tmp_path, OVERFLOW.format(c=c, species=species, omega_max=omega_max))
     out = tmp_path / "out"
     assert main([*argv, "--config", path, "--out", str(out)]) == 2
@@ -483,6 +487,27 @@ solver: {omega_max: 17.0, scan_points: 600}
     dev = [float(r[2]) for r in table]
     assert xi == [1, 2, 4, 8]
     assert dev[-1] < dev[0]
+
+
+def test_converge_compares_modes_below_the_lowest_resonance(tmp_path, capsys):
+    # the CI entry-point cavity, its resonance at 6 inside omega_max: the
+    # classical roots crowd below 6 (5.8485, 5.9778, 5.9901, ...), so index
+    # pairing over the whole window compared the third to fifth secular
+    # roots at Xi = 2 (5.9409, 6.0140, 6.3937) with unrelated modes and
+    # reported 6.7e-2.  Below the resonance both lists rise from the lowest
+    # mode, and the deviations shrink with Xi from 1.6e-2
+    path = write_config(tmp_path, """
+geometry: {L: 1.5, l: 0.8, c: 1.0}
+oscillators: [{omega: 6.0, G: 0.8}]
+basis: {photon_modes: 10, exciton_modes: 8}
+solver: {omega_max: 9.0}
+""")
+    assert main(["converge", "--config", path, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    rows = [row.split(",") for row in (tmp_path / "converge.csv").read_text().splitlines()[2:]]
+    assert [int(r[0]) for r in rows] == [1, 2, 4, 8]
+    dev = [float(r[2]) for r in rows[1:]]
+    assert dev[0] < 2e-2 and dev[0] > dev[1] > dev[2]
 
 
 # ---------------------------------------------------------------------------

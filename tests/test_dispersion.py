@@ -783,6 +783,21 @@ def test_sweep_branch_count_and_monotonicity():
         assert np.all(np.abs(dw) <= cfg.c * dq + 1e-6)
 
 
+def assert_branches_on_dynamical_branches(cfg, qs, method, rtol):
+    # every branch of the method lies on exactly one dynamical branch at each
+    # of its q, and no two branches on the same one
+    dynamical = [dict(b.tolist()) for b in sweep(cfg, qs, method="dynamical").branches]
+    curve = sweep(cfg, qs, method=method)
+    assert curve.branch_count() > 0
+    hosts = []
+    for branch in curve.branches:
+        matches = [k for k, d in enumerate(dynamical)
+                   if all(q in d and abs(d[q] - w) <= rtol * w for q, w in branch.tolist())]
+        assert len(matches) == 1, branch
+        hosts += matches
+    assert len(set(hosts)) == len(hosts)
+
+
 @pytest.mark.parametrize("method", ["secular", "green"])
 def test_counted_sweep_branches_lie_on_dynamical_branches(method):
     # one of 40 random one-species cavities: the top root leaves the window
@@ -792,14 +807,20 @@ def test_counted_sweep_branches_lie_on_dynamical_branches(method):
     cfg = make_config(L=1.0, l=0.5832410385126672, species=((3.2779113170966285,
                                                              2.2568160239458006),),
                       photon=64, exciton=8, omega_max=14.0)
-    qs = np.linspace(0.0, 6.0, 9)
-    dynamical = [dict(b.tolist()) for b in sweep(cfg, qs, method="dynamical").branches]
-    curve = sweep(cfg, qs, method=method)
-    assert curve.branch_count() > 0
-    for branch in curve.branches:
-        matches = [d for d in dynamical
-                   if all(q in d and abs(d[q] - w) <= 1e-7 * w for q, w in branch.tolist())]
-        assert len(matches) == 1, branch
+    assert_branches_on_dynamical_branches(cfg, np.linspace(0.0, 6.0, 9), method, 1e-7)
+
+
+@pytest.mark.parametrize("method", ["secular", "green"])
+def test_labels_read_no_count_across_the_next_resonance(method):
+    # pole_exclusion 1e-12 below root_tol |Omega| = 5e-6: the matter-like
+    # root just below omega_j = 5 lies 4e-6 to 2e-4 under it as q varies, so
+    # the count just above it, taken root_tol |Omega| higher, would be read
+    # past the resonance at some q and not at others, splitting the branch
+    # or joining it to another; capped at the segment's end it names one
+    # dynamical branch
+    cfg = make_config(species=((5.0, 0.01),), photon=8, exciton=2, omega_max=12.0,
+                      pole_exclusion=1e-12, root_tol=1e-6)
+    assert_branches_on_dynamical_branches(cfg, np.linspace(0.0, 6.0, 13), method, 5e-6)
 
 
 def test_sweep_flat_lines_in_decoupled_limit():
