@@ -38,8 +38,8 @@ _EXPORTS = {
     "errors": ("PolspError", "ConfigError", "GeometryError", "SpeciesError",
                "TruncationError", "ParseError", "GridError", "SolverError",
                "DimensionError", "NormalizationError", "ConvergenceError",
-               "BracketError", "EvanescentError", "PoleError",
-               "QuadratureError", "BranchMatchError",
+               "BracketError", "PoleError", "QuadratureError",
+               "BranchMatchError",
                "TruncatedSpectrumWarning"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

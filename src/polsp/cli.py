@@ -69,8 +69,8 @@ def _mapping(obj, section: str, allowed) -> dict:
 def _section(obj, section: str, schema: dict) -> dict:
     """Every key of schema read from obj, defaults filled in.
 
-    Numbers and booleans are type-checked here; the one string key,
-    solver.method, is checked against METHODS by parse_config.
+    Numbers are type-checked here; the one string key, solver.method, is
+    checked against METHODS by parse_config.
     """
     obj = _mapping(obj, section, schema)
     out = {}
@@ -79,8 +79,6 @@ def _section(obj, section: str, schema: dict) -> dict:
         if key not in obj and default is None:
             raise ParseError("required key missing", field=where)
         value = obj.get(key, default)
-        if kind is bool and not isinstance(value, bool):
-            raise ParseError("expected a boolean", field=where)
         if kind in (int, float) and (isinstance(value, bool)
                                      or not isinstance(value, (int, kind))):
             expected = "an integer" if kind is int else "a number"

@@ -40,8 +40,8 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .errors import (BracketError, BranchMatchError, ConfigError,
-                     EvanescentError, PoleError, QuadratureError)
+from .errors import (BracketError, BranchMatchError, ConfigError, PoleError,
+                     QuadratureError)
 from .model import (CavityConfig, check_positive, check_scan_points,
                     transverse_wavenumber)
 from .modes import OverlapSet, _sector_masks, overlap_K, photon_frequencies
@@ -93,26 +93,6 @@ def _fundamental_pairs(x, s) -> tuple[np.ndarray, np.ndarray]:
     return cos, sin
 
 
-def _longitudinal_sq(config: CavityConfig, omega: float, qv: float) -> float:
-    # s = (Omega/c)^2 - q^2, refused below the light line unless the
-    # evanescent continuation is enabled
-    s = (omega / config.c) ** 2 - qv ** 2
-    if s < 0.0 and not config.solver.allow_evanescent:
-        raise EvanescentError(
-            f"q={qv} exceeds Omega/c={omega / config.c}; set allow_evanescent")
-    return s
-
-
-def _propagating_window(config: CavityConfig, qv: float,
-                        window: tuple[float, float]) -> tuple[float, float]:
-    # the window clamped to Omega > q c unless the continuation is enabled;
-    # a NaN or infinite edge is refused before the clamp could hide it
-    lo, hi = _finite_window(window)
-    if not config.solver.allow_evanescent:
-        lo = max(lo, qv * config.c * (1.0 + 1e-12))
-    return lo, hi
-
-
 def _damped_pair(x: float, s: float) -> tuple[float, float]:
     # (cosine_solution, sine_solution) jointly rescaled by exp(-(t - limit))
     # once the hyperbolic argument t = sqrt(-s) x would overflow.  Joint
@@ -139,8 +119,7 @@ def _finite_window(window: tuple[float, float]) -> tuple[float, float]:
 def pole_free_segments(window: tuple[float, float], poles, exclusion: float):
     """Split a finite window at the poles, removing exclusion half-widths > 0."""
     check_positive("exclusion", exclusion)
-    # a reversed window is left empty, since clamping to the light line can
-    # empty a window; a NaN or infinite edge is refused
+    # a reversed window is left empty; a NaN or infinite edge is refused
     lo, hi = _finite_window(window)
     segments = []
     prev = lo
@@ -674,12 +653,11 @@ def green_matching_matrix(config: CavityConfig, omega: float, q) -> np.ndarray:
     Block diagonal, even parity sector first, each block that sector's
     matrix of _green_matrices: the two-face system after sums and
     differences of the faces' rows and of the two gaps' amplitudes.  A
-    frequency below the light line without allow_evanescent raises
-    EvanescentError, one on a species pole PoleError, and a matrix that is
-    not finite, as where a hyperbolic function overflows, QuadratureError.
+    frequency below the light line is continued through cosh and sinh; one
+    on a species pole raises PoleError, and a matrix that is not finite, as
+    where a hyperbolic function overflows, QuadratureError.
     """
     qv = transverse_wavenumber(q)
-    _longitudinal_sq(config, omega, qv)
     for sp in config.oscillators:
         if abs(sp.omega ** 2 - omega ** 2) <= 1e-300:
             raise PoleError(f"green system evaluated at species pole {sp.omega}")
@@ -781,17 +759,15 @@ def green_roots(config: CavityConfig, q, window: tuple[float, float]) -> np.ndar
     """Roots of the Green-function matching system in the window, by counting.
 
     Each parity sector's roots are multisected from its _green_counts over
-    the species-pole-free segments of the window, clamped to the light
-    line unless allow_evanescent is set.  A count sees every root, however
-    close two lie, and builds no matching matrix, so nothing overflows far
-    below the light line; no scan grid is built and ``scan_points`` is not
-    read.
+    the species-pole-free segments of the window, above and below the light
+    line alike.  A count sees every root, however close two lie, and builds
+    no matching matrix, so nothing overflows far below the light line; no
+    scan grid is built and ``scan_points`` is not read.
     """
     qv = transverse_wavenumber(q)
     counts = [partial(_green_counts, config, modes, qv) for modes in _green_sectors(config)]
     return np.sort(np.concatenate(_counted_roots(
-        config, counts, _propagating_window(config, qv, window),
-        [sp.omega for sp in config.oscillators])))
+        config, counts, window, [sp.omega for sp in config.oscillators])))
 
 
 # --------------------------------------------------------------------------
@@ -823,7 +799,7 @@ def classical_branch_values(config: CavityConfig, susceptibility,
         chi = susceptibility(omega)
     else:
         chi = susceptibility.chi_prime(omega)
-    s = _longitudinal_sq(config, omega, qv)
+    s = (omega / config.c) ** 2 - qv ** 2
     s_med = (1.0 + chi) * (omega / config.c) ** 2 - qv ** 2
     h = config.l / 2.0
     gap = (config.L - config.l) / 2.0
@@ -872,12 +848,12 @@ def classical_roots(config: CavityConfig, susceptibility, q,
     multisected from its _classical_counts, so every root is found down to
     pole_exclusion below a resonance, where they accumulate.  Any other
     susceptibility is scanned for sign changes at ``scan_points``, which
-    raises BracketError for an accumulation that it cannot resolve.
+    raises BracketError for an accumulation that it cannot resolve.  Both
+    search the whole window, below the light line as above it.
     """
     from .kk import LorentzSet
 
     qv = transverse_wavenumber(q)
-    window = _propagating_window(config, qv, window)
     settings = config.solver
     if susceptibility is None or isinstance(susceptibility, LorentzSet):
         species = () if susceptibility is None else susceptibility.species

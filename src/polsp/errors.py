@@ -63,10 +63,6 @@ class BracketError(SolverError):
     """Sign-change scan too coarse: refinement changed the root count."""
 
 
-class EvanescentError(SolverError):
-    """q > Omega/c requested while hyperbolic continuation is disabled."""
-
-
 class PoleError(SolverError):
     """Evaluation requested exactly at a pole of the model."""
 

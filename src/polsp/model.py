@@ -58,10 +58,6 @@ class SolverSettings:
         Green routes do not.
     omega_max : float
         Upper edge of the default search window (rad/time).
-    allow_evanescent : bool
-        Enable the hyperbolic continuation for q > Omega/c.  Off by
-        default; the propagating-wave formulas are the ones the model
-        guarantees, the continuation is an extension.
     """
 
     method: str = "dynamical"
@@ -69,7 +65,6 @@ class SolverSettings:
     pole_exclusion: float = 1e-6
     scan_points: int = 400
     omega_max: float = 50.0
-    allow_evanescent: bool = False
 
 
 @dataclass(frozen=True)
@@ -211,8 +206,6 @@ def validate(config: CavityConfig) -> CavityConfig:
     for name in ("root_tol", "pole_exclusion", "omega_max"):
         check_positive(name, getattr(s, name))
     check_scan_points(s.scan_points)
-    if not isinstance(s.allow_evanescent, bool):
-        raise ConfigError(f"allow_evanescent must be a bool, got {s.allow_evanescent!r}")
     return config
 
 

@@ -11,8 +11,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from polsp import (BracketError, EvanescentError, LorentzSet,
-                   classical_branch_values, classical_roots)
+from polsp import (BracketError, LorentzSet, classical_branch_values,
+                   classical_roots)
 from conftest import make_config
 
 
@@ -136,18 +136,14 @@ def test_branch_values_entire_in_frequency():
 
 def test_branch_values_evanescent_guard():
     cfg = make_config(species=((4.0, 1.0),))
-    with pytest.raises(EvanescentError):
-        classical_branch_values(cfg, None, 1.0, 2.0)
-    opt_in = make_config(species=((4.0, 1.0),), allow_evanescent=True)
-    v1, v2 = classical_branch_values(opt_in, None, 1.0, 2.0)
+    v1, v2 = classical_branch_values(cfg, None, 1.0, 2.0)
     assert np.isfinite(v1) and np.isfinite(v2)
 
 
 def test_deep_evanescent_values_stay_finite():
     # hyperbolic arguments grow like kappa L; the joint rescaling must
     # keep the branch functions representable far into that regime
-    cfg = make_config(L=1.0, l=0.5, species=((4.0, 1.0),),
-                      allow_evanescent=True)
+    cfg = make_config(L=1.0, l=0.5, species=((4.0, 1.0),))
     v1, v2 = classical_branch_values(cfg, None, 1.0, 2000.0)
     assert np.isfinite(v1) and np.isfinite(v2)
     assert v1 != 0.0 or v2 != 0.0

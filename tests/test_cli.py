@@ -295,7 +295,7 @@ def test_green_sweep_far_below_the_light_line_finds_the_guided_modes(tmp_path, c
 geometry: {L: 1.0, l: 0.5}
 oscillators: [{omega: 4.0, G: 1.0}]
 sweep: {q_min: 3000.0, q_max: 3000.0, points: 1}
-solver: {omega_max: 10.0, allow_evanescent: true, pole_exclusion: 1.0e-9}
+solver: {omega_max: 10.0, pole_exclusion: 1.0e-9}
 """
     path = write_config(tmp_path, text)
     assert main(["sweep", "--config", path, "--method", "green", "--out", str(tmp_path)]) == 0

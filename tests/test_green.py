@@ -18,15 +18,13 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from polsp import (EvanescentError, PoleError, QuadratureError, cosine_solution,
-                   green_determinant, green_matching_matrix, green_roots,
-                   one_exciton_roots, overlap_K, pole_free_segments,
-                   secular_roots, sine_solution)
+from polsp import (PoleError, QuadratureError, cosine_solution, green_determinant,
+                   green_matching_matrix, green_roots, one_exciton_roots,
+                   overlap_K, pole_free_segments, secular_roots, sine_solution)
 from polsp import dispersion, hopfield
 from polsp.cli import parse_config, sweep_grid
 from polsp.dispersion import (_SlabModes, _fundamental_pairs, _green_counts,
-                              _green_kernel, _green_matrices, _green_sectors,
-                              _propagating_window)
+                              _green_kernel, _green_matrices, _green_sectors)
 from conftest import make_config
 from test_golden import CONFIGS as GOLDEN_CONFIGS
 
@@ -249,27 +247,18 @@ def test_empty_cavity_green_roots_with_transverse_momentum():
     assert roots == pytest.approx(expected, rel=1e-10)
 
 
-def test_evanescent_region_is_refused_by_default():
-    cfg = make_config(species=((4.0, 1.0),))
-    with pytest.raises(EvanescentError):
-        green_matching_matrix(cfg, 1.0, 2.0)
-    with pytest.raises(EvanescentError):
-        green_determinant(cfg, 1.0, 2.0)
-
-
 def test_evanescent_region_opt_in():
-    cfg = make_config(species=((4.0, 1.0),), allow_evanescent=True)
+    # below the light line the matrix is continued through cosh and sinh
+    cfg = make_config(species=((4.0, 1.0),))
     mat = green_matching_matrix(cfg, 1.0, 2.0)
     assert np.all(np.isfinite(mat))
-    # the window clamp disappears too: roots below q c are now reachable
     assert np.isfinite(green_determinant(cfg, 1.0, 2.0))
 
 
 def guided_cavity(exciton):
     # one species below the light line at q = 40 and 60, where the guided
     # modes crowd just under its resonance
-    return make_config(species=((4.0, 1.0),), exciton=exciton, allow_evanescent=True,
-                       photon=400, root_tol=1e-12)
+    return make_config(species=((4.0, 1.0),), exciton=exciton, photon=400, root_tol=1e-12)
 
 
 def test_green_finds_the_guided_modes_at_kappa_h_15():
@@ -313,7 +302,7 @@ def test_overflowing_evanescent_matrix_is_a_quadrature_error():
     # then not finite, a typed error with no numpy warning on the way.
     # green_roots counts from ratios and builds no matrix: it returns, and
     # its roots there lie inside the default pole exclusion
-    cfg = make_config(species=((4.0, 1.0),), allow_evanescent=True)
+    cfg = make_config(species=((4.0, 1.0),))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(QuadratureError, match="not finite at Omega=1, q=3000"):
@@ -444,8 +433,8 @@ def assert_green_grid_signs_match(cfg, q):
     # segment of the green scan; returns the number of sign changes seen
     green_signs = green_grid(cfg, float(q))
     settings = cfg.solver
-    window = _propagating_window(cfg, float(q), (0.0, settings.omega_max))
-    segments = pole_free_segments(window, [sp.omega for sp in cfg.oscillators],
+    segments = pole_free_segments((0.0, settings.omega_max),
+                                  [sp.omega for sp in cfg.oscillators],
                                   settings.pole_exclusion)
     assert segments
     changes = 0
@@ -485,8 +474,8 @@ def test_green_grid_signs_match_scalar_on_readme_cavity(q):
 
 def random_green_case(rng):
     # a random cavity and q with a frequency list that holds exact
-    # resonances b_eta^2 = s, s = 0, qz h < 0.5 and, when the continuation
-    # is enabled, evanescent points; species poles themselves are left out
+    # resonances b_eta^2 = s, s = 0, qz h < 0.5 and, in 40% of the cases,
+    # evanescent points; species poles themselves are left out
     L = rng.uniform(0.6, 3.0)
     l = rng.uniform(0.2, 1.0) * L
     c = rng.choice([1.0, rng.uniform(0.5, 1.5)])
@@ -496,7 +485,7 @@ def random_green_case(rng):
         species[0] = (species[0][0], 0.0)
     evanescent = bool(rng.random() < 0.4)
     cfg = make_config(L=L, l=l, c=c, species=tuple(species), photon=4,
-                      exciton=int(rng.integers(1, 20)), allow_evanescent=evanescent)
+                      exciton=int(rng.integers(1, 20)))
     q = float(rng.choice([0.0, rng.uniform(0.0, 5.0)]))
     h = l / 2.0
     b = (np.arange(cfg.exciton_mode_count) + 1) * np.pi / l
@@ -534,8 +523,8 @@ def scan_green(cfg, q, evaluators, scan_points=None):
     # double density, which must agree, halved in lockstep to root_tol
     settings = cfg.solver
     points = scan_points or settings.scan_points
-    window = _propagating_window(cfg, q, (0.0, settings.omega_max))
-    segments = pole_free_segments(window, [sp.omega for sp in cfg.oscillators],
+    segments = pole_free_segments((0.0, settings.omega_max),
+                                  [sp.omega for sp in cfg.oscillators],
                                   settings.pole_exclusion)
     roots = []
     for signs in evaluators:
@@ -656,22 +645,22 @@ def random_count_case(rng, k):
         species[0] = (species[0][0], 0.0)
     cfg = make_config(L=L, l=l, c=rng.choice([1.0, rng.uniform(0.6, 1.4)]),
                       species=tuple(species), photon=600,
-                      exciton=int(rng.integers(1, 9)),
-                      allow_evanescent=bool(rng.random() < 0.4), pole_exclusion=1e-3)
+                      exciton=int(rng.integers(1, 9)), pole_exclusion=1e-3)
+    rng.random()  # a draw no case reads, so that every case stays as it was drawn
     return cfg, float(rng.uniform(0.0, 3.0)), (0.0, float(rng.uniform(6.0, 12.0)))
 
 
 def test_green_count_rises_by_the_dynamical_modes_of_each_segment():
     # over every species-pole-free segment of the green window, the rise of
     # the two sectors' counts is the number of modes of the dynamical
-    # spectrum there, uncoupled photon lines included
+    # spectrum there, uncoupled photon lines and guided modes below the
+    # light line included
     rng = np.random.default_rng(20261019)
     roots = evanescent = 0
     for k in range(60):
         cfg, q, window = random_count_case(rng, k)
         spectrum = hopfield.spectrum(cfg, q)
-        segments = pole_free_segments(_propagating_window(cfg, q, window),
-                                      [sp.omega for sp in cfg.oscillators],
+        segments = pole_free_segments(window, [sp.omega for sp in cfg.oscillators],
                                       cfg.solver.pole_exclusion)
         ends = np.array(segments).ravel()
         rise = sum(np.diff(_green_counts(cfg, modes, q, ends).reshape(-1, 2), axis=1)[:, 0]
@@ -679,33 +668,34 @@ def test_green_count_rises_by_the_dynamical_modes_of_each_segment():
         expected = [np.sum((spectrum > lo) & (spectrum < hi)) for lo, hi in segments]
         np.testing.assert_array_equal(rise, expected, err_msg=f"case {k}")
         roots += sum(expected)
-        evanescent += cfg.solver.allow_evanescent
-    assert roots > 400 and 15 <= evanescent <= 35
+        evanescent += sum(np.sum((spectrum > lo) & (spectrum < min(hi, q * cfg.c)))
+                          for lo, hi in segments)
+    assert roots > 400 and evanescent >= 15
 
 
-def exact_cavity(**solver):
+def exact_cavity():
     # l = pi/4 makes the slab wavenumbers b_xi = 4 (xi + 1) exact doubles.
     # With c = 1 and q = 0, s = Omega^2 is exactly b_xi^2 at Omega = b_xi,
     # and the species at 4 with G = 15 gives den_0 = gamma = 15 exactly at
     # Omega = 1
     return make_config(L=1.0, l=np.pi / 4, species=((4.0, 15.0),), photon=8,
-                       exciton=3, **solver)
+                       exciton=3)
 
 
-@pytest.mark.parametrize("solver,q,omega", [
-    ({}, 0.0, 1.0),
-    ({}, 0.0, 12.0),
-    ({}, 0.0, 8.0),
-    ({}, 0.0, 16.0),
-    ({}, 0.0, 20.0),
-    ({"allow_evanescent": True}, 2.0, 2.0),
+@pytest.mark.parametrize("q,omega", [
+    (0.0, 1.0),
+    (0.0, 12.0),
+    (0.0, 8.0),
+    (0.0, 16.0),
+    (0.0, 20.0),
+    (2.0, 2.0),
 ], ids=["den_eq_gamma", "projected_even_b_sq_eq_s", "projected_odd_b_sq_eq_s",
         "unprojected_odd_b_sq_eq_s", "unprojected_even_b_sq_eq_s", "s_zero"])
-def test_green_count_is_exact_and_silent_at_singular_points(solver, q, omega):
+def test_green_count_is_exact_and_silent_at_singular_points(q, omega):
     # each count equals the counts 1e-9 to either side, where no root lies,
     # with no numpy warning on the way.  At Omega = 16 the even sector also
     # has den_0 = gamma exactly, since b_0 is the species frequency
-    cfg = exact_cavity(**solver)
+    cfg = exact_cavity()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for modes in _green_sectors(cfg):

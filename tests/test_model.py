@@ -116,9 +116,6 @@ def test_solver_setting_errors():
     for bad in (100.5, 400.0, "400", True):
         with pytest.raises(ConfigError):
             validate(make_config(scan_points=bad))
-    for bad in ("false", 0, None):
-        with pytest.raises(ConfigError):
-            validate(make_config(allow_evanescent=bad))
     with pytest.raises(ConfigError):
         replace(make_config(), solver=None)
 

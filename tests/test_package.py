@@ -27,7 +27,7 @@ PUBLIC_NAMES = {
     "PolspError", "ConfigError", "GeometryError", "SpeciesError",
     "TruncationError", "ParseError", "GridError", "SolverError",
     "DimensionError", "NormalizationError", "ConvergenceError", "BracketError",
-    "EvanescentError", "PoleError", "QuadratureError", "BranchMatchError",
+    "PoleError", "QuadratureError", "BranchMatchError",
     "TruncatedSpectrumWarning",
 }
 
