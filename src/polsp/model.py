@@ -210,8 +210,8 @@ def validate(config: CavityConfig) -> CavityConfig:
 
 
 def transverse_wavenumber(q) -> float:
-    """The in-plane wavenumber q as a float; ConfigError unless 0 <= q < inf."""
+    """The in-plane wavenumber q as a float; ConfigError unless q >= 0 with q^2 finite."""
     qv = float(q)
-    if not 0.0 <= qv < math.inf:
-        raise ConfigError(f"transverse wavenumber must be finite and >= 0, got {qv}")
+    if not (qv >= 0.0 and _finite_square(qv)):
+        raise ConfigError(f"transverse wavenumber must be >= 0 with a finite square, got q={qv}")
     return qv

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DimensionError
-from .model import CavityConfig, transverse_wavenumber
+from .model import CavityConfig, _finite_square, transverse_wavenumber
 
 
 def sine_half_integral(k: np.ndarray | float, half_width: float) -> np.ndarray | float:
@@ -130,9 +130,16 @@ class OverlapSet:
 
 
 def photon_frequencies(config: CavityConfig, q) -> np.ndarray:
-    """All Omega_m(q) = c sqrt((pi m / L)^2 + q^2) for m = 1..N as a vector."""
+    """All Omega_m(q) = c sqrt((pi m / L)^2 + q^2) for m = 1..N as a vector.
+
+    ConfigError where (c q)^2 is not finite, as the routes square Omega_m.
+    """
+    qv = transverse_wavenumber(q)
+    if not _finite_square(config.c * qv):
+        raise ConfigError(f"photon frequency c q = {config.c * qv:.3g} at q={qv} "
+                          "has no finite square")
     Q = np.pi * np.arange(1, config.photon_mode_count + 1) / config.L
-    return config.c * np.hypot(Q, transverse_wavenumber(q))
+    return config.c * np.hypot(Q, qv)
 
 
 def overlap_K(config: CavityConfig) -> OverlapSet:

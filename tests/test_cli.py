@@ -227,39 +227,57 @@ OVERFLOW = """
 geometry: {{L: 1.0, l: 0.5, c: {c}}}
 oscillators: [{species}]
 basis: {{photon_modes: 4, exciton_modes: 2}}
+sweep: {{q_min: {q}, q_max: {q}}}
 solver: {{omega_max: {omega_max}}}
 """
 
+# route -> argv; a trailing --q takes the input's q
 OVERFLOW_ROUTES = {"secular": ["sweep", "--method", "secular"],
                    "green": ["sweep", "--method", "green"],
-                   "classical": ["sweep", "--method", "classical"], "converge": ["converge"]}
-# name -> (c, species, omega_max, error, field).  The last two overflow the
-# count of cavity modes below Omega, through (omega_max/c)^2 or past 2^53
-# with a finite square; only the Green and classical counts take it, so
-# secular is not run on them
+                   "classical": ["sweep", "--method", "classical"],
+                   "dynamical": ["sweep", "--method", "dynamical"],
+                   "two_exciton": ["sweep", "--method", "two_exciton"],
+                   "converge": ["converge"],
+                   "classical_q": ["classical", "--q"], "spectrum_q": ["spectrum", "--q"]}
+CONFIG_ROUTES = ("classical", "converge", "green", "secular")
+# name -> (c, species, omega_max, q, error, field, routes).  window and
+# count overflow the count of cavity modes below Omega, through
+# (omega_max/c)^2 or past 2^53 with a finite square, which only the Green
+# and classical counts take.  q has no finite square; c q has none on the
+# routes that build photon frequencies
 OVERFLOW_INPUTS = {
-    "G": ("1.0", "{omega: 4.0, G: 1.0e+200}", "20.0", "SpeciesError", "oscillators[0].G"),
-    "omega": ("1.0", "{omega: 1.0e+200, G: 1.0}", "20.0", "SpeciesError",
-              "oscillators[0].omega"),
-    "c": ("1.0e-200", "{omega: 4.0, G: 1.0}", "20.0", "GeometryError", "light speed"),
-    "window": ("1.0e-150", "{omega: 4.0, G: 1.0}", "1.0e+10", "ConfigError",
-               "Omega/c is too large"),
-    "count": ("1.0e-20", "{omega: 4.0, G: 1.0}", "20.0", "ConfigError", "Omega/c is too large"),
+    "G": ("1.0", "{omega: 4.0, G: 1.0e+200}", "20.0", "0.0", "SpeciesError",
+          "oscillators[0].G", CONFIG_ROUTES),
+    "omega": ("1.0", "{omega: 1.0e+200, G: 1.0}", "20.0", "0.0", "SpeciesError",
+              "oscillators[0].omega", CONFIG_ROUTES),
+    "c": ("1.0e-200", "{omega: 4.0, G: 1.0}", "20.0", "0.0", "GeometryError", "light speed",
+          CONFIG_ROUTES),
+    "window": ("1.0e-150", "{omega: 4.0, G: 1.0}", "1.0e+10", "0.0", "ConfigError",
+               "Omega/c is too large", ("classical", "converge", "green")),
+    "count": ("1.0e-20", "{omega: 4.0, G: 1.0}", "20.0", "0.0", "ConfigError",
+              "Omega/c is too large", ("classical", "converge", "green")),
+    "q": ("1.0", "{omega: 4.0, G: 1.0}", "20.0", "1.0e+160", "ConfigError", "q=1e+160",
+          ("classical", "classical_q", "dynamical", "green", "secular", "spectrum_q",
+           "two_exciton")),
+    "cq": ("1.0e+100", "{omega: 4.0, G: 1.0}", "20.0", "1.0e+100", "ConfigError", "q=1e+100",
+           ("dynamical", "secular", "spectrum_q", "two_exciton")),
 }
 
 
-@pytest.mark.parametrize("argv, c, species, omega_max, error, field", [
-    pytest.param(argv, *OVERFLOW_INPUTS[name], id=f"{name}-{route}")
-    for name in sorted(OVERFLOW_INPUTS) for route, argv in sorted(OVERFLOW_ROUTES.items())
-    if route != "secular" or name not in ("window", "count")])
+@pytest.mark.parametrize("argv, c, species, omega_max, q, error, field", [
+    pytest.param(OVERFLOW_ROUTES[route], *OVERFLOW_INPUTS[name][:-1], id=f"{name}-{route}")
+    for name in sorted(OVERFLOW_INPUTS) for route in OVERFLOW_INPUTS[name][-1]])
 def test_overflowing_squares_are_configuration_errors(tmp_path, capsys, argv, c, species,
-                                                      omega_max, error, field):
-    # omega, G, 1/c or omega_max/c whose square overflows, or a mode count
-    # too large to be exact, used to end in a bare OverflowError or
-    # ValueError and exit 1, or in a warning and a sweep of wrong or no
-    # roots with exit 0; now exit 2, naming the cause
-    path = write_config(tmp_path, OVERFLOW.format(c=c, species=species, omega_max=omega_max))
+                                                      omega_max, q, error, field):
+    # omega, G, 1/c, omega_max/c, q or c q whose square overflows, or a mode
+    # count too large to be exact, used to end in a bare OverflowError or
+    # ValueError and exit 1, in a ConvergenceError and exit 3, or in a
+    # warning and a sweep of wrong or no roots with exit 0; now exit 2,
+    # naming the cause
+    path = write_config(tmp_path, OVERFLOW.format(c=c, species=species, omega_max=omega_max,
+                                                  q=q))
     out = tmp_path / "out"
+    argv = [*argv, q] if argv[-1] == "--q" else argv
     assert main([*argv, "--config", path, "--out", str(out)]) == 2
     record = json.loads(capsys.readouterr().err)
     assert record["error"] == error and field in record["message"]
