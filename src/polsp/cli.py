@@ -284,31 +284,42 @@ def _cmd_kk(config: CavityConfig, snapshot: dict, args):
 
 
 def _cmd_converge(config: CavityConfig, snapshot: dict, args):
-    from .dispersion import _roots_for_method
+    from .dispersion import _labels, _roots_for_method
     from .modes import overlap_K
 
     # the complete-matter-basis experiment: hold N fixed, double Xi, watch
     # the secular roots approach the classical ones.  The window ends at the
-    # lowest resonance: below it both lists rise from the lowest mode, so
-    # roots of one index are one mode, while above it classical roots crowd
-    # that no finite Xi holds
+    # lowest resonance, above which classical roots crowd that no finite Xi
+    # holds
     window = (0.0, min([config.solver.omega_max, *(sp.omega for sp in config.oscillators)]))
-    reference = _roots_for_method(config, None, "classical", 0.0, window)[0]
-    if len(reference) == 0:
+
+    def ranked(cfg, overlaps, method):
+        # rank -> root, the rank the rise of the route's count from the
+        # window's lower edge to just above the root, less one.  It names
+        # one mode in both routes, where the index does not: at Xi = 1 the
+        # secular route leaves out the photon lines of a parity sector
+        # without matter modes, which its count still holds as poles
+        roots, count = _roots_for_method(cfg, overlaps, method, 0.0, window)
+        base = int(count([window[0]])[0])
+        return {above - base - 1: omega
+                for omega, (_, above) in zip(roots.tolist(), _labels(cfg, roots, count))}
+
+    reference = ranked(config, None, "classical")
+    if not reference:
         raise SolverError("no classical roots below omega_max and the lowest resonance")
-    compare = min(5, len(reference))
+    compare = sorted(reference)[:5]
 
     lines = ["exciton_modes,photon_modes,max_rel_deviation"]
     # Xi = top, top/2, ... down to 1, at most five steps
     top = config.exciton_mode_count
     for xi in sorted(top // 2 ** k for k in range(5) if top // 2 ** k >= 1):
         cfg = config.with_truncation(exciton_mode_count=xi)
-        roots = _roots_for_method(cfg, overlap_K(cfg), "secular", 0.0, window)[0]
-        take = min(compare, len(roots))
-        if take == 0:
+        roots = ranked(cfg, overlap_K(cfg), "secular")
+        shared = [rank for rank in compare if rank in roots]
+        if not shared:
             raise SolverError(
                 f"no secular roots inside the window at exciton_modes={xi}")
-        dev = float((abs(roots[:take] - reference[:take]) / reference[:take]).max())
+        dev = max(abs(roots[rank] - reference[rank]) / reference[rank] for rank in shared)
         lines.append(f"{xi},{cfg.photon_mode_count},{_fmt(dev)}")
     return "converge", [0.0], lines
 

@@ -513,7 +513,10 @@ def test_converge_compares_modes_below_the_lowest_resonance(tmp_path, capsys):
     # pairing over the whole window compared the third to fifth secular
     # roots at Xi = 2 (5.9409, 6.0140, 6.3937) with unrelated modes and
     # reported 6.7e-2.  Below the resonance both lists rise from the lowest
-    # mode, and the deviations shrink with Xi from 1.6e-2
+    # mode, and the deviations shrink with Xi from 1.6e-2.  At Xi = 1 the
+    # secular route leaves out the photon lines of the sector without matter
+    # modes, so index pairing reported 0.43; paired by count rank the row
+    # reads 1.6e-2
     path = write_config(tmp_path, """
 geometry: {L: 1.5, l: 0.8, c: 1.0}
 oscillators: [{omega: 6.0, G: 0.8}]
@@ -524,8 +527,8 @@ solver: {omega_max: 9.0}
     capsys.readouterr()
     rows = [row.split(",") for row in (tmp_path / "converge.csv").read_text().splitlines()[2:]]
     assert [int(r[0]) for r in rows] == [1, 2, 4, 8]
-    dev = [float(r[2]) for r in rows[1:]]
-    assert dev[0] < 2e-2 and dev[0] > dev[1] > dev[2]
+    dev = [float(r[2]) for r in rows]
+    assert dev[0] < 2e-2 and dev[1] < 2e-2 and dev[1] > dev[2] > dev[3]
 
 
 # ---------------------------------------------------------------------------
