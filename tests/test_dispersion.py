@@ -159,6 +159,28 @@ def test_every_route_refuses_a_non_finite_window():
                 route(window)
 
 
+def test_every_route_reports_the_guided_modes_on_a_default_config():
+    # at q = 6 every mode below omega_max = 4 lies below the light line.
+    # With default settings the green and classical routes continue there
+    # and report the guided modes that the secular and dynamical routes find
+    cfg = make_config(species=((4.0, 1.0),), photon=64, exciton=16, pole_exclusion=1e-3,
+                      omega_max=4.0)
+    q, window = 6.0, (0.0, 4.0)
+    secular = secular_roots(cfg, overlap_K(cfg), q, window)
+    green = green_roots(cfg, q, window)
+    assert len(green) == len(secular) == 7
+    assert np.max(np.abs(green - secular) / secular) <= 1e-8
+    modes = spectrum(cfg, q)
+    for roots in (secular, green):
+        assert np.max(np.min(np.abs(modes - roots[:, None]), axis=1) / roots) <= 1e-8
+    # the classical slab holds every matter mode: one more root, each lower
+    # by the Xi-truncation gap
+    classical = np.sort(np.concatenate(dispersion._lorentz_classical_roots(cfg, q, window)))
+    assert len(classical) == 8
+    assert classical[0] == pytest.approx(3.94458, abs=1e-5)
+    assert secular[0] == pytest.approx(3.94517, abs=1e-5)
+
+
 def scalar_bisect(f, lo, hi, sign_lo, rel_tol):
     # the one-bracket, one-frequency bisection that lockstep halving
     # replaced, kept as the reference for its midpoints
