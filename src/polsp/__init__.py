@@ -39,8 +39,7 @@ _EXPORTS = {
                "TruncationError", "ParseError", "GridError", "SolverError",
                "DimensionError", "NormalizationError", "ConvergenceError",
                "BracketError", "PoleError", "QuadratureError",
-               "BranchMatchError",
-               "TruncatedSpectrumWarning"),
+               "BranchMatchError", "TruncatedSpectrumWarning"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

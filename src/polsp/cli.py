@@ -294,11 +294,11 @@ def _cmd_converge(config: CavityConfig, snapshot: dict, args):
     window = (0.0, min([config.solver.omega_max, *(sp.omega for sp in config.oscillators)]))
 
     def ranked(cfg, overlaps, method):
-        # rank -> root, the rank the rise of the route's count from the
-        # window's lower edge to just above the root, less one.  It names
-        # one mode in both routes, where the index does not: at Xi = 1 the
-        # secular route leaves out the photon lines of a parity sector
-        # without matter modes, which its count still holds as poles
+        # {rank: root}, a root's rank being the rise of the route's count
+        # from the window's lower edge to just above the root, less one.
+        # The rank names one mode in both routes, where the index does not:
+        # at Xi = 1 the secular route leaves out the photon lines of a parity
+        # sector without matter modes, which its count still holds as poles
         roots, count = _roots_for_method(cfg, overlaps, method, 0.0, window)
         base = int(count([window[0]])[0])
         return {above - base - 1: omega

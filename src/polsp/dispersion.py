@@ -109,18 +109,13 @@ def _damped_pair(x: float, s: float) -> tuple[float, float]:
 # scanning and bisection
 # --------------------------------------------------------------------------
 
-def _finite_window(window: tuple[float, float]) -> tuple[float, float]:
-    lo, hi = window
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ConfigError(f"window edges must be finite, got ({lo}, {hi})")
-    return lo, hi
-
-
 def pole_free_segments(window: tuple[float, float], poles, exclusion: float):
     """Split a finite window at the poles, removing exclusion half-widths > 0."""
     check_positive("exclusion", exclusion)
     # a reversed window is left empty; a NaN or infinite edge is refused
-    lo, hi = _finite_window(window)
+    lo, hi = window
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ConfigError(f"window edges must be finite, got ({lo}, {hi})")
     segments = []
     prev = lo
     for p in sorted(p for p in poles if lo - exclusion < p < hi + exclusion):
