@@ -959,7 +959,8 @@ def sweep(config: CavityConfig, q_values, method: str | None = None,
         raise ConfigError("q grid must be strictly ascending")
     chosen = method or config.solver.method
     window = (0.0, config.solver.omega_max)
-    overlaps = overlap_K(config)
+    # the Green and classical routes read no overlap set
+    overlaps = None if chosen in ("green", "classical") else overlap_K(config)
 
     def solve(q):
         # without a count every mode is present, and its index is its rank

@@ -18,6 +18,7 @@ without a branch.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -103,26 +104,31 @@ class ExcitonMode:
 class OverlapSet:
     """Overlap matrix K[m, xi] and photon self-coupling D = K K^T.
 
-    K.shape holds the truncations.  Arrays are frozen read-only so the set
-    can be shared across workers.
+    K.shape holds the truncations.  D is built on first read, by the
+    dynamical route or SecularOperator.matrix.  Arrays are frozen read-only
+    so the set can be shared across workers.
     """
 
     K: np.ndarray
-    D: np.ndarray
     L: float
     l: float
 
     def __post_init__(self) -> None:
         self.K.flags.writeable = False
-        self.D.flags.writeable = False
+
+    @cached_property
+    def D(self) -> np.ndarray:
+        D = self.K @ self.K.T
+        D.flags.writeable = False
+        return D
 
     def check_shape(self, config: CavityConfig) -> None:
         """Raise DimensionError on other truncations, ConfigError on other L, l."""
         n, xi = config.photon_mode_count, config.exciton_mode_count
-        if self.K.shape != (n, xi) or self.D.shape != (n, n):
+        if self.K.shape != (n, xi):
             raise DimensionError(
-                f"overlap set has K of shape {self.K.shape} and D of shape "
-                f"{self.D.shape}; config wants N={n}, Xi={xi}")
+                f"overlap set has K of shape {self.K.shape}; "
+                f"config wants N={n}, Xi={xi}")
         if (self.L, self.l) != (config.L, config.l):
             raise ConfigError(
                 f"overlap set built for L={self.L}, l={self.l}; "
@@ -143,7 +149,7 @@ def photon_frequencies(config: CavityConfig, q) -> np.ndarray:
 
 
 def overlap_K(config: CavityConfig) -> OverlapSet:
-    """Closed-form overlap matrix K[m, xi] = int phi_m chi_xi dz and D = K K^T.
+    """Closed-form overlap matrix K[m, xi] = int phi_m chi_xi dz.
 
     With a = m pi / L, b = (xi+1) pi / l, h = l/2 the product-to-sum
     antiderivative over the slab gives
@@ -154,21 +160,17 @@ def overlap_K(config: CavityConfig) -> OverlapSet:
     L, l = config.L, config.l
     n, xi_count = config.photon_mode_count, config.exciton_mode_count
     h = l / 2.0
-    a = np.pi * np.arange(1, n + 1) / L
-    b = np.pi * (np.arange(xi_count) + 1) / l
-    A, B = np.meshgrid(a, b, indexing="ij")
-    phase_minus = (A * L - B * l) / 2.0
-    phase_plus = (A * L + B * l) / 2.0
+    a = (np.pi * np.arange(1, n + 1) / L)[:, None]
+    b = (np.pi * (np.arange(xi_count) + 1) / l)[None, :]
     K = (2.0 / np.sqrt(L * l)) * (
-        np.cos(phase_minus) * sine_half_integral(A - B, h)
-        - np.cos(phase_plus) * sine_half_integral(A + B, h))
+        np.cos((a * L - b * l) / 2.0) * sine_half_integral(a - b, h)
+        - np.cos((a * L + b * l) / 2.0) * sine_half_integral(a + b, h))
     # the mirror-parity selection rule is exact; zero the entries the
     # closed form leaves at roundoff size so decoupling stays exact too
     m_idx = np.arange(1, n + 1)[:, None]
     xi_idx = np.arange(xi_count)[None, :]
     K[photon_parity_even(m_idx) != exciton_parity_even(xi_idx)] = 0.0
-    D = K @ K.T
-    return OverlapSet(K=K, D=D, L=L, l=l)
+    return OverlapSet(K=K, L=L, l=l)
 
 
 def classical_D(config: CavityConfig) -> np.ndarray:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -11,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from polsp import GeometryError, ParseError, overlap_K, secular_roots
+from polsp import GeometryError, ParseError, cli, modes, overlap_K, secular_roots
 from polsp.cli import (main, manifest_digest, parse_config, sweep_grid)
 
 MINIMAL = """
@@ -605,6 +607,40 @@ def test_cli_module_loads_no_route_numpy_or_yaml(tmp_path):
                           "print(json.dumps(sorted(sys.modules)))")
     loaded = set(json.loads(stdout))
     assert not loaded & {*ROUTE_MODULES, "numpy", "yaml", "concurrent.futures"}
+
+
+@pytest.mark.parametrize("size", [0, 55, 56, 64, 10 ** 6])
+def test_digest_function_is_sha256(size):
+    # 55, 56 and 64 bytes sit at the padding edges of one 64-byte block
+    data = bytes(range(256)) * (size // 256) + bytes(range(size % 256))
+    assert cli.sha256(data).hexdigest() == hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.skipif(not any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256")),
+                    reason="no built-in sha256 module")
+def test_digests_load_no_openssl(tmp_path):
+    # hashlib maps OpenSSL's libcrypto; the manifests need sha256 alone
+    write_config(tmp_path, SMALL)
+    grid = np.linspace(0.0, 40.0, 50)
+    np.savetxt(tmp_path / "samples.txt", np.column_stack([grid, np.exp(-grid)]))
+    stdout = fresh_python(tmp_path, "-c", (
+        "import sys; from polsp.cli import main; "
+        "codes = [main(['converge', '--config', 'run.yaml', '--out', 'converge']), "
+        "main(['kk', '--config', 'run.yaml', '--out', 'kk', '--input', 'samples.txt'])]; "
+        "print(codes, '_hashlib' in sys.modules)"))
+    assert stdout.splitlines()[-1] == "[0, 0] False"
+
+
+def test_converge_builds_no_D(tmp_path, capsys, monkeypatch):
+    # the secular rungs read K alone, so no overlap set caches its N x N D
+    built, make = [], modes.OverlapSet
+    monkeypatch.setattr(modes, "OverlapSet", lambda **kw: built.append(make(**kw)) or built[-1])
+    path = write_config(tmp_path, SMALL)
+    assert main(["converge", "--config", path, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    # overlap_K's set at the top rung, then one slice of it per rung, Xi = 1 and 2
+    assert [overlaps.K.shape for overlaps in built] == [(8, 2), (8, 1), (8, 2)]
+    assert all("D" not in vars(overlaps) for overlaps in built)
 
 
 DYNAMICAL_SMALL = """

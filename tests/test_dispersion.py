@@ -397,7 +397,7 @@ def test_determinant_signs_with_cross_parity_overlaps():
     K = overlap_K(cfg).K.copy()
     K[0, 1] = K[1, 0] = 0.35
     K[4, 3] = -0.2
-    hand = OverlapSet(K=K, D=K @ K.T, L=cfg.L, l=cfg.l)
+    hand = OverlapSet(K=K, L=cfg.L, l=cfg.l)
     for q in (0.0, 0.8):
         assert assert_count_parity_matches(cfg, hand, q) > 0
 
@@ -512,7 +512,7 @@ def test_counts_and_roots_with_cross_parity_overlaps():
     K = overlap_K(cfg).K.copy()
     K[0, 1] = K[1, 0] = 0.35
     K[4, 3] = -0.2
-    hand = OverlapSet(K=K, D=K @ K.T, L=cfg.L, l=cfg.l)
+    hand = OverlapSet(K=K, L=cfg.L, l=cfg.l)
     rng = np.random.default_rng(3)
     for q in (0.0, 0.8):
         assert len(SecularOperator(config=cfg, overlaps=hand, q=q)._parity_sectors) == 1
@@ -532,7 +532,7 @@ def seeded_cross_coupling(cfg, values):
     # one value per zero), so photons couple to matter modes of both parities
     K = overlap_K(cfg).K.copy()
     K[K == 0.0] = values
-    return OverlapSet(K=K, D=K @ K.T, L=cfg.L, l=cfg.l)
+    return OverlapSet(K=K, L=cfg.L, l=cfg.l)
 
 
 def hand_coupled_pair():
@@ -541,7 +541,7 @@ def hand_coupled_pair():
                       pole_exclusion=1e-3)
     K = overlap_K(cfg).K.copy()
     K[0, 1], K[3, 0] = 0.35, -0.2
-    return cfg, OverlapSet(K=K, D=K @ K.T, L=cfg.L, l=cfg.l), (0.0, 0.8), 6
+    return cfg, OverlapSet(K=K, L=cfg.L, l=cfg.l), (0.0, 0.8), 6
 
 
 def fully_coupled_pair():
@@ -848,6 +848,16 @@ def test_sweep_flat_lines_in_decoupled_limit():
     flat = [b for b in curve.branches
             if np.allclose(b[:, 1], 4.0, rtol=0, atol=1e-10)]
     assert len(flat) == 3
+
+
+@pytest.mark.parametrize("method", ["green", "classical"])
+def test_green_and_classical_sweeps_build_no_overlap_set(monkeypatch, method):
+    # neither route reads K or D, so the sweep builds neither
+    def refuse(config):
+        raise AssertionError(f"{method} sweep built an overlap set")
+
+    monkeypatch.setattr(dispersion, "overlap_K", refuse)
+    assert sweep(make_config(), [0.0, 0.5], method=method).branch_count() > 0
 
 
 def test_sweep_rejects_bad_grids():

@@ -15,7 +15,7 @@ from scipy.integrate import quad
 
 from polsp import (DimensionError, ExcitonMode, PhotonMode, classical_D,
                    exciton_parity_even, overlap_K, photon_frequencies,
-                   photon_parity_even, sine_half_integral)
+                   photon_parity_even, secular_roots, sine_half_integral)
 from conftest import make_config
 
 
@@ -162,6 +162,39 @@ def test_overlap_set_arrays_are_read_only():
     overlaps = overlap_K(make_config())
     with pytest.raises(ValueError):
         overlaps.K[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        overlaps.D[0, 0] = 1.0
+
+
+def test_D_is_built_only_when_read():
+    # the secular route reads the rank-Xi factor K alone; D = K K^T is
+    # built on first read, for the dynamical route and the literal operator
+    cfg = make_config(photon=16, exciton=4)
+    overlaps = overlap_K(cfg)
+    assert len(secular_roots(cfg, overlaps, 0.5, (0.0, 12.0))) > 0
+    assert "D" not in vars(overlaps)
+    assert np.array_equal(overlaps.D, overlaps.K @ overlaps.K.T)
+    assert "D" in vars(overlaps)
+
+
+def test_converge_rungs_slice_the_top_rung_K():
+    # the criterion-4 config: converge slices one K for every rung
+    cfg = make_config(species=((20.0, 3.0),), photon=512, exciton=64)
+    full = overlap_K(cfg).K
+    for xi in (4, 8, 16, 32, 64):
+        rung = overlap_K(cfg.with_truncation(exciton_mode_count=xi)).K
+        assert np.array_equal(rung, full[:, :xi]), xi
+
+
+@settings(max_examples=40, deadline=None)
+@given(L=st.floats(0.3, 5.0), fill=st.floats(0.01, 1.0), photon=st.integers(1, 600),
+       exciton=st.integers(1, 128), rung=st.integers(1, 128))
+def test_overlap_K_of_fewer_matter_modes_is_a_column_slice(L, fill, photon, exciton, rung):
+    # column xi of K depends on xi alone, bit for bit
+    cfg = make_config(L=L, l=fill * L, photon=photon, exciton=exciton)
+    xi = min(rung, exciton)
+    assert np.array_equal(overlap_K(cfg.with_truncation(exciton_mode_count=xi)).K,
+                          overlap_K(cfg).K[:, :xi])
 
 
 @settings(max_examples=30, deadline=None)
