@@ -295,6 +295,8 @@ def _cmd_kk(config: CavityConfig, snapshot: dict, args):
 
 
 def _cmd_converge(config: CavityConfig, snapshot: dict, args):
+    import numpy as np
+
     from .dispersion import _labels, _roots_for_method
     from .modes import OverlapSet, overlap_K
 
@@ -310,10 +312,10 @@ def _cmd_converge(config: CavityConfig, snapshot: dict, args):
         # The rank names one mode in both routes, where the index does not:
         # at Xi = 1 the secular route leaves out the photon lines of a parity
         # sector without matter modes, which its count still holds as poles
-        roots, count = _roots_for_method(cfg, overlaps, method, 0.0, window)
-        base = int(count([window[0]])[0])
+        roots, count = _roots_for_method(cfg, overlaps, method, np.zeros(1), window)
+        base = int(count(np.array([window[0]]), np.zeros(1, dtype=np.intp))[0])
         return {above - base - 1: omega
-                for omega, (_, above) in zip(roots.tolist(), _labels(cfg, roots, count))}
+                for omega, (_, above) in zip(roots[0].tolist(), _labels(cfg, roots, count))}
 
     reference = ranked(config, None, "classical")
     if not reference:

@@ -44,7 +44,7 @@ from .errors import (BracketError, BranchMatchError, ConfigError, PoleError,
                      QuadratureError)
 from .model import (CavityConfig, check_positive, check_scan_points,
                     transverse_wavenumber)
-from .modes import OverlapSet, _sector_masks, overlap_K, photon_frequencies
+from .modes import OverlapSet, overlap_K, photon_frequencies
 
 # --------------------------------------------------------------------------
 # branch-free fundamental solutions
@@ -196,7 +196,7 @@ _COUNT_SECTIONS = 8  # equal parts an interval is cut into per counting step
 
 
 def _multisect_counts(counts, segments, rel_tol: float, levels=None,
-                      sections: int = _COUNT_SECTIONS) -> np.ndarray:
+                      sections: int = _COUNT_SECTIONS, owners=None):
     """Roots on the segments from a count that rises by one at each root.
 
     ``counts(xs)`` must return an integer per frequency of the array xs
@@ -207,50 +207,122 @@ def _multisect_counts(counts, segments, rel_tol: float, levels=None,
     all of them; the counts are clamped to be nondecreasing across each
     interval, so a near-zero eigenvalue that rounds the wrong way cannot
     add or lose a root.  An interval with hi - lo <= rel_tol max(1, |mid|)
-    reports its midpoint once for every unit its count rises.
+    reports its midpoint once for every unit its count rises.  ``owners``,
+    if given, holds an integer per segment, the index of its q in a grid;
+    counts is then called as counts(xs, owner of each x), and the roots
+    come back with their owners as a second array.
     """
-    ladder = np.arange(1, sections) / sections
     grid = np.array(segments, dtype=float).reshape(-1, 2)
+    if owners is None:
+        return _multisect_counts(lambda xs, _: counts(xs), grid, rel_tol, levels, sections,
+                                 np.zeros(len(grid), dtype=np.intp))[0]
+    ladder, owner = np.arange(1, sections) / sections, owners
     if levels is None:
-        levels = counts(grid.ravel()).reshape(grid.shape)
-    roots = [np.empty(0)]
+        levels = counts(grid.ravel(), np.repeat(owner, 2)).reshape(grid.shape)
+    roots, found = [np.empty(0)], [np.empty(0, dtype=np.intp)]
     for _ in range(200):
         keep = levels[:, 1:] > levels[:, :-1]
         lo, hi = grid[:, :-1][keep], grid[:, 1:][keep]
         c_lo, c_hi = levels[:, :-1][keep], levels[:, 1:][keep]
+        owner = np.broadcast_to(owner[:, None], keep.shape)[keep]
         mid = 0.5 * (lo + hi)
         done = hi - lo <= rel_tol * np.maximum(1.0, np.abs(mid))
         if done.any():
-            roots.append(np.repeat(mid[done], (c_hi - c_lo)[done]))
+            rises = (c_hi - c_lo)[done]
+            roots.append(np.repeat(mid[done], rises))
+            found.append(np.repeat(owner[done], rises))
             active = ~done
-            lo, hi, c_lo, c_hi = lo[active], hi[active], c_lo[active], c_hi[active]
+            lo, hi, c_lo, c_hi, owner = (lo[active], hi[active], c_lo[active], c_hi[active],
+                                         owner[active])
         if not len(lo):
             break
         inner = lo[:, None] + (hi - lo)[:, None] * ladder
         grid = np.column_stack((lo, inner, hi))
-        inner_levels = np.minimum(counts(inner.ravel()).reshape(inner.shape), c_hi[:, None])
+        inner_levels = np.minimum(counts(inner.ravel(), np.repeat(owner, sections - 1))
+                                  .reshape(inner.shape), c_hi[:, None])
         levels = np.maximum.accumulate(np.column_stack((c_lo, inner_levels, c_hi)), axis=1)
     else:
-        roots.append(np.repeat(0.5 * (grid[:, :-1] + grid[:, 1:]).ravel(),
-                               np.diff(levels, axis=1).ravel()))
-    return np.concatenate(roots)
+        rises = np.diff(levels, axis=1)
+        roots.append(np.repeat(0.5 * (grid[:, :-1] + grid[:, 1:]).ravel(), rises.ravel()))
+        found.append(np.repeat(owner, rises.sum(axis=1)))
+    return np.concatenate(roots), np.concatenate(found)
 
 
-def _counted_roots(config: CavityConfig, counts, window, poles) -> list[np.ndarray]:
-    # the ascending roots of each count of a route, multisected over the
-    # window's pole-free segments to root_tol
-    segments = pole_free_segments(window, poles, config.solver.pole_exclusion)
-    return [np.sort(_multisect_counts(count, segments, config.solver.root_tol)) for count in counts]
+def _q_grid(q) -> np.ndarray:
+    # one wavenumber as a grid of one point, or a grid as it stands, every
+    # point checked by transverse_wavenumber; ConfigError unless the grid
+    # holds a point and is strictly ascending
+    qs = np.array([transverse_wavenumber(v) for v in (q if np.ndim(q) else [q])], dtype=float)
+    if len(qs) == 0:
+        raise ConfigError("q grid is empty")
+    if np.any(np.diff(qs) <= 0):
+        raise ConfigError("q grid must be strictly ascending")
+    return qs
+
+
+def _per_q(q, found):
+    # a route's result at one wavenumber q, or the tuple of its results at
+    # every point of a grid q
+    return found[0] if np.ndim(q) == 0 else tuple(found)
+
+
+def _segment_table(config: CavityConfig, window, size: int, poles, photon):
+    # the pole-free segments of every q of _counted_roots as an (n, 2)
+    # array, and the q index of each; the per-q lists die on return
+    exclusion = config.solver.pole_exclusion
+    if photon is None:
+        per_q = [pole_free_segments(window, poles, exclusion)] * size
+    else:
+        per_q = [pole_free_segments(window, [*row, *poles], exclusion) for row in photon]
+    return (np.array([segment for s in per_q for segment in s], dtype=float).reshape(-1, 2),
+            np.repeat(np.arange(size), [len(s) for s in per_q]))
+
+
+_BLOCK_ROOTS = 32  # roots multisected in one pass, unless one segment holds more
+
+
+def _counted_roots(config: CavityConfig, counts, window, size: int, poles,
+                   photon=None) -> list[tuple]:
+    # per q of a grid of size points, a tuple with each count's ascending
+    # roots there, multisected to root_tol over the window's pole-free
+    # segments.  A count is called as count(omegas, q index of each); the
+    # poles are those shared by every q plus, if given, row k of the photon
+    # table at q index k.  One count call reads every segment's ends;
+    # consecutive segments holding up to _BLOCK_ROOTS roots, of one q or of
+    # many, are then multisected in one pass, so a pass's state does not
+    # grow with the grid
+    segments, owners = _segment_table(config, window, size, poles, photon)
+    found = []
+    for count in counts:
+        levels = count(segments.ravel(), np.repeat(owners, 2)).reshape(-1, 2)
+        rises = np.maximum(levels[:, 1] - levels[:, 0], 0)
+        blocks = np.flatnonzero(np.diff((np.cumsum(rises) - rises) // _BLOCK_ROOTS)) + 1
+        roots, at = (np.concatenate(part) for part in zip(*(
+            _multisect_counts(count, segments[block], config.solver.root_tol, levels[block],
+                              owners=owners[block])
+            for block in np.split(np.arange(len(segments)), blocks))))
+        found.append([np.sort(roots[at == k]) for k in range(size)])
+    return list(zip(*found))
+
+
+# doubles of per-frequency temporaries that one chunk of a count holds, as
+# the secular count's gathered poles, pole weights, pair sums and reduced
+# sector matrices.  Kept small: a chunk's temporaries add to the peak
+# memory of a sweep process
+_SIGN_CHUNK_DOUBLES = 8192
+
+
+def _chunks(points: int, per_point: int) -> list[slice]:
+    # slices of range(points), each holding at most _SIGN_CHUNK_DOUBLES
+    # doubles of temporaries at per_point doubles a point, so a count's
+    # memory does not grow with the number of frequencies or q points
+    step = max(1, _SIGN_CHUNK_DOUBLES // per_point)
+    return [slice(start, start + step) for start in range(0, max(points, 1), step)]
 
 
 # --------------------------------------------------------------------------
 # secular determinant
 # --------------------------------------------------------------------------
-
-# doubles held by one chunk's stacked arrays: the pole weights, pair sums
-# and reduced sector matrices of sector_counts
-_SIGN_CHUNK_DOUBLES = 32768
-
 
 def _refuse_poles(config: CavityConfig, photon_freqs: np.ndarray, omega: float,
                   name: str) -> None:
@@ -317,37 +389,12 @@ class SecularOperator:
         core = K.T @ (weights[:, None] * K)
         return self._identity - (omega ** 2 * s_val) * core
 
-    @cached_property
+    @property
     def _parity_sectors(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
-        # The sectors of _sector_masks: odd-m photons with even-xi matter
-        # modes, even-m photons with odd-xi ones.  overlap_K zeroes K
-        # exactly between them, so the reduced matrix is block diagonal and
-        # its determinant the product of the blocks'; a K with cross-parity
-        # entries becomes one sector holding every row and column.  A
-        # sector without photons or matter modes has reduced determinant 1
-        # and is left out.  Per sector:
-        # P[m, p] = K[m, a] K[m, b] over the packed upper triangle
-        # (a, b) = triu_indices, the squared photon poles, and the index
-        # U[a, b] = U[b, a] = p that unpacks a row of W @ P into the
-        # symmetric K^T W K.  P is filled one matter mode a at a time, so
-        # no full-size temporary exists
-        K = self.overlaps.K
-        n = K.shape[0]
-        sectors = []
-        for mask in _sector_masks(n, K.shape[1], 1, (K,)):
-            photons = mask[:n]
-            block = K[np.ix_(photons, mask[n:])]
-            if block.size == 0:
-                continue
-            count = block.shape[1]
-            rows, cols = np.triu_indices(count)
-            products = np.empty((block.shape[0], len(rows)))
-            for a in range(count):
-                products[:, rows == a] = block[:, a:a + 1] * block[:, a:]
-            unpack = np.empty((count, count), dtype=np.intp)
-            unpack[rows, cols] = unpack[cols, rows] = np.arange(len(rows))
-            sectors.append((products, self._photon_poles_sq[photons], unpack))
-        return tuple(sectors)
+        # the overlap set's parity sectors of the reduced matrix, each a
+        # (photon mask, pair products, unpack index); its determinant is the
+        # product of theirs
+        return self.overlaps._sector_pairs
 
     def sector_counts(self, sector: int, omegas) -> np.ndarray:
         """A count of one parity sector's roots below every frequency.
@@ -367,22 +414,8 @@ class SecularOperator:
         negative eigenvalues from one batched eigvalsh.
         """
         omegas = np.asarray(omegas, dtype=float)
-        omegas_sq = omegas ** 2
-        strength = _coupling_strength_sum(self.config.oscillators, omegas)
-        flip = np.copysign(1.0, strength)
-        factor = omegas_sq * np.abs(strength)
-        products, poles_sq, unpack = self._parity_sectors[sector]
-        count = len(unpack)
-        counts = count * (flip > 0.0)
-        step = max(1, _SIGN_CHUNK_DOUBLES
-                   // (len(poles_sq) + products.shape[1] + count * count))
-        for start in range(0, len(omegas), step):
-            part = slice(start, start + step)
-            weights = -factor[part, None] / (poles_sq - omegas_sq[part, None])
-            flipped = (weights @ products)[:, unpack]
-            flipped.reshape(len(flipped), count * count)[:, ::count + 1] += flip[part, None]
-            counts[part] += (np.linalg.eigvalsh(flipped) < 0.0).sum(axis=1)
-        return counts
+        return _secular_counts(self.config, self._parity_sectors[sector], self.photon_poles[None],
+                               omegas, np.zeros(len(omegas), dtype=np.intp))
 
     def determinant(self, omega: float) -> float:
         _refuse_poles(self.config, self.photon_poles, omega, "secular determinant")
@@ -390,19 +423,51 @@ class SecularOperator:
         return sign * math.exp(min(logdet, 700.0))
 
 
+def _secular_counts(config: CavityConfig, sector, photon: np.ndarray,
+                    omegas: np.ndarray, at: np.ndarray) -> np.ndarray:
+    # SecularOperator.sector_counts at frequencies of many q: ``sector`` is
+    # a (photon mask, pair products, unpack index) of
+    # OverlapSet._sector_pairs, photon the photon frequencies with a row per
+    # q and at each frequency's row, whose poles each chunk gathers
+    photons, products, unpack = sector
+    omegas_sq = omegas ** 2
+    strength = _coupling_strength_sum(config.oscillators, omegas)
+    flip = np.copysign(1.0, strength)
+    factor = omegas_sq * np.abs(strength)
+    count = len(unpack)
+    counts = count * (flip > 0.0)
+    for part in _chunks(len(omegas), 2 * len(products) + products.shape[1] + count * count):
+        poles_sq = photon[np.ix_(at[part], photons)] ** 2
+        weights = -factor[part, None] / (poles_sq - omegas_sq[part, None])
+        flipped = (weights @ products)[:, unpack]
+        flipped.reshape(len(flipped), count * count)[:, ::count + 1] += flip[part, None]
+        counts[part] += (np.linalg.eigvalsh(flipped) < 0.0).sum(axis=1)
+    return counts
+
+
+def _photon_table(config: CavityConfig, qs: np.ndarray) -> np.ndarray:
+    # the photon frequencies Omega_m(q), a row per q of the grid
+    return np.array([photon_frequencies(config, q) for q in qs])
+
+
 def secular_roots(config: CavityConfig, overlaps: OverlapSet, q,
-                  window: tuple[float, float]) -> np.ndarray:
+                  window: tuple[float, float]):
     """Zeros of the secular determinant in the window, found by counting.
 
-    Each parity sector's roots are multisected from its sector_counts over
-    the pole-free segments of the window, excluding the poles of both
-    sectors.  A count sees every root, however close two lie, so no scan
-    grid is built and ``scan_points`` is not read.
+    ``q`` is one wavenumber, which returns the ascending roots, or a 1-D
+    ascending grid, which returns a tuple with each q's roots.  Each parity
+    sector's roots are multisected from its _secular_counts over the
+    pole-free segments of the window, excluding the poles of both sectors,
+    in one pass for every q of the grid.  A count sees every root, however
+    close two lie, so no scan grid is built and ``scan_points`` is not read.
     """
     overlaps.check_shape(config)
-    op = SecularOperator(config=config, overlaps=overlaps, q=transverse_wavenumber(q))
-    counts = [partial(op.sector_counts, k) for k in range(len(op._parity_sectors))]
-    return np.sort(np.concatenate(_counted_roots(config, counts, window, op.all_poles())))
+    qs = _q_grid(q)
+    photon = _photon_table(config, qs)
+    counts = [partial(_secular_counts, config, sector, photon) for sector in overlaps._sector_pairs]
+    found = _counted_roots(config, counts, window, len(qs),
+                           [sp.omega for sp in config.oscillators], photon)
+    return _per_q(q, [np.sort(np.concatenate(roots)) for roots in found])
 
 
 # --------------------------------------------------------------------------
@@ -422,36 +487,44 @@ def _check_closed_form(name: str, needed_modes: int, config: CavityConfig,
 
 
 def _closed_form_roots(name: str, needed_modes: int, config: CavityConfig,
-                       overlaps: OverlapSet, q, window) -> np.ndarray:
+                       overlaps: OverlapSet, q, window):
     # both closed forms count their roots, as secular_roots does: the
     # relation is det(I - Sigma) of the 1x1 or 2x2 reduced secular matrix,
     # and the negative eigenvalues of sgn(w0^2 - Omega^2)(I - Sigma) rise by
     # one at each root inside a pole-free segment (Wittrick and Williams),
-    # however close two lie.  No scan grid is built and scan_points is not read
+    # however close two lie.  Every q of a grid is multisected in one pass;
+    # no scan grid is built and scan_points is not read
     _check_closed_form(name, needed_modes, config, overlaps)
-    freqs = photon_frequencies(config, q)
-    return _counted_roots(config, [partial(_closed_form_counts, config, overlaps, freqs)],
-                          window, [*freqs, config.oscillators[0].omega])[0]
+    qs = _q_grid(q)
+    freqs = _photon_table(config, qs)
+    found = _counted_roots(config, [partial(_closed_form_counts, config, overlaps, freqs)],
+                           window, len(qs), [config.oscillators[0].omega], freqs)
+    return _per_q(q, [roots for roots, in found])
 
 
 def _closed_form_counts(config: CavityConfig, overlaps: OverlapSet,
-                        freqs: np.ndarray, omegas) -> np.ndarray:
+                        freqs: np.ndarray, omegas: np.ndarray, at: np.ndarray) -> np.ndarray:
     # the negative eigenvalues of sgn(w0^2 - Omega^2)(I - Sigma) at every
-    # frequency of an array: one sign at Xi = 1; at Xi = 2 one where the
-    # determinant is negative, else two or none by the sign of the trace
-    flip = np.sign(config.oscillators[0].omega ** 2 - omegas ** 2)
-    if overlaps.K.shape[1] == 1:
-        value = 1.0 - _sigma(config, overlaps, freqs, omegas, 0, 0)
-        return (flip * value < 0.0).astype(int)
-    det, trace = _two_exciton(config, overlaps, freqs, omegas)
-    return np.where(det < 0.0, 1, 2 * (flip * trace < 0.0))
+    # frequency of an array, with the photon frequencies of row at of freqs:
+    # one sign at Xi = 1; at Xi = 2 one where the determinant is negative,
+    # else two or none by the sign of the trace
+    counts = np.empty(len(omegas), dtype=np.int64)
+    for part in _chunks(len(omegas), 4 * freqs.shape[1]):
+        row, omega = freqs[at[part]], omegas[part]
+        flip = np.sign(config.oscillators[0].omega ** 2 - omega ** 2)
+        if overlaps.K.shape[1] == 1:
+            counts[part] = flip * (1.0 - _sigma(config, overlaps, row, omega, 0, 0)) < 0.0
+        else:
+            det, trace = _two_exciton(config, overlaps, row, omega)
+            counts[part] = np.where(det < 0.0, 1, 2 * (flip * trace < 0.0))
+    return counts
 
 
 def _sigma(config: CavityConfig, overlaps: OverlapSet, photon_freqs: np.ndarray,
            omega, a: int, b: int) -> np.ndarray:
     # Sigma_ab = G^2 Omega^2/(w0^2 - Omega^2) sum_m K[m,a] K[m,b]/(Omega_m^2 -
-    # Omega^2) at the photon frequencies photon_freqs, which a root search
-    # computes once, for a frequency or an array
+    # Omega^2) at the photon frequencies photon_freqs, for a frequency or an
+    # array; photon_freqs is one vector, or a row per frequency of the array
     sp = config.oscillators[0]
     factor = sp.G ** 2 * omega ** 2 / (sp.omega ** 2 - omega ** 2)
     weights = 1.0 / (photon_freqs ** 2 - np.asarray(omega)[..., None] ** 2)
@@ -468,8 +541,11 @@ def one_exciton_value(config: CavityConfig, overlaps: OverlapSet,
 
 
 def one_exciton_roots(config: CavityConfig, overlaps: OverlapSet, q,
-                      window: tuple[float, float]) -> np.ndarray:
-    """Roots of the scalar single-matter-mode dispersion relation, by counting."""
+                      window: tuple[float, float]):
+    """Roots of the scalar single-matter-mode dispersion relation, by counting.
+
+    ``q`` is one wavenumber or a 1-D ascending grid, as for secular_roots.
+    """
     return _closed_form_roots("one_exciton_roots", 1, config, overlaps, q, window)
 
 
@@ -492,8 +568,11 @@ def two_exciton_value(config: CavityConfig, overlaps: OverlapSet,
 
 
 def two_exciton_roots(config: CavityConfig, overlaps: OverlapSet, q,
-                      window: tuple[float, float]) -> np.ndarray:
-    """Roots of the two-matter-mode product-minus-cross-term relation, by counting."""
+                      window: tuple[float, float]):
+    """Roots of the two-matter-mode product-minus-cross-term relation, by counting.
+
+    ``q`` is one wavenumber or a 1-D ascending grid, as for secular_roots.
+    """
     return _closed_form_roots("two_exciton_roots", 2, config, overlaps, q, window)
 
 
@@ -529,9 +608,12 @@ def two_exciton_roots(config: CavityConfig, overlaps: OverlapSet, q,
 
 _RESONANT_DELTA = 0.25  # |Delta| below which phi and the diagonal take their limits
 
-# (-1)^k/(2k + 3)!, k = 0..5: (x - sin x)/x^3 as a polynomial in x^2, through
-# the x^11/13! term of (x - sin x)/x^2; exact to rounding for |x| < 1/2
-_SIN_TAIL = [(-1) ** k / math.factorial(2 * k + 3) for k in range(6)]
+# (-1)^k/(2k + 3)!, k = 5..0: (x - sin x)/x^3 as a polynomial in x^2, highest
+# power first for np.polyval, through the x^11/13! term of (x - sin x)/x^2;
+# exact to rounding for |x| < 1/2.  np.polyval takes the same Horner steps
+# as numpy.polynomial's polyval and does not import that package, whose
+# import costs a process about 0.9 MiB
+_SIN_TAIL = [(-1) ** k / math.factorial(2 * k + 3) for k in range(5, -1, -1)]
 
 
 class _SlabModes:
@@ -572,7 +654,7 @@ def _resonances(modes: _SlabModes, r: np.ndarray):
     r, b, delta = r[rows], modes.b[cols], delta[rows, cols]
     phi = (modes.sigma * modes.h * modes.p[cols] * np.sinc(delta / np.pi)
            / ((r + b) * (r if modes.parity else 1.0)))
-    tail = 2.0 * delta * np.polynomial.polynomial.polyval((2.0 * delta) ** 2, _SIN_TAIL)
+    tail = 2.0 * delta * np.polyval(_SIN_TAIL, (2.0 * delta) ** 2)
     return rows, cols, phi, -(2.0 * b + r + 4.0 * b * b * modes.h * tail) / (r * (r + b) ** 2)
 
 
@@ -688,12 +770,13 @@ def _multiples_below(x: np.ndarray) -> np.ndarray:
     return np.maximum(np.ceil(x / np.pi) - 1.0, 0.0).astype(np.int64)
 
 
-def _green_counts(config: CavityConfig, modes: _SlabModes, qv: float,
-                  omegas) -> np.ndarray:
+def _green_counts(config: CavityConfig, modes: _SlabModes, qv, omegas) -> np.ndarray:
     """One parity sector's count of its roots below every frequency of an array.
 
-    Notation as in the matching system above, with d = (L - l)/2 and
-    chi' = chi_xi'(h).  After Wittrick and Williams: J counts the negative eigenvalues of
+    ``qv`` is one wavenumber or one per frequency, and the frequencies are
+    counted in _chunks.  Notation as in the matching system above, with
+    d = (L - l)/2 and chi' = chi_xi'(h).  After Wittrick and Williams: J
+    counts the negative eigenvalues of
     -d^2/dz^2 - s - gamma Pi on the half cavity 0 < z < L/2, with the
     sector's condition at z = 0 (E' = 0 even, E = 0 odd), E = 0 at L/2 and
     Pi the projection on the sector's slab modes xi < Xi.  Between species
@@ -717,52 +800,61 @@ def _green_counts(config: CavityConfig, modes: _SlabModes, qv: float,
     exactly k is -inf, its limit from den > gamma, and no warning is raised.
     """
     omegas = np.asarray(omegas, dtype=float)
+    qv = np.broadcast_to(qv, omegas.shape)
     gap = (config.L - config.l) / 2.0
-    with np.errstate(all="ignore"):
-        s = (omegas / config.c) ** 2 - qv ** 2
-        r = np.sqrt(np.abs(s))
-        r_prop = np.where(s > 0.0, r, 0.0)
-        gamma = (_coupling_strength_sum(config.oscillators, omegas)
-                 * omegas ** 2 / config.c ** 2)[:, None]
-        den = modes.b_sq - s[:, None]
-        excess = den - gamma
-        # the clamped slab: the projected modes with den < gamma, then the
-        # sector's other modes below sqrt(s), m = xi + 1 < sqrt(s) l/pi of
-        # the sector's parity of m
-        slab = _multiples_below(r_prop * config.l)
-        counts = (excess < 0.0).sum(axis=1) + np.maximum(
-            (slab + 1 - modes.parity) // 2 - len(modes.b), 0)
-        if gap == 0.0:
-            return counts
-        # the clamped gap, then the sign of the face's stiffness
-        counts += _multiples_below(r_prop * gap)
-        ratio = _tangent_ratio(modes.h, s, r)
-        y_log, z_log = ((1.0 / ratio, -s * ratio) if modes.parity
-                        else (-s * ratio, 1.0 / ratio))
-        rows, cols, res_phi, res_diag = _resonances(modes, r_prop)
-        den[rows, cols] = 1.0
-        terms = -2.0 * modes.grad_pf ** 2 * (gamma / excess) / den
-        res_r = r[rows]
-        z_h = -np.cos(res_r * modes.h) if modes.parity else np.sin(res_r * modes.h) / res_r
-        y_log[rows] = z_log[rows] - res_diag / (z_h * res_phi)
-        terms[rows, cols] = -2.0 * modes.grad_pf[cols] ** 2 / excess[rows, cols]
-        stiffness = y_log + terms.sum(axis=1) + 1.0 / _tangent_ratio(gap, s, r)
-    return counts + (stiffness < 0.0)
+    counts = np.empty(len(omegas), dtype=np.int64)
+    for part in _chunks(len(omegas), 4 * len(modes.b) + 16):
+        omega = omegas[part]
+        with np.errstate(all="ignore"):
+            s = (omega / config.c) ** 2 - qv[part] ** 2
+            r = np.sqrt(np.abs(s))
+            r_prop = np.where(s > 0.0, r, 0.0)
+            gamma = (_coupling_strength_sum(config.oscillators, omega)
+                     * omega ** 2 / config.c ** 2)[:, None]
+            den = modes.b_sq - s[:, None]
+            excess = den - gamma
+            # the clamped slab: the projected modes with den < gamma, then
+            # the sector's other modes below sqrt(s), m = xi + 1 < sqrt(s) l/pi
+            # of the sector's parity of m
+            slab = _multiples_below(r_prop * config.l)
+            counts[part] = (excess < 0.0).sum(axis=1) + np.maximum(
+                (slab + 1 - modes.parity) // 2 - len(modes.b), 0)
+            if gap == 0.0:
+                continue
+            # the clamped gap, then the sign of the face's stiffness
+            ratio = _tangent_ratio(modes.h, s, r)
+            y_log, z_log = ((1.0 / ratio, -s * ratio) if modes.parity
+                            else (-s * ratio, 1.0 / ratio))
+            rows, cols, res_phi, res_diag = _resonances(modes, r_prop)
+            den[rows, cols] = 1.0
+            terms = -2.0 * modes.grad_pf ** 2 * (gamma / excess) / den
+            res_r = r[rows]
+            z_h = -np.cos(res_r * modes.h) if modes.parity else np.sin(res_r * modes.h) / res_r
+            y_log[rows] = z_log[rows] - res_diag / (z_h * res_phi)
+            terms[rows, cols] = -2.0 * modes.grad_pf[cols] ** 2 / excess[rows, cols]
+            stiffness = y_log + terms.sum(axis=1) + 1.0 / _tangent_ratio(gap, s, r)
+            counts[part] += _multiples_below(r_prop * gap) + (stiffness < 0.0)
+    return counts
 
 
-def green_roots(config: CavityConfig, q, window: tuple[float, float]) -> np.ndarray:
+def green_roots(config: CavityConfig, q, window: tuple[float, float]):
     """Roots of the Green-function matching system in the window, by counting.
 
-    Each parity sector's roots are multisected from its _green_counts over
-    the species-pole-free segments of the window, above and below the light
-    line alike.  A count sees every root, however close two lie, and builds
-    no matching matrix, so nothing overflows far below the light line; no
-    scan grid is built and ``scan_points`` is not read.
+    ``q`` is one wavenumber, which returns the ascending roots, or a 1-D
+    ascending grid, which returns a tuple with each q's roots.  Each parity
+    sector's roots are multisected from its _green_counts over the
+    species-pole-free segments of the window, above and below the light
+    line alike, in one pass for every q of the grid.  A count sees every
+    root, however close two lie, and builds no matching matrix, so nothing
+    overflows far below the light line; no scan grid is built and
+    ``scan_points`` is not read.
     """
-    qv = transverse_wavenumber(q)
-    counts = [partial(_green_counts, config, modes, qv) for modes in _green_sectors(config)]
-    return np.sort(np.concatenate(_counted_roots(
-        config, counts, window, [sp.omega for sp in config.oscillators])))
+    qs = _q_grid(q)
+    counts = [lambda omegas, at, modes=modes: _green_counts(config, modes, qs[at], omegas)
+              for modes in _green_sectors(config)]
+    found = _counted_roots(config, counts, window, len(qs),
+                           [sp.omega for sp in config.oscillators])
+    return _per_q(q, [np.sort(np.concatenate(roots)) for roots in found])
 
 
 # --------------------------------------------------------------------------
@@ -805,12 +897,12 @@ def classical_branch_values(config: CavityConfig, susceptibility,
     return branch1, branch2
 
 
-def _classical_counts(config: CavityConfig, species, parity: int, qv: float,
-                      omegas) -> np.ndarray:
+def _classical_counts(config: CavityConfig, species, parity: int, qv, omegas) -> np.ndarray:
     # One branch's count of its roots below every frequency of an array (the
-    # even field, branch 1, is parity 0): the Xi -> infinity form of
-    # _green_counts.  The projection covers the whole slab, so with the face
-    # clamped the slab is a uniform layer at s' = s + Omega^2 chi/c^2, chi =
+    # even field, branch 1, is parity 0), at one wavenumber qv or one per
+    # frequency: the Xi -> infinity form of _green_counts, in chunks as it
+    # is.  The projection covers the whole slab, so with the face clamped
+    # the slab is a uniform layer at s' = s + Omega^2 chi/c^2, chi =
     # sum G^2/(omega^2 - Omega^2) over ``species``; with Y the sector's
     # interior solution at s' and m odd in the even sector, even in the odd,
     #     J = #{m: m pi/l < sqrt(s')} + #{n >= 1: n pi/d < sqrt(s)}
@@ -819,54 +911,64 @@ def _classical_counts(config: CavityConfig, species, parity: int, qv: float,
     # and J rises by one at each root of the branch (Sturm comparison).  At
     # d = 0 the face is the wall: C(d)/S(d) = +inf and J is the slab count
     omegas = np.asarray(omegas, dtype=float)
+    qv = np.broadcast_to(qv, omegas.shape)
     gap = (config.L - config.l) / 2.0
-    with np.errstate(all="ignore"):
-        s = (omegas / config.c) ** 2 - qv ** 2
-        s_med = s + _coupling_strength_sum(species, omegas) * (omegas / config.c) ** 2
-        r, r_med = np.sqrt(np.abs(s)), np.sqrt(np.abs(s_med))
-        ratio = _tangent_ratio(config.l / 2.0, s_med, r_med)
-        stiffness = (1.0 / ratio if parity else -s_med * ratio) + 1.0 / _tangent_ratio(gap, s, r)
-    slab = _multiples_below(np.where(s_med > 0.0, r_med, 0.0) * config.l)
-    return ((slab + 1 - parity) // 2 + _multiples_below(np.where(s > 0.0, r, 0.0) * gap)
-            + (stiffness < 0.0))
+    counts = np.empty(len(omegas), dtype=np.int64)
+    for part in _chunks(len(omegas), 16):
+        omega = omegas[part]
+        with np.errstate(all="ignore"):
+            s = (omega / config.c) ** 2 - qv[part] ** 2
+            s_med = s + _coupling_strength_sum(species, omega) * (omega / config.c) ** 2
+            r, r_med = np.sqrt(np.abs(s)), np.sqrt(np.abs(s_med))
+            ratio = _tangent_ratio(config.l / 2.0, s_med, r_med)
+            stiffness = ((1.0 / ratio if parity else -s_med * ratio)
+                         + 1.0 / _tangent_ratio(gap, s, r))
+        slab = _multiples_below(np.where(s_med > 0.0, r_med, 0.0) * config.l)
+        counts[part] = ((slab + 1 - parity) // 2
+                        + _multiples_below(np.where(s > 0.0, r, 0.0) * gap) + (stiffness < 0.0))
+    return counts
 
 
 def classical_roots(config: CavityConfig, susceptibility, q,
-                    window: tuple[float, float],
-                    poles=()) -> tuple[np.ndarray, np.ndarray]:
+                    window: tuple[float, float], poles=()):
     """Roots of both classical branches in the window.
 
-    ``susceptibility`` is None for vacuum, a kk.LorentzSet, an object with
-    a ``chi_prime(omega)`` method or a plain callable.  Segments around
-    ``poles``, and around a LorentzSet's resonances, are excluded like
-    secular poles.  For None and a LorentzSet each branch's roots are
-    multisected from its _classical_counts, so every root is found down to
-    pole_exclusion below a resonance, where they accumulate.  Any other
-    susceptibility is scanned for sign changes at ``scan_points``, which
-    raises BracketError for an accumulation that it cannot resolve.  Both
-    search the whole window, below the light line as above it.
+    ``q`` is one wavenumber, which returns the pair of branches' ascending
+    roots, or a 1-D ascending grid, which returns a tuple with each q's
+    pair.  ``susceptibility`` is None for vacuum, a kk.LorentzSet, an
+    object with a ``chi_prime(omega)`` method or a plain callable.  Segments
+    around ``poles``, and around a LorentzSet's resonances, are excluded
+    like secular poles.  For None and a LorentzSet each branch's roots are
+    multisected from its _classical_counts, in one pass for every q of the
+    grid, so every root is found down to pole_exclusion below a resonance,
+    where they accumulate.  Any other susceptibility is scanned for sign
+    changes at ``scan_points``, q by q, which raises BracketError for an
+    accumulation that it cannot resolve.  Both search the whole window,
+    below the light line as above it.
     """
     from .kk import LorentzSet
 
-    qv = transverse_wavenumber(q)
+    qs = _q_grid(q)
     settings = config.solver
     if susceptibility is None or isinstance(susceptibility, LorentzSet):
         species = () if susceptibility is None else susceptibility.species
-        counts = [partial(_classical_counts, config, species, parity, qv) for parity in (0, 1)]
-        return tuple(_counted_roots(config, counts, window,
-                                    [*poles, *(sp.omega for sp in species)]))
+        counts = [lambda omegas, at, parity=parity: _classical_counts(
+            config, species, parity, qs[at], omegas) for parity in (0, 1)]
+        return _per_q(q, _counted_roots(config, counts, window, len(qs),
+                                        [*poles, *(sp.omega for sp in species)]))
 
-    def branch(which):
+    def branch(qv, which):
         return lambda omega: classical_branch_values(config, susceptibility, omega, qv)[which]
-    return tuple(scan_roots(branch(which), window, poles,
-                            exclusion=settings.pole_exclusion,
-                            scan_points=settings.scan_points, rel_tol=settings.root_tol)
-                 for which in (0, 1))
+    return _per_q(q, [tuple(scan_roots(branch(qv, which), window, poles,
+                                       exclusion=settings.pole_exclusion,
+                                       scan_points=settings.scan_points,
+                                       rel_tol=settings.root_tol)
+                            for which in (0, 1)) for qv in qs])
 
 
-def _lorentz_classical_roots(config: CavityConfig, q,
-                             window: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
-    # both classical branches for the configured species, resonances excluded
+def _lorentz_classical_roots(config: CavityConfig, q, window: tuple[float, float]):
+    # both classical branches for the configured species, resonances
+    # excluded, at one q or at every q of a grid
     from .kk import LorentzSet
 
     return classical_roots(config, LorentzSet.from_config(config), q, window)
@@ -887,54 +989,73 @@ class DispersionCurve:
         return len(self.branches)
 
 
-def _roots_for_method(config: CavityConfig, overlaps, method: str, q: float,
-                      window: tuple[float, float]):
-    # The method's ascending roots at q and its count G(omegas) of the
-    # method's modes below each frequency, up to a constant per species
-    # segment that does not depend on q: the secular and closed-form counts
-    # plus the photon poles below, the Green and classical counts summed
-    # over both parities.  The dynamical route returns every mode and no
-    # count.  Routes are called by module attribute, so wrappers rebound on
-    # polsp.dispersion or polsp.hopfield see every call
-    qv = transverse_wavenumber(q)
+def _roots_for_method(config: CavityConfig, overlaps, method: str, qs: np.ndarray,
+                      window: tuple[float, float], mapper=map):
+    # A tuple with the method's ascending roots at each q of the ascending
+    # array qs, and its count G(omegas, at) of the method's modes below each
+    # frequency at q index at, up to a constant per species segment that
+    # does not depend on q: the secular and closed-form counts plus the
+    # photon poles below, the Green and classical counts summed over both
+    # parities.  A counted route solves the whole grid in one call on this
+    # thread; the dynamical route returns every mode and no count, its
+    # eigensolves mapped over q by mapper.  Routes are called by module
+    # attribute, so wrappers rebound on polsp.dispersion or polsp.hopfield
+    # see every call
     if method == "dynamical":
         from . import hopfield  # imported here, since no other route needs it
 
-        return hopfield.frequencies(hopfield.build_dynamical_matrix(config, overlaps, q)), None
+        return tuple(mapper(lambda q: hopfield.frequencies(
+            hopfield.build_dynamical_matrix(config, overlaps, q)), qs)), None
     if method == "green":
-        return green_roots(config, q, window), lambda omegas: sum(
-            _green_counts(config, modes, qv, omegas) for modes in _green_sectors(config))
+        sectors = _green_sectors(config)
+        return green_roots(config, qs, window), lambda omegas, at: sum(
+            _green_counts(config, modes, qs[at], omegas) for modes in sectors)
     if method == "classical":
-        roots = _lorentz_classical_roots(config, q, window)
-        return np.sort(np.concatenate(roots)), lambda omegas: sum(
-            _classical_counts(config, config.oscillators, parity, qv, omegas) for parity in (0, 1))
-    photon = photon_frequencies(config, qv)
+        roots = _lorentz_classical_roots(config, qs, window)
+        return tuple(np.sort(np.concatenate(pair)) for pair in roots), lambda omegas, at: sum(
+            _classical_counts(config, config.oscillators, parity, qs[at], omegas)
+            for parity in (0, 1))
     if method == "secular":
-        op = SecularOperator(config=config, overlaps=overlaps, q=qv)
-        roots, counts = secular_roots(config, overlaps, q, window), lambda omegas: sum(
-            op.sector_counts(k, omegas) for k in range(len(op._parity_sectors)))
+        roots = secular_roots(config, overlaps, qs, window)
+        photon = _photon_table(config, qs)
+        counts = lambda omegas, at: sum(_secular_counts(config, sector, photon, omegas, at)
+                                        for sector in overlaps._sector_pairs)
     elif method in ("one_exciton", "two_exciton"):
         route = one_exciton_roots if method == "one_exciton" else two_exciton_roots
-        roots = route(config, overlaps, q, window)
+        roots = route(config, overlaps, qs, window)
+        photon = _photon_table(config, qs)
         counts = partial(_closed_form_counts, config, overlaps, photon)
     else:
         raise ConfigError(f"unknown sweep method {method!r}")
-    return roots, lambda omegas: counts(omegas) + np.searchsorted(photon, omegas)
+    return roots, lambda omegas, at: counts(omegas, at) + _poles_below(photon, omegas, at)
 
 
-def _labels(config: CavityConfig, roots: np.ndarray, count):
-    # (species poles below, G at Omega + root_tol max(1, |Omega|)) per
-    # ascending root, the point capped at the segment's end pole -
-    # pole_exclusion, so G is never read across the next species pole;
-    # scanning down each species segment, a root whose G would equal the
-    # next root's, closer to it than root_tol, takes one less
+def _poles_below(photon: np.ndarray, omegas: np.ndarray, at: np.ndarray) -> np.ndarray:
+    # the photon poles of row at of the table below each frequency, in chunks
+    below = np.empty(len(omegas), dtype=np.intp)
+    for part in _chunks(len(omegas), photon.shape[1]):
+        below[part] = (photon[at[part]] < omegas[part, None]).sum(axis=1)
+    return below
+
+
+def _labels(config: CavityConfig, roots, count):
+    # (species poles below, G at Omega + root_tol max(1, |Omega|)) per root
+    # of a tuple with each q's ascending roots, q by q, counted in one call:
+    # the point is capped at the segment's end pole - pole_exclusion, so G
+    # is never read across the next species pole; scanning down each
+    # species segment of one q, a root whose G would equal the next root's,
+    # closer to it than root_tol, takes one less
+    at = np.repeat(np.arange(len(roots)), [len(r) for r in roots])
+    roots = np.concatenate(roots)
     poles = np.sort([sp.omega for sp in config.oscillators])
     segment = np.searchsorted(poles, roots)
     end = np.append(poles, np.inf)[segment] - config.solver.pole_exclusion
     step = config.solver.root_tol * np.maximum(1.0, np.abs(roots))
-    above = count(np.minimum(roots + step, end)).tolist()
+    above = count(np.minimum(roots + step, end), at).tolist()
+    # one q's species segment per key
+    keys = (at * (len(poles) + 1) + segment).tolist()
     for k in range(len(roots) - 2, -1, -1):
-        if segment[k] == segment[k + 1]:
+        if keys[k] == keys[k + 1]:
             above[k] = min(above[k], above[k + 1] - 1)
     return list(zip(segment.tolist(), above))
 
@@ -948,29 +1069,25 @@ def sweep(config: CavityConfig, q_values, method: str | None = None,
     q, so a root leaving the window only ends its branch.  Branches are
     ordered by first q, then first Omega.  A branch moving faster than c
     (c dq plus root_tol) is a count defect and raises BranchMatchError.
-    ``mapper`` is any order-preserving map (e.g. ThreadPoolExecutor.map);
-    every per-q solve is independent, so the curve is identical for any
-    worker count.
+    A counted method solves the whole grid in one pass and labels every
+    root in one count call, on the calling thread.  ``mapper`` is any
+    order-preserving map (e.g. ThreadPoolExecutor.map) and serves only the
+    dynamical method's per-q eigensolves, which are independent, so the
+    curve is identical for any worker count.
     """
-    qs = np.asarray([transverse_wavenumber(q) for q in q_values], dtype=float)
-    if len(qs) == 0:
-        raise ConfigError("q grid is empty")
-    if np.any(np.diff(qs) <= 0):
-        raise ConfigError("q grid must be strictly ascending")
+    qs = _q_grid(list(q_values))
     chosen = method or config.solver.method
     window = (0.0, config.solver.omega_max)
     # the Green and classical routes read no overlap set
     overlaps = None if chosen in ("green", "classical") else overlap_K(config)
-
-    def solve(q):
-        # without a count every mode is present, and its index is its rank
-        roots, count = _roots_for_method(config, overlaps, chosen, q, window)
-        return zip(roots, range(len(roots)) if count is None else _labels(config, roots, count))
-
+    roots, count = _roots_for_method(config, overlaps, chosen, qs, window, mapper)
+    # without a count every mode is present, and its index is its rank
+    labels = ([k for r in roots for k in range(len(r))] if count is None
+              else _labels(config, roots, count))
     groups: dict = {}
-    for qv, labelled in zip(qs, mapper(solve, qs)):
-        for omega, label in labelled:
-            groups.setdefault(label, []).append((qv, omega))
+    for qv, omega, label in zip(np.repeat(qs, [len(r) for r in roots]).tolist(),
+                                np.concatenate(roots).tolist(), labels):
+        groups.setdefault(label, []).append((qv, omega))
     branches = sorted((np.array(b) for b in groups.values()), key=lambda b: (b[0, 0], b[0, 1]))
     for b in branches:
         jump = np.abs(np.diff(b[:, 1])) - config.c * np.diff(b[:, 0])

@@ -122,6 +122,37 @@ class OverlapSet:
         D.flags.writeable = False
         return D
 
+    @cached_property
+    def _sector_pairs(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+        # The sectors of _sector_masks for the secular route: odd-m photons
+        # with even-xi matter modes, even-m photons with odd-xi ones.
+        # overlap_K zeroes K exactly between them, so the reduced secular
+        # matrix is block diagonal; a K with cross-parity entries becomes
+        # one sector holding every row and column.  A sector without
+        # photons or matter modes is left out.  Per sector: its photon mask,
+        # P[m, p] = K[m, a] K[m, b] over the packed upper triangle
+        # (a, b) = triu_indices, and the index U[a, b] = U[b, a] = p that
+        # unpacks a row of W @ P into the symmetric K^T W K.  P depends on
+        # K alone, so one overlap set builds it once for every q.  It is
+        # filled one matter mode a at a time, so no full-size temporary exists
+        K = self.K
+        n = K.shape[0]
+        sectors = []
+        for mask in _sector_masks(n, K.shape[1], 1, (K,)):
+            photons = mask[:n]
+            block = K[np.ix_(photons, mask[n:])]
+            if block.size == 0:
+                continue
+            count = block.shape[1]
+            rows, cols = np.triu_indices(count)
+            products = np.empty((block.shape[0], len(rows)))
+            for a in range(count):
+                products[:, rows == a] = block[:, a:a + 1] * block[:, a:]
+            unpack = np.empty((count, count), dtype=np.intp)
+            unpack[rows, cols] = unpack[cols, rows] = np.arange(len(rows))
+            sectors.append((photons, products, unpack))
+        return tuple(sectors)
+
     def check_shape(self, config: CavityConfig) -> None:
         """Raise DimensionError on other truncations, ConfigError on other L, l."""
         n, xi = config.photon_mode_count, config.exciton_mode_count

@@ -7,8 +7,10 @@ agree on every root that is not hidden inside a pole exclusion window.
 
 from __future__ import annotations
 
+import tracemalloc
 import warnings
 from dataclasses import replace
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from polsp import (BracketError, ConfigError, DimensionError, OverlapSet,
                    secular_roots, spectrum, sweep, two_exciton_roots,
                    two_exciton_value, validate)
 from polsp.cli import parse_config, sweep_grid
+from polsp.kk import LorentzSet
 from conftest import make_config
 from test_golden import CONFIGS as GOLDEN_CONFIGS
 
@@ -926,3 +929,151 @@ def test_sweep_methods_agree_on_shared_branches():
         sec_at = drop_near_poles(sec_at, poles, cfg.solver.pole_exclusion)
         assert len(dyn_at) == len(sec_at)
         assert dyn_at == pytest.approx(sec_at, rel=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# q grids: a counted route solves every q of a grid in one pass
+# ---------------------------------------------------------------------------
+
+GRID_ROUTES = {
+    "secular": lambda cfg, ov, q, window: secular_roots(cfg, ov, q, window),
+    "one_exciton": lambda cfg, ov, q, window: one_exciton_roots(cfg, ov, q, window),
+    "two_exciton": lambda cfg, ov, q, window: two_exciton_roots(cfg, ov, q, window),
+    "green": lambda cfg, ov, q, window: green_roots(cfg, q, window),
+    "classical": lambda cfg, ov, q, window: classical_roots(
+        cfg, LorentzSet.from_config(cfg), q, window),
+}
+
+# the benchmark's README cavity
+README_CAVITY = make_config(L=1.0, l=0.5, species=((20.0, 3.0),), photon=64, exciton=16,
+                            omega_max=17.0)
+
+
+def one_species_config(rng, exciton):
+    L = rng.uniform(0.8, 2.0)
+    return make_config(L=L, l=rng.uniform(0.3, 0.95) * L, c=rng.uniform(0.7, 1.5),
+                       species=((rng.uniform(2.0, 10.0), rng.uniform(0.1, 2.5)),),
+                       photon=int(rng.integers(8, 65)), exciton=exciton,
+                       omega_max=14.0, pole_exclusion=1e-3)
+
+
+def same_result(a, b):
+    # equal root arrays, or equal tuples of them, with equal dtypes
+    if isinstance(a, tuple):
+        return isinstance(b, tuple) and len(a) == len(b) and all(map(same_result, a, b))
+    return isinstance(b, np.ndarray) and a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def assert_grid_matches_points(route, cfg, overlaps, qs):
+    # the grid call returns a tuple with each q's result, equal to the call
+    # at that q alone; returns the number of roots seen
+    window = (0.0, cfg.solver.omega_max)
+    grid = route(cfg, overlaps, qs, window)
+    assert isinstance(grid, tuple) and len(grid) == len(qs)
+    found = 0
+    for q, at_q in zip(qs, grid):
+        assert same_result(at_q, route(cfg, overlaps, float(q), window)), q
+        found += sum(map(len, at_q)) if isinstance(at_q, tuple) else len(at_q)
+    return found
+
+
+@pytest.mark.parametrize("name", sorted(GRID_ROUTES))
+def test_grid_call_equals_point_calls(name):
+    # seeded random one-species cavities, every grid starting at q = 0,
+    # then the grid of its last point alone
+    rng = np.random.default_rng(3)
+    route = GRID_ROUTES[name]
+    for _ in range(4):
+        exciton = {"one_exciton": 1, "two_exciton": 2}.get(name, int(rng.integers(1, 9)))
+        cfg = one_species_config(rng, exciton)
+        overlaps = overlap_K(cfg)
+        qs = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 6.0, 6))))
+        assert assert_grid_matches_points(route, cfg, overlaps, qs) > 0
+        assert assert_grid_matches_points(route, cfg, overlaps, qs[-1:]) > 0
+
+
+def test_secular_grid_with_cross_parity_overlaps_equals_point_calls():
+    # the hand-built K of the tests above makes one sector of every row and
+    # column
+    cfg = make_config(L=1.2, l=0.7, photon=9, exciton=4, omega_max=12.0,
+                      pole_exclusion=1e-3)
+    K = overlap_K(cfg).K.copy()
+    K[0, 1] = K[1, 0] = 0.35
+    K[4, 3] = -0.2
+    hand = OverlapSet(K=K, L=cfg.L, l=cfg.l)
+    assert len(hand._sector_pairs) == 1
+    assert assert_grid_matches_points(GRID_ROUTES["secular"], cfg, hand,
+                                      np.linspace(0.0, 3.0, 7)) > 0
+
+
+@pytest.mark.parametrize("name", sorted(GRID_ROUTES))
+@pytest.mark.parametrize("qs", [[], [0.5, 0.5], [1.0, 0.5], [0.0, np.nan]],
+                         ids=["empty", "repeated", "descending", "nan"])
+def test_grid_routes_reject_bad_grids(name, qs):
+    cfg = make_config(exciton={"one_exciton": 1}.get(name, 2))
+    with pytest.raises(ConfigError):
+        GRID_ROUTES[name](cfg, overlap_K(cfg), qs, (0.0, cfg.solver.omega_max))
+
+
+@pytest.mark.parametrize("method, count", [("green", "_green_counts"),
+                                           ("secular", "_secular_counts")])
+def test_counted_sweep_counts_every_q_in_one_pass(monkeypatch, method, count):
+    # a 9-q sweep makes no more count calls than a 1-q sweep plus one label
+    # call, which counts both parity sectors; solving q by q made nine times
+    # as many
+    calls = []
+    original = getattr(dispersion, count)
+    monkeypatch.setattr(dispersion, count, lambda *args: calls.append(1) or original(*args))
+    sweep(README_CAVITY, [4.0], method=method)
+    one = len(calls)
+    calls.clear()
+    sweep(README_CAVITY, np.linspace(0.0, 4.0, 9), method=method)
+    assert 0 < len(calls) <= one + 2
+
+
+def counted_pair_builds(monkeypatch):
+    # a list that gains an entry each time an overlap set builds its
+    # secular parity sectors' pair products
+    builds = []
+    build = OverlapSet._sector_pairs.func
+    counted = cached_property(lambda self: builds.append(1) or build(self))
+    counted.__set_name__(OverlapSet, "_sector_pairs")
+    monkeypatch.setattr(OverlapSet, "_sector_pairs", counted)
+    return builds
+
+
+def test_secular_pair_products_are_built_once_per_sweep(monkeypatch):
+    builds = counted_pair_builds(monkeypatch)
+    curve = sweep(README_CAVITY, np.linspace(0.0, 4.0, 9), method="secular")
+    assert curve.branch_count() > 0
+    assert len(builds) == 1
+
+
+def test_secular_pair_products_are_built_once_per_converge_rung(monkeypatch, tmp_path):
+    # exciton_modes 8 makes the rungs 1, 2, 4 and 8
+    builds = counted_pair_builds(monkeypatch)
+    config = tmp_path / "run.yaml"
+    config.write_text("geometry: {L: 1.0, l: 0.5}\n"
+                      "oscillators: [{omega: 6.0, G: 0.8}]\n"
+                      "basis: {photon_modes: 16, exciton_modes: 8}\n"
+                      "solver: {omega_max: 9.0}\n", encoding="utf-8")
+    assert cli.main(["converge", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    rows = (tmp_path / "out" / "converge.csv").read_text(encoding="utf-8").splitlines()
+    assert [row.split(",")[0] for row in rows if row[:1].isdigit()] == ["1", "2", "4", "8"]
+    assert len(builds) == 4
+
+
+@pytest.mark.parametrize("method", ["green", "secular"])
+def test_sweep_memory_does_not_grow_with_the_grid(method):
+    # counts are taken in chunks and multisected in blocks of roots, so the
+    # traced peak of a 90-q sweep stays within twice that of a 9-q sweep
+    def peak(points):
+        qs = np.linspace(0.0, 4.0, points)
+        sweep(README_CAVITY, qs, method=method)
+        tracemalloc.start()
+        try:
+            sweep(README_CAVITY, qs, method=method)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak(90) <= 2 * peak(9)
