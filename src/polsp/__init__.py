@@ -26,10 +26,8 @@ _EXPORTS = {
               "exciton_parity_even", "sine_half_integral"),
     "hopfield": ("DynamicalMatrix", "PolaritonMode", "build_dynamical_matrix",
                  "diagonalize", "spectrum"),
-    "dispersion": ("SecularOperator", "DispersionCurve", "secular_roots",
-                   "one_exciton_roots", "one_exciton_value",
-                   "two_exciton_roots", "two_exciton_value",
-                   "green_matching_matrix", "green_determinant", "green_roots",
+    "dispersion": ("DispersionCurve", "secular_roots", "one_exciton_roots",
+                   "two_exciton_roots", "green_roots",
                    "classical_branch_values", "classical_roots", "sweep",
                    "scan_roots", "pole_free_segments", "cosine_solution",
                    "sine_solution"),
@@ -38,8 +36,8 @@ _EXPORTS = {
     "errors": ("PolspError", "ConfigError", "GeometryError", "SpeciesError",
                "TruncationError", "ParseError", "GridError", "SolverError",
                "DimensionError", "NormalizationError", "ConvergenceError",
-               "BracketError", "PoleError", "QuadratureError",
-               "BranchMatchError", "TruncatedSpectrumWarning"),
+               "BracketError", "PoleError", "BranchMatchError",
+               "TruncatedSpectrumWarning"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -30,18 +30,20 @@ operator, whose slab the classical route fills), which sees every root
 however close two lie and ranks it, so sweep labels branches by it.  Only
 classical_roots with a caller's own susceptibility scans signs, with a
 repeat at doubled density that raises BracketError on a changed count.
+
+No route evaluates the determinant whose zeros are its roots: those
+reference definitions are kept with the tests, in tests/oracles.py.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 
 import numpy as np
 
-from .errors import (BracketError, BranchMatchError, ConfigError, PoleError,
-                     QuadratureError)
+from .errors import BracketError, BranchMatchError, ConfigError
 from .model import (CavityConfig, check_positive, check_scan_points,
                     transverse_wavenumber)
 from .modes import OverlapSet, overlap_K, photon_frequencies
@@ -72,25 +74,6 @@ def sine_solution(x: float, s: float) -> float:
         return x
     r = math.sqrt(-s)
     return math.sinh(r * x) / r
-
-
-def _fundamental_pairs(x, s) -> tuple[np.ndarray, np.ndarray]:
-    # (cosine_solution, sine_solution) elementwise over the broadcast arrays
-    # x and s; the masks for s = 0 and s < 0 are built only where such an s
-    # occurs
-    x, s = np.asarray(x, dtype=float), np.asarray(s, dtype=float)
-    positive = s.min() > 0.0
-    r = np.sqrt(s if positive else np.abs(s))
-    rx = r * x
-    if positive:
-        return np.cos(rx), np.sin(rx) / r
-    x, s, r = np.broadcast_arrays(x, s, r)
-    cos, sin = np.cos(rx), x.copy()
-    for part, fn in ((s > 0.0, np.sin), (s < 0.0, np.sinh)):
-        sin[part] = fn(rx[part]) / r[part]
-    neg = s < 0.0
-    cos[neg] = np.cosh(rx[neg])
-    return cos, sin
 
 
 def _damped_pair(x: float, s: float) -> tuple[float, float]:
@@ -324,111 +307,29 @@ def _chunks(points: int, per_point: int) -> list[slice]:
 # secular determinant
 # --------------------------------------------------------------------------
 
-def _refuse_poles(config: CavityConfig, photon_freqs: np.ndarray, omega: float,
-                  name: str) -> None:
-    # PoleError where omega_j^2 - Omega^2 or Omega_m^2 - Omega^2 is exactly 0,
-    # for the evaluators of one frequency; a scan never samples a pole
-    species = np.array([sp.omega for sp in config.oscillators])
-    for kind, poles in (("species", species), ("photon", photon_freqs)):
-        hit = poles[poles ** 2 - omega ** 2 == 0.0]
-        if len(hit):
-            raise PoleError(f"{name} evaluated at {kind} pole {hit[0]}")
-
-
 def _coupling_strength_sum(species, omega):
     # S(Omega) = sum_j G_j^2 / (omega_j^2 - Omega^2); the lossless
     # susceptibility of a species set, for a float or an array
     return sum((sp.G ** 2 / (sp.omega ** 2 - omega ** 2) for sp in species), 0.0)
 
 
-@dataclass(frozen=True)
-class SecularOperator:
-    """The frequency-dependent photon-block operator M(Omega).
-
-    M[m, k] = Omega^2 S(Omega) D[m, k] / (Omega_m^2 - Omega^2); polariton
-    frequencies solve det(I - M) = 0.  Because D = K K^T has rank <= Xi,
-    the determinant is evaluated as det(I_Xi - Omega^2 S(Omega) K^T W K)
-    with W = diag(1/(Omega_m^2 - Omega^2)), identical in exact arithmetic
-    but (Xi x Xi) instead of (N x N).
-    """
-
-    config: CavityConfig
-    overlaps: OverlapSet
-    q: float
-
-    @cached_property
-    def photon_poles(self) -> np.ndarray:
-        return photon_frequencies(self.config, self.q)
-
-    @property
-    def species_poles(self) -> np.ndarray:
-        return np.array([sp.omega for sp in self.config.oscillators])
-
-    def all_poles(self) -> np.ndarray:
-        return np.sort(np.concatenate([self.photon_poles, self.species_poles]))
-
-    def matrix(self, omega: float) -> np.ndarray:
-        """The literal N x N operator; prefer determinant() for root scans."""
-        _refuse_poles(self.config, self.photon_poles, omega, "secular operator")
-        weights = 1.0 / (self._photon_poles_sq - omega ** 2)
-        s_val = _coupling_strength_sum(self.config.oscillators, omega)
-        return (omega ** 2 * s_val) * weights[:, None] * self.overlaps.D
-
-    @cached_property
-    def _photon_poles_sq(self) -> np.ndarray:
-        return self.photon_poles ** 2
-
-    @cached_property
-    def _identity(self) -> np.ndarray:
-        return np.eye(self.overlaps.K.shape[1])
-
-    def _reduced(self, omega: float) -> np.ndarray:
-        weights = 1.0 / (self._photon_poles_sq - omega ** 2)
-        s_val = _coupling_strength_sum(self.config.oscillators, omega)
-        K = self.overlaps.K
-        core = K.T @ (weights[:, None] * K)
-        return self._identity - (omega ** 2 * s_val) * core
-
-    @property
-    def _parity_sectors(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
-        # the overlap set's parity sectors of the reduced matrix, each a
-        # (photon mask, pair products, unpack index); its determinant is the
-        # product of theirs
-        return self.overlaps._sector_pairs
-
-    def sector_counts(self, sector: int, omegas) -> np.ndarray:
-        """A count of one parity sector's roots below every frequency.
-
-        ``sector`` indexes _parity_sectors.  With R the sector's reduced
-        matrix I - Omega^2 S K^T W K, the count is the number of negative
-        eigenvalues of R plus the sector's matter-mode count where S > 0,
-        and the number of positive ones where S < 0.  It is taken as the
-        negative count of sgn(S) R = |S| (I/S - Omega^2 K^T W K), plus the
-        mode count where sgn(S) = 1, with no division by S.  By Wittrick
-        and Williams, inside one pole-free segment it differs from the
-        number of the sector's polariton frequencies below Omega by a
-        constant, so it rises by one at every root, however close two
-        roots lie.  Per chunk of frequencies the sector takes one matrix
-        product of the scaled pole weights with its pair products, unpacks
-        it into stacked symmetric matrices sgn(S) R and counts their
-        negative eigenvalues from one batched eigvalsh.
-        """
-        omegas = np.asarray(omegas, dtype=float)
-        return _secular_counts(self.config, self._parity_sectors[sector], self.photon_poles[None],
-                               omegas, np.zeros(len(omegas), dtype=np.intp))
-
-    def determinant(self, omega: float) -> float:
-        _refuse_poles(self.config, self.photon_poles, omega, "secular determinant")
-        sign, logdet = np.linalg.slogdet(self._reduced(omega))
-        return sign * math.exp(min(logdet, 700.0))
-
-
 def _secular_counts(config: CavityConfig, sector, photon: np.ndarray,
                     omegas: np.ndarray, at: np.ndarray) -> np.ndarray:
-    # SecularOperator.sector_counts at frequencies of many q: ``sector`` is
-    # a (photon mask, pair products, unpack index) of
-    # OverlapSet._sector_pairs, photon the photon frequencies with a row per
-    # q and at each frequency's row, whose poles each chunk gathers
+    """A count of one parity sector's roots below every frequency of an array.
+
+    ``sector`` is a (photon mask, pair products, unpack index) of
+    OverlapSet._sector_pairs, ``photon`` the photon frequencies with a row
+    per q and ``at`` each frequency's row.  With W = diag(1/(Omega_m^2 -
+    Omega^2)), the sector's reduced matrix R = I - Omega^2 S K^T W K is its
+    factor of the secular determinant det(I - M).  The count is the number of negative eigenvalues
+    of sgn(S) R = |S| (I/S - Omega^2 K^T W K), with no division by S, plus
+    the sector's matter-mode count where S > 0.  By Wittrick and Williams,
+    inside one pole-free segment it differs from the number of the sector's
+    polariton frequencies below Omega by a constant, so it rises by one at
+    every root, however close two lie.  Each chunk of frequencies takes one
+    product of the scaled pole weights with the pair products, unpacked
+    into stacked matrices sgn(S) R, and one batched eigvalsh.
+    """
     photons, products, unpack = sector
     omegas_sq = omegas ** 2
     strength = _coupling_strength_sum(config.oscillators, omegas)
@@ -445,11 +346,6 @@ def _secular_counts(config: CavityConfig, sector, photon: np.ndarray,
     return counts
 
 
-def _photon_table(config: CavityConfig, qs: np.ndarray) -> np.ndarray:
-    # the photon frequencies Omega_m(q), a row per q of the grid
-    return np.array([photon_frequencies(config, q) for q in qs])
-
-
 def secular_roots(config: CavityConfig, overlaps: OverlapSet, q,
                   window: tuple[float, float]):
     """Zeros of the secular determinant in the window, found by counting.
@@ -463,7 +359,7 @@ def secular_roots(config: CavityConfig, overlaps: OverlapSet, q,
     """
     overlaps.check_shape(config)
     qs = _q_grid(q)
-    photon = _photon_table(config, qs)
+    photon = photon_frequencies(config, qs)
     counts = [partial(_secular_counts, config, sector, photon) for sector in overlaps._sector_pairs]
     found = _counted_roots(config, counts, window, len(qs),
                            [sp.omega for sp in config.oscillators], photon)
@@ -496,7 +392,7 @@ def _closed_form_roots(name: str, needed_modes: int, config: CavityConfig,
     # no scan grid is built and scan_points is not read
     _check_closed_form(name, needed_modes, config, overlaps)
     qs = _q_grid(q)
-    freqs = _photon_table(config, qs)
+    freqs = photon_frequencies(config, qs)
     found = _counted_roots(config, [partial(_closed_form_counts, config, overlaps, freqs)],
                            window, len(qs), [config.oscillators[0].omega], freqs)
     return _per_q(q, [roots for roots, in found])
@@ -531,15 +427,6 @@ def _sigma(config: CavityConfig, overlaps: OverlapSet, photon_freqs: np.ndarray,
     return factor * np.sum(overlaps.K[:, a] * overlaps.K[:, b] * weights, axis=-1)
 
 
-def one_exciton_value(config: CavityConfig, overlaps: OverlapSet,
-                      omega: float, q) -> float:
-    """1 - G^2 Omega^2/(w0^2 - Omega^2) sum_m K[m,0]^2/(Omega_m^2 - Omega^2)."""
-    _check_closed_form("one_exciton_value", 1, config, overlaps)
-    freqs = photon_frequencies(config, q)
-    _refuse_poles(config, freqs, omega, "one_exciton_value")
-    return float(1.0 - _sigma(config, overlaps, freqs, omega, 0, 0))
-
-
 def one_exciton_roots(config: CavityConfig, overlaps: OverlapSet, q,
                       window: tuple[float, float]):
     """Roots of the scalar single-matter-mode dispersion relation, by counting.
@@ -551,20 +438,11 @@ def one_exciton_roots(config: CavityConfig, overlaps: OverlapSet, q,
 
 def _two_exciton(config: CavityConfig, overlaps: OverlapSet,
                  freqs: np.ndarray, omega) -> tuple[np.ndarray, np.ndarray]:
-    # the determinant two_exciton_value and the trace 2 - Sigma_00 - Sigma_11
-    # of I - Sigma, elementwise
+    # the determinant (1 - Sigma_00)(1 - Sigma_11) - Sigma_01^2 and the trace
+    # 2 - Sigma_00 - Sigma_11 of I - Sigma, elementwise
     s00, s11, s01 = (_sigma(config, overlaps, freqs, omega, a, b)
                      for a, b in ((0, 0), (1, 1), (0, 1)))
     return (1.0 - s00) * (1.0 - s11) - s01 ** 2, 2.0 - s00 - s11
-
-
-def two_exciton_value(config: CavityConfig, overlaps: OverlapSet,
-                      omega: float, q) -> float:
-    """(1 - Sigma_00)(1 - Sigma_11) - Sigma_01^2 for the two-mode relation."""
-    _check_closed_form("two_exciton_value", 2, config, overlaps)
-    freqs = photon_frequencies(config, q)
-    _refuse_poles(config, freqs, omega, "two_exciton_value")
-    return float(_two_exciton(config, overlaps, freqs, omega)[0])
 
 
 def two_exciton_roots(config: CavityConfig, overlaps: OverlapSet, q,
@@ -580,26 +458,16 @@ def two_exciton_roots(config: CavityConfig, overlaps: OverlapSet, q,
 # Green-function matching
 # --------------------------------------------------------------------------
 # The field inside the slab solves an integral equation with the outgoing
-# kernel g(z, z') = -sine_solution(|z - z'|, s)/2, which obeys
-# (d^2/dz^2 + s) g = -delta(z - z').  The matching system couples the
-# matter-projection coefficients c_xi to the interior fundamental solutions
-# and one exterior solution per vacuum gap; its determinant vanishes
-# exactly at the polariton frequencies with no photon truncation.  The
-# centred slab splits it into two mirror-parity sectors: the even slab
-# modes couple only to the interior C and the odd ones only to S, and the
-# sum and difference of the two gaps' solutions match at z = +h alone.
-#
-# Every slab quantity follows from Green's identity.  With Y the sector's
+# kernel g(z, z') = -sine_solution(|z - z'|, s)/2.  Its matching system, whose
+# determinant vanishes exactly at the polariton frequencies with no photon
+# truncation, splits for the centred slab into two mirror-parity sectors.
+# That system is a reference definition kept with the tests
+# (tests/oracles.py, with the derivation of every entry); the count below
+# needs only its notation and the kernel diagonal.  With Y the sector's
 # interior fundamental solution (C even, S odd), Z the other one,
-# chi' = chi_xi'(h), den = b_xi^2 - s and phi = Y(h)/den, the moments are
-# int chi_xi Y dz = -2 chi' phi.  Solving (d^2/dz^2 + s) y = -chi_eta with
-# g gives y = chi_eta/den_eta plus a homogeneous correction fixed at z = +h;
-# C and S have Wronskian 1, so the kernel int int chi_xi g chi_eta is
-#     K[xi, eta] = -2 sigma Z(h) (phi_xi - phi_eta) chi'_xi chi'_eta
-#                  / (b_eta^2 - b_xi^2)                      (xi != eta)
-#     K[eta, eta] = (1 - 2 sigma Z(h) chi'^2 phi)/den,
-# and nothing exponentially large cancels below the light line.  The one
-# removable zero, Y(h) = 0 at b^2 = s, is carried exactly: with
+# chi' = chi_xi'(h), den = b_xi^2 - s and phi = Y(h)/den,
+#     K[eta, eta] = (1 - 2 sigma Z(h) chi'^2 phi)/den.
+# The one removable zero, Y(h) = 0 at b^2 = s, is carried exactly: with
 # r = sqrt(s), Delta = (r - b) h and p = sin(b h) (even) or cos(b h) (odd),
 # where |Delta| < 1/4, at most one mode per sector and row and r > 0.84 b,
 #     phi = sigma h p sinc(Delta)/((r + b) r^parity)
@@ -621,26 +489,20 @@ class _SlabModes:
 
     chi_xi(z) = sqrt(2/l) sin(b_xi (z + l/2)), b_xi = (xi + 1) pi / l, for
     xi = parity, parity + 2, ... below count, even about z = 0 for parity 0,
-    with sigma = +1 (even) or -1 (odd).  A scan builds one per sector, so no
-    array is rebuilt per frequency.
+    with sigma = +1 (even) or -1 (odd).  A count builds one per sector, so
+    no array is rebuilt per frequency.
     """
 
     def __init__(self, l: float, count: int, parity: int):
-        # the odd sector of count 1 holds no mode; its matching matrix is
-        # the vacuum block alone, which carries the odd cavity lines
+        # the odd sector of count 1 holds no mode
         self.h, self.parity = l / 2.0, parity
         self.idx = idx = np.arange(parity, count, 2)
         self.b = (idx + 1) * np.pi / l
         self.b_sq = self.b ** 2
         # sin(b h) in the even sector, cos(b h) in the odd one, exactly +-1
         self.p = np.where((idx + 1) // 2 % 2, -1.0, 1.0)
-        self.eye = np.eye(len(idx))
         self.sigma = -1.0 if parity else 1.0
         self.grad_pf = -self.sigma * math.sqrt(2.0 / l) * self.b  # chi_xi'(h)
-        # chi_xi'(h) chi_eta'(h)/(b_eta^2 - b_xi^2), the Omega-independent
-        # factor of the off-diagonal kernel; its diagonal is never read
-        self.weight = (np.outer(self.grad_pf, self.grad_pf)
-                       / (self.b_sq - self.b_sq[:, None] + self.eye))
 
 
 def _resonances(modes: _SlabModes, r: np.ndarray):
@@ -658,100 +520,10 @@ def _resonances(modes: _SlabModes, r: np.ndarray):
     return rows, cols, phi, -(2.0 * b + r + 4.0 * b * b * modes.h * tail) / (r * (r + b) ** 2)
 
 
-def _green_kernel(modes: _SlabModes, s, y_h, z_h) -> tuple[np.ndarray, np.ndarray]:
-    """phi = Y(h)/(b^2 - s), (n, P), and the (n, P, P) kernel stack.
-
-    s, ``y_h`` = Y(h) and ``z_h`` = sigma Z(h) are (n, 1) columns.  Both
-    results are closed forms at every s: where |Delta| < 1/4 phi and the
-    diagonal take their limits in Delta, and den is set to 1 there before
-    dividing, so no division by zero occurs.
-    """
-    den = modes.b_sq - s
-    rows, cols, res_phi, res_diag = _resonances(modes, np.sqrt(np.maximum(s[:, 0], 0.0)))
-    den[rows, cols] = 1.0
-    phi = y_h / den
-    diag = (1.0 - 2.0 * z_h * phi * modes.grad_pf ** 2) / den
-    phi[rows, cols], diag[rows, cols] = res_phi, res_diag
-    twice_zh_phi = 2.0 * z_h * phi
-    out = (twice_zh_phi[:, None, :] - twice_zh_phi[:, :, None]) * modes.weight
-    out.reshape(len(out), -1)[:, ::len(modes.b) + 1] = diag
-    return phi, out
-
-
-def _green_matrices(config: CavityConfig, modes: _SlabModes, omegas: np.ndarray,
-                    qv: float) -> np.ndarray:
-    """One sector's (n, P+2, P+2) matching matrices at an (n, 1) column of frequencies.
-
-    Arithmetic only: a frequency below the light line is continued, one on
-    a species pole or whose hyperbolic functions overflow gives a matrix
-    that is not finite, and no warning is raised.  green_matching_matrix
-    refuses such a frequency before it builds.
-    """
-    # Unknowns: the sector's P matter-projection coefficients, the amplitude
-    # of its interior fundamental solution Y (C in the even sector, S in the
-    # odd one) and that of the gap solution S(L/2 - |z|), times sign(z) in
-    # the odd sector.  Rows: P self-consistency rows, then value and
-    # derivative continuity at z = +h; z = -h repeats them by symmetry
-    count = len(modes.b)
-    s = (omegas / config.c) ** 2 - qv ** 2
-    widths = np.array([modes.h, (config.L - config.l) / 2.0])
-    with np.errstate(all="ignore"):
-        beta = _coupling_strength_sum(config.oscillators, omegas) * omegas ** 2 / config.c ** 2
-        # the fundamental pair at the slab half-width and at the gap width
-        cos, sin = _fundamental_pairs(widths, s)
-        ch, sh = cos[:, :1], sin[:, :1]
-        # Y's value and slope at h, then sigma Z(h) and sigma Z'(h)
-        value, slope, z_h, z_slope = ((sh, ch, -ch, s * sh) if modes.parity
-                                      else (ch, -s * sh, sh, ch))
-        phi, kernel_m = _green_kernel(modes, s, value, z_h)
-        # chi'(h) phi = -u/2 for the moments u; the kernel solution's value
-        # and derivative at z = +h are sigma Z(h) and sigma Z'(h) times it
-        chi_phi = modes.grad_pf * phi
-        mats = np.zeros((len(s), count + 2, count + 2))
-        # self-consistency: c_xi = beta (sum_eta M[xi,eta] c_eta + Y amplitude u_xi)
-        mats[:, :count, :count] = modes.eye - beta[:, :, None] * kernel_m
-        mats[:, :count, count] = 2.0 * beta * chi_phi
-        # continuity at z = +h: [value, Y(h), S(d)] and [derivative, Y'(h), -C(d)]
-        mats[:, count:] = np.concatenate(
-            (z_h * chi_phi, value, sin[:, 1:], z_slope * chi_phi, slope, -cos[:, 1:]),
-            axis=1).reshape(-1, 2, count + 2)
-    return mats
-
-
 def _green_sectors(config: CavityConfig) -> tuple[_SlabModes, _SlabModes]:
     # the even and the odd sector's slab modes, in that order
     return tuple(_SlabModes(config.l, config.exciton_mode_count, parity)
                  for parity in (0, 1))
-
-
-def green_matching_matrix(config: CavityConfig, omega: float, q) -> np.ndarray:
-    """The (Xi+4) homogeneous system whose determinant zeroes are eigenmodes.
-
-    Block diagonal, even parity sector first, each block that sector's
-    matrix of _green_matrices: the two-face system after sums and
-    differences of the faces' rows and of the two gaps' amplitudes.  A
-    frequency below the light line is continued through cosh and sinh; one
-    on a species pole raises PoleError, and a matrix that is not finite, as
-    where a hyperbolic function overflows, QuadratureError.
-    """
-    qv = transverse_wavenumber(q)
-    for sp in config.oscillators:
-        if abs(sp.omega ** 2 - omega ** 2) <= 1e-300:
-            raise PoleError(f"green system evaluated at species pole {sp.omega}")
-    omegas = np.full((1, 1), omega, dtype=float)
-    even, odd = (_green_matrices(config, modes, omegas, qv)[0]
-                 for modes in _green_sectors(config))
-    mat = np.zeros((config.exciton_mode_count + 4,) * 2)
-    mat[:len(even), :len(even)], mat[len(even):, len(even):] = even, odd
-    if not np.isfinite(mat).all():
-        raise QuadratureError(
-            f"green matching matrix not finite at Omega={omega:.6g}, q={qv:.6g}")
-    return mat
-
-
-def green_determinant(config: CavityConfig, omega: float, q) -> float:
-    """Determinant of the matching system; its sign changes bracket roots."""
-    return float(np.linalg.det(green_matching_matrix(config, omega, q)))
 
 
 def _tangent_ratio(w: float, s: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -774,7 +546,7 @@ def _green_counts(config: CavityConfig, modes: _SlabModes, qv, omegas) -> np.nda
     """One parity sector's count of its roots below every frequency of an array.
 
     ``qv`` is one wavenumber or one per frequency, and the frequencies are
-    counted in _chunks.  Notation as in the matching system above, with
+    counted in _chunks.  Notation as in the comment above, with
     d = (L - l)/2 and chi' = chi_xi'(h).  After Wittrick and Williams: J
     counts the negative eigenvalues of
     -d^2/dz^2 - s - gamma Pi on the half cavity 0 < z < L/2, with the
@@ -1017,13 +789,13 @@ def _roots_for_method(config: CavityConfig, overlaps, method: str, qs: np.ndarra
             for parity in (0, 1))
     if method == "secular":
         roots = secular_roots(config, overlaps, qs, window)
-        photon = _photon_table(config, qs)
+        photon = photon_frequencies(config, qs)
         counts = lambda omegas, at: sum(_secular_counts(config, sector, photon, omegas, at)
                                         for sector in overlaps._sector_pairs)
     elif method in ("one_exciton", "two_exciton"):
         route = one_exciton_roots if method == "one_exciton" else two_exciton_roots
         roots = route(config, overlaps, qs, window)
-        photon = _photon_table(config, qs)
+        photon = photon_frequencies(config, qs)
         counts = partial(_closed_form_counts, config, overlaps, photon)
     else:
         raise ConfigError(f"unknown sweep method {method!r}")

@@ -67,10 +67,6 @@ class PoleError(SolverError):
     """Evaluation requested exactly at a pole of the model."""
 
 
-class QuadratureError(SolverError):
-    """The Green matching matrix is not finite at some frequency."""
-
-
 class BranchMatchError(SolverError):
     """Branch assignment across adjacent q points was ambiguous."""
 

@@ -104,9 +104,9 @@ class ExcitonMode:
 class OverlapSet:
     """Overlap matrix K[m, xi] and photon self-coupling D = K K^T.
 
-    K.shape holds the truncations.  D is built on first read, by the
-    dynamical route or SecularOperator.matrix.  Arrays are frozen read-only
-    so the set can be shared across workers.
+    K.shape holds the truncations.  D is built on first read, which only
+    the dynamical route does.  Arrays are frozen read-only so the set can
+    be shared across workers.
     """
 
     K: np.ndarray
@@ -167,16 +167,19 @@ class OverlapSet:
 
 
 def photon_frequencies(config: CavityConfig, q) -> np.ndarray:
-    """All Omega_m(q) = c sqrt((pi m / L)^2 + q^2) for m = 1..N as a vector.
+    """All Omega_m(q) = c sqrt((pi m / L)^2 + q^2) for m = 1..N.
 
+    A vector for one wavenumber q, or a row per q of a 1-D grid q.
     ConfigError where (c q)^2 is not finite, as the routes square Omega_m.
     """
-    qv = transverse_wavenumber(q)
-    if not _finite_square(config.c * qv):
-        raise ConfigError(f"photon frequency c q = {config.c * qv:.3g} at q={qv} "
-                          "has no finite square")
+    qs = [transverse_wavenumber(v) for v in (q if np.ndim(q) else [q])]
+    for qv in qs:
+        if not _finite_square(config.c * qv):
+            raise ConfigError(f"photon frequency c q = {config.c * qv:.3g} at q={qv} "
+                              "has no finite square")
     Q = np.pi * np.arange(1, config.photon_mode_count + 1) / config.L
-    return config.c * np.hypot(Q, qv)
+    table = config.c * np.hypot(Q, np.array(qs).reshape(-1, 1))
+    return table if np.ndim(q) else table[0]
 
 
 def overlap_K(config: CavityConfig) -> OverlapSet:

@@ -22,6 +22,7 @@ from polsp import (LorentzSet, build_dynamical_matrix, classical_D,
                    two_exciton_roots)
 from polsp.cli import main
 from conftest import make_config
+from oracles import all_poles, drop_near_poles
 
 RESULTS: list[tuple[int, str, bool, str]] = []
 
@@ -29,19 +30,6 @@ RESULTS: list[tuple[int, str, bool, str]] = []
 def record(num: int, label: str, ok: bool, detail: str) -> None:
     RESULTS.append((num, label, bool(ok), detail))
     assert ok, f"criterion {num} ({label}): {detail}"
-
-
-def all_poles(cfg, q):
-    return np.concatenate([photon_frequencies(cfg, q),
-                           [sp.omega for sp in cfg.oscillators]])
-
-
-def drop_near_poles(values, poles, exclusion):
-    values = np.asarray(values)
-    if len(values) == 0:
-        return values
-    dist = np.min(np.abs(values[:, None] - np.asarray(poles)[None, :]), axis=1)
-    return values[dist > exclusion]
 
 
 def random_config(rng):

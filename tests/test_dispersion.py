@@ -16,31 +16,18 @@ import numpy as np
 import pytest
 
 from polsp import (BracketError, ConfigError, DimensionError, OverlapSet,
-                   PoleError, SecularOperator, build_dynamical_matrix,
+                   PoleError, build_dynamical_matrix,
                    classical_branch_values, classical_roots, cli, dispersion,
-                   green_determinant, green_matching_matrix, green_roots,
-                   hopfield, model, modes,
-                   one_exciton_roots, one_exciton_value, overlap_K,
+                   green_roots, hopfield, model, modes,
+                   one_exciton_roots, overlap_K,
                    photon_frequencies, pole_free_segments, scan_roots,
-                   secular_roots, spectrum, sweep, two_exciton_roots,
-                   two_exciton_value, validate)
+                   secular_roots, spectrum, sweep, two_exciton_roots, validate)
 from polsp.cli import parse_config, sweep_grid
 from polsp.kk import LorentzSet
 from conftest import make_config
+from oracles import (SecularOperator, all_poles, drop_near_poles, green_determinant,
+                     green_matching_matrix, one_exciton_value, two_exciton_value)
 from test_golden import CONFIGS as GOLDEN_CONFIGS
-
-
-def all_poles(cfg, q):
-    return np.concatenate([photon_frequencies(cfg, q),
-                           [sp.omega for sp in cfg.oscillators]])
-
-
-def drop_near_poles(values, poles, exclusion):
-    values = np.asarray(values)
-    if len(values) == 0:
-        return values
-    dist = np.min(np.abs(values[:, None] - np.asarray(poles)[None, :]), axis=1)
-    return values[dist > exclusion]
 
 
 def random_config(rng):
@@ -572,7 +559,7 @@ def test_two_exciton_scan_of_the_coupled_2x2_relation():
 
 
 def scalar_evaluators():
-    # every evaluator of one frequency, as name -> (config, call(omega))
+    # every reference evaluator of one frequency, as name -> (config, call(omega))
     cfg = make_config(L=1.0, l=0.5, species=((4.0, 1.0),), photon=6, exciton=2)
     one = cfg.with_truncation(exciton_mode_count=1)
     ov, ov1 = overlap_K(cfg), overlap_K(one)
@@ -876,10 +863,13 @@ def test_sweep_rejects_bad_grids():
             sweep(cfg, bad)
 
 
+SINGLE_Q_CAVITY = make_config(L=1.0, l=0.5, species=((20.0, 3.0),), photon=6,
+                              exciton=2, omega_max=12.0)
+
+
 def single_q_entry_points():
     # every public function of one q, as name -> call(q)
-    cfg = make_config(L=1.0, l=0.5, species=((20.0, 3.0),), photon=6,
-                      exciton=2, omega_max=12.0)
+    cfg = SINGLE_Q_CAVITY
     one = cfg.with_truncation(exciton_mode_count=1)
     ov, ov1, window = overlap_K(cfg), overlap_K(one), (0.5, 12.0)
     return {
@@ -888,18 +878,28 @@ def single_q_entry_points():
         "build_dynamical_matrix": lambda q: build_dynamical_matrix(cfg, ov, q),
         "secular_roots": lambda q: secular_roots(cfg, ov, q, window),
         "one_exciton_roots": lambda q: one_exciton_roots(one, ov1, q, window),
-        "one_exciton_value": lambda q: one_exciton_value(one, ov1, 5.0, q),
         "two_exciton_roots": lambda q: two_exciton_roots(cfg, ov, q, window),
-        "two_exciton_value": lambda q: two_exciton_value(cfg, ov, 5.0, q),
-        "green_matching_matrix": lambda q: green_matching_matrix(cfg, 5.0, q),
-        "green_determinant": lambda q: green_determinant(cfg, 5.0, q),
         "green_roots": lambda q: green_roots(cfg, q, window),
         "classical_branch_values": lambda q: classical_branch_values(cfg, None, 5.0, q),
         "classical_roots": lambda q: classical_roots(cfg, None, q, window),
     }
 
 
-SINGLE_Q_ENTRY_POINTS = single_q_entry_points()
+def oracle_single_q_entry_points():
+    # the reference evaluators of one q, which refuse a bad q by the
+    # package's rule, as name -> call(q)
+    cfg = SINGLE_Q_CAVITY
+    one = cfg.with_truncation(exciton_mode_count=1)
+    ov, ov1 = overlap_K(cfg), overlap_K(one)
+    return {
+        "one_exciton_value": lambda q: one_exciton_value(one, ov1, 5.0, q),
+        "two_exciton_value": lambda q: two_exciton_value(cfg, ov, 5.0, q),
+        "green_matching_matrix": lambda q: green_matching_matrix(cfg, 5.0, q),
+        "green_determinant": lambda q: green_determinant(cfg, 5.0, q),
+    }
+
+
+SINGLE_Q_ENTRY_POINTS = {**single_q_entry_points(), **oracle_single_q_entry_points()}
 
 
 @pytest.mark.parametrize("name", sorted(SINGLE_Q_ENTRY_POINTS))
@@ -1029,6 +1029,21 @@ def test_counted_sweep_counts_every_q_in_one_pass(monkeypatch, method, count):
     calls.clear()
     sweep(README_CAVITY, np.linspace(0.0, 4.0, 9), method=method)
     assert 0 < len(calls) <= one + 2
+
+
+@pytest.mark.parametrize("method, exciton", [("secular", 16), ("one_exciton", 1),
+                                             ("two_exciton", 2)])
+def test_counted_sweep_builds_the_photon_table_at_most_twice(monkeypatch, method, exciton):
+    # the route's multisection and the label count each take the whole grid
+    # in one photon_frequencies call; building a table row by row took one
+    # call per q for each
+    calls = []
+    original = dispersion.photon_frequencies
+    monkeypatch.setattr(dispersion, "photon_frequencies",
+                        lambda *args: calls.append(1) or original(*args))
+    cfg = README_CAVITY.with_truncation(exciton_mode_count=exciton)
+    assert sweep(cfg, np.linspace(0.0, 4.0, 9), method=method).branch_count() > 0
+    assert 0 < len(calls) <= 2
 
 
 def counted_pair_builds(monkeypatch):

@@ -4,9 +4,11 @@ The kernel double integrals have a closed form whose derivation is long
 enough to deserve an independent check: nested adaptive quadrature of the
 defining integral, split at the |z - z'| kink.  The matching determinant
 itself is anchored by the empty cavity (exact eigenfrequencies known) and
-by the mode-sum route at large photon truncation.  The root count that
-green_roots multisects is checked against the dynamical spectrum, the
-secular roots and the sign changes of the matching determinant.
+by the mode-sum route at large photon truncation; it is a reference
+definition that the package does not hold, kept in oracles.  The root
+count that green_roots multisects is checked against the dynamical
+spectrum, the secular roots and the sign changes of the matching
+determinant.
 """
 
 from __future__ import annotations
@@ -18,28 +20,28 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from polsp import (PoleError, QuadratureError, cosine_solution, green_determinant,
-                   green_matching_matrix, green_roots, one_exciton_roots,
+from polsp import (PoleError, cosine_solution, green_roots, one_exciton_roots,
                    overlap_K, pole_free_segments, secular_roots, sine_solution)
 from polsp import dispersion, hopfield
 from polsp.cli import parse_config, sweep_grid
-from polsp.dispersion import (_SlabModes, _fundamental_pairs, _green_counts,
-                              _green_kernel, _green_matrices, _green_sectors)
+from polsp.dispersion import _SlabModes, _green_counts, _green_sectors
 from conftest import make_config
+from oracles import (NotFiniteError, fundamental_pairs, green_determinant, green_kernel,
+                     green_matching_matrix, green_matrices)
 from test_golden import CONFIGS as GOLDEN_CONFIGS
 
 
 def sector_arrays(l: float, count: int, s) -> list:
     # per parity sector: its modes, the slab moments of C and of S and the
     # kernel at the (n, 1) column s, each computed exactly as the sector's
-    # matching matrix computes them, from _green_kernel; a sector takes only
+    # matching matrix computes them, from green_kernel; a sector takes only
     # the moment u = -2 chi'(h) phi of its own interior solution, so the
     # other one is an exact 0
-    ch, sh = _fundamental_pairs(l / 2.0, s)
+    ch, sh = fundamental_pairs(l / 2.0, s)
     out = []
     for parity, y_h, z_h in ((0, ch, sh), (1, sh, -ch)):
         modes = _SlabModes(l, count, parity)
-        phi, kernel = _green_kernel(modes, s, y_h, z_h)
+        phi, kernel = green_kernel(modes, s, y_h, z_h)
         u = -2.0 * modes.grad_pf * phi
         other = np.zeros_like(u)
         uc, us = (other, u) if parity else (u, other)
@@ -203,7 +205,7 @@ def gauss_legendre_column(modes: _SlabModes, eta: int, s: float) -> np.ndarray:
     hi = np.stack([z, np.full_like(z, h)], axis=1)[:, :, None]
     mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
     zp = mid + half * x
-    kernel = -0.5 * _fundamental_pairs(np.abs(z[:, None, None] - zp), s)[1]
+    kernel = -0.5 * fundamental_pairs(np.abs(z[:, None, None] - zp), s)[1]
     parts = half[:, :, 0] * np.sum(w * kernel * chi_eta(zp), axis=2)
     inner = parts[:, 0] + parts[:, 1]
     chi_all = norm * np.sin(np.outer(modes.b, z + h))
@@ -298,14 +300,15 @@ def test_green_counts_the_crowded_guided_modes(q):
 
 
 def test_overflowing_evanescent_matrix_is_a_quadrature_error():
-    # far below the light line cosh(sqrt(-s) h) overflows; the matrix is
-    # then not finite, a typed error with no numpy warning on the way.
-    # green_roots counts from ratios and builds no matrix: it returns, and
-    # its roots there lie inside the default pole exclusion
+    # far below the light line cosh(sqrt(-s) h) overflows; the reference
+    # matrix is then not finite, which the oracle refuses with no numpy
+    # warning on the way.  green_roots counts from ratios and builds no
+    # matrix: it returns, and its roots there lie inside the default pole
+    # exclusion
     cfg = make_config(species=((4.0, 1.0),))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(QuadratureError, match="not finite at Omega=1, q=3000"):
+        with pytest.raises(NotFiniteError, match="not finite at Omega=1, q=3000"):
             green_determinant(cfg, 1.0, 3000.0)
         assert len(green_roots(cfg, 3000.0, (0.5, 10.0))) == 0
 
@@ -361,7 +364,7 @@ def test_array_fundamental_pair_matches_the_scalar_one():
     # every sign of s, s = 0 included, against the math-module pair
     xs = np.array([0.0, 0.3, 1.7, 4.0])
     ss = np.array([-40.0, -1e-3, 0.0, 2e-9, 5.0, 900.0])
-    cos_arr, sin_arr = _fundamental_pairs(xs[:, None], ss[None, :])
+    cos_arr, sin_arr = fundamental_pairs(xs[:, None], ss[None, :])
     for i, x in enumerate(xs):
         for j, s in enumerate(ss):
             assert cos_arr[i, j] == pytest.approx(cosine_solution(x, s), rel=1e-14)
@@ -375,7 +378,7 @@ def green_grid(cfg, q):
     # evaluated first
     sectors = _green_sectors(cfg)
     return lambda xs: np.prod([
-        np.linalg.det(_green_matrices(cfg, modes, np.asarray(xs, dtype=float)[:, None], q))
+        np.linalg.det(green_matrices(cfg, modes, np.asarray(xs, dtype=float)[:, None], q))
         for modes in sectors], axis=0)
 
 
@@ -393,8 +396,8 @@ def two_face_determinants(cfg, q, xs) -> np.ndarray:
     omegas = np.asarray(xs, dtype=float)[:, None]
     s = (omegas / cfg.c) ** 2 - q ** 2
     count, n = cfg.exciton_mode_count, len(omegas)
-    ch, sh = _fundamental_pairs(cfg.l / 2.0, s)
-    cg, sg = _fundamental_pairs((cfg.L - cfg.l) / 2.0, s)
+    ch, sh = fundamental_pairs(cfg.l / 2.0, s)
+    cg, sg = fundamental_pairs((cfg.L - cfg.l) / 2.0, s)
     beta = sum(sp.G ** 2 / (sp.omega ** 2 - omegas ** 2)
                for sp in cfg.oscillators) * omegas ** 2 / cfg.c ** 2
     uc, us, kernel = np.zeros((n, count)), np.zeros((n, count)), np.zeros((n, count, count))
@@ -541,7 +544,7 @@ def scalar_sector_scans(cfg, q):
     # each parity sector's determinant, one frequency at a time on the grid
     # as in bisection
     return [lambda xs, modes=modes: np.array([np.linalg.det(
-        _green_matrices(cfg, modes, np.full((1, 1), w), q)[0]) for w in xs])
+        green_matrices(cfg, modes, np.full((1, 1), w), q)[0]) for w in xs])
         for modes in _green_sectors(cfg)]
 
 
@@ -570,14 +573,12 @@ def test_green_roots_equal_the_scalar_scan():
 
 def test_green_multisection_counts_once_per_step_per_sector(monkeypatch):
     # 11 roots in each sector.  Multisecting every interval of a sector in
-    # lockstep takes one counts call for the segment ends and one per step,
-    # and no matching matrix is built
+    # lockstep takes one counts call for the segment ends and one per step
     cfg = make_config(L=1.0, l=0.5, species=((100.0, 3.0),), photon=8, exciton=4,
                       omega_max=70.0)
     calls = []
     monkeypatch.setattr(dispersion, "_green_counts",
                         lambda *args: calls.append(1) or _green_counts(*args))
-    monkeypatch.setattr(dispersion, "_green_matrices", None)
     roots = green_roots(cfg, 0.0, (0.0, cfg.solver.omega_max))
     settings = cfg.solver
     steps = int(np.ceil(np.log(settings.omega_max / settings.root_tol)

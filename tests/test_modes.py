@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from polsp import (DimensionError, ExcitonMode, PhotonMode, classical_D,
+from polsp import (ConfigError, DimensionError, ExcitonMode, PhotonMode, classical_D,
                    exciton_parity_even, overlap_K, photon_frequencies,
                    photon_parity_even, secular_roots, sine_half_integral)
 from conftest import make_config
@@ -149,6 +149,24 @@ def test_photon_frequency_bounds_and_values():
     assert np.all(np.diff(freqs) > 0)
 
 
+def test_photon_frequencies_of_a_grid_are_the_rows_of_each_q():
+    # a grid gives a row per q, bit for bit the vector of that q alone, and
+    # refuses a bad q with the error of a call at that q
+    cfg = make_config(L=1.3, c=0.9, photon=7)
+    qs = np.array([0.0, 0.3, 1.7, 40.0])
+    table = photon_frequencies(cfg, qs)
+    assert table.shape == (4, 7)
+    for row, q in zip(table, qs):
+        assert np.array_equal(row, photon_frequencies(cfg, q))
+    fast = make_config(c=1e100)
+    for bad in (-1.0, np.nan, 1e60):
+        with pytest.raises(ConfigError) as alone:
+            photon_frequencies(fast, bad)
+        with pytest.raises(ConfigError) as grid:
+            photon_frequencies(fast, [0.5, bad])
+        assert str(grid.value) == str(alone.value)
+
+
 def test_overlap_set_shape_check():
     cfg = make_config(photon=8, exciton=2)
     overlaps = overlap_K(cfg)
@@ -168,7 +186,7 @@ def test_overlap_set_arrays_are_read_only():
 
 def test_D_is_built_only_when_read():
     # the secular route reads the rank-Xi factor K alone; D = K K^T is
-    # built on first read, for the dynamical route and the literal operator
+    # built on first read, for the dynamical route
     cfg = make_config(photon=16, exciton=4)
     overlaps = overlap_K(cfg)
     assert len(secular_roots(cfg, overlaps, 0.5, (0.0, 12.0))) > 0
